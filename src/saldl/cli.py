@@ -4,6 +4,11 @@ One experiment is one JSON config; commands read it with ``--config`` and
 write their artifacts into the configured output directory, plus a
 ``run_meta.json`` recording the config hash, package version, and wall
 time. ``--seed`` and ``--out`` override the config for sweeps.
+
+Every command is assembled from four stages that work on in-memory
+datasets: data (generate and split, or load the CSVs), partition, train
+(checkpoint and history) and evaluate (metrics). ``run-ablation`` builds
+the data and the partition once per seed and runs each arm on them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +35,8 @@ from .data import (
     split,
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
-from .evaluation import anchor_similarity_curve, compute_metrics
-from .model import forward_batch, init_model, predict_ages
+from .evaluation import MetricsReport, anchor_similarity_curve, compute_metrics
+from .model import LOSS_MODES, Model, forward_batch, init_model, predict_ages
 from .staging import (
     StagePartition,
     decade_partition,
@@ -57,15 +62,25 @@ ABLATION_ARMS = (
     ("sav_saw", True, True),
 )
 
+SPLITS = ("train", "val", "test")
+
 
 class CommandError(SaldlError):
     """Command-level failure with a user-facing message."""
 
 
-def _strict(d: dict, allowed, ctx: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _strict(d: dict, allowed: set[str], ctx: str) -> None:
+    unknown = sorted(set(d) - allowed)
     if unknown:
         raise InvalidParameterError(f"unknown keys in {ctx}: {unknown}")
+
+
+# The train section holds the TrainConfig knobs that no other section sets.
+TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 
 
 @dataclass
@@ -78,8 +93,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        _strict(d, {"levels", "boundaries", "feature_dim", "noise_scale",
-                    "n_per_label"}, "data.synthetic")
+        _strict(d, _keys(cls), "data.synthetic")
         return cls(levels=tuple(float(v) for v in d["levels"]),
                    boundaries=tuple(int(v) for v in d["boundaries"]),
                    feature_dim=int(d.get("feature_dim", 16)),
@@ -104,8 +118,7 @@ class DataSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSection":
-        _strict(d, {"synthetic", "fractions", "train_csv", "val_csv", "test_csv"},
-                "data")
+        _strict(d, _keys(cls), "data")
         synth = SyntheticSpec.from_dict(d["synthetic"]) if d.get("synthetic") else None
         fr = d.get("fractions", (0.7, 0.15, 0.15))
         if len(fr) != 3:
@@ -123,7 +136,7 @@ class PartitionSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionSection":
-        _strict(d, {"mode", "k", "boundaries"}, "partition")
+        _strict(d, _keys(cls), "partition")
         mode = d.get("mode", "kmeans")
         if mode not in ("kmeans", "decade", "manual"):
             raise InvalidParameterError(f"partition.mode {mode!r} unknown")
@@ -141,7 +154,7 @@ class ModelSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSection":
-        _strict(d, {"hidden_dims", "activation"}, "model")
+        _strict(d, _keys(cls), "model")
         return cls(hidden_dims=tuple(int(v) for v in d.get("hidden_dims", (64, 32))),
                    activation=str(d.get("activation", "relu")))
 
@@ -156,9 +169,9 @@ class AblationSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AblationSection":
-        _strict(d, {"sav", "saw", "fixed_sigma", "loss_mode", "seeds"}, "ablation")
+        _strict(d, _keys(cls), "ablation")
         loss_mode = d.get("loss_mode")
-        if loss_mode is not None and loss_mode not in ("kl", "ce", "saw"):
+        if loss_mode is not None and loss_mode not in LOSS_MODES:
             raise InvalidParameterError(f"ablation.loss_mode {loss_mode!r} unknown")
         seeds = d.get("seeds")
         return cls(sav=bool(d.get("sav", True)), saw=bool(d.get("saw", True)),
@@ -174,7 +187,7 @@ class EvalSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalSection":
-        _strict(d, {"cs_thresholds", "anchors", "similarity_aggregation"}, "eval")
+        _strict(d, _keys(cls), "eval")
         return cls(cs_thresholds=tuple(float(t) for t in d.get("cs_thresholds", (5.0,))),
                    anchors=tuple(int(a) for a in d.get("anchors", ())),
                    similarity_aggregation=str(d.get("similarity_aggregation",
@@ -193,24 +206,18 @@ class ExperimentConfig:
     ablation: AblationSection = field(default_factory=AblationSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
-    TOP_KEYS = {"seed", "out_dir", "support", "data", "partition", "model",
-                "train", "ablation", "eval"}
-    TRAIN_KEYS = {"epochs", "batch_size", "learning_rate", "stage_lr",
-                  "adaptation_mode", "sigma_grid", "alpha_grid",
-                  "prediction_rule", "cs_threshold"}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _strict(d, cls.TOP_KEYS, "config")
+        _strict(d, _keys(cls), "config")
         for key in ("seed", "out_dir"):
             if key not in d:
                 raise InvalidParameterError(f"config is missing {key!r}")
         sup = d.get("support", {})
-        _strict(sup, {"min_label", "max_label"}, "support")
+        _strict(sup, _keys(LabelSupport), "support")
         support = LabelSupport(int(sup.get("min_label", 0)),
                                int(sup.get("max_label", 100)))
         train = dict(d.get("train", {}))
-        _strict(train, cls.TRAIN_KEYS, "train")
+        _strict(train, TRAIN_KEYS, "train")
         return cls(
             seed=int(d["seed"]),
             out_dir=str(d["out_dir"]),
@@ -223,50 +230,13 @@ class ExperimentConfig:
             eval=EvalSection.from_dict(d.get("eval", {})),
         )
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         loss_mode = self.ablation.loss_mode or ("saw" if self.ablation.saw else "kl")
-        return TrainConfig(seed=self.seed if seed is None else seed,
-                           sav=self.ablation.sav, loss_mode=loss_mode,
+        return TrainConfig(seed=self.seed, sav=self.ablation.sav, loss_mode=loss_mode,
                            fixed_sigma=self.ablation.fixed_sigma, **self.train)
 
-    def canonical_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "support": {"min_label": self.support.min_label,
-                        "max_label": self.support.max_label},
-            "data": {
-                "synthetic": None if self.data.synthetic is None else {
-                    "levels": list(self.data.synthetic.levels),
-                    "boundaries": list(self.data.synthetic.boundaries),
-                    "feature_dim": self.data.synthetic.feature_dim,
-                    "noise_scale": self.data.synthetic.noise_scale,
-                    "n_per_label": self.data.synthetic.n_per_label,
-                },
-                "fractions": list(self.data.fractions),
-                "train_csv": self.data.train_csv,
-                "val_csv": self.data.val_csv,
-                "test_csv": self.data.test_csv,
-            },
-            "partition": {"mode": self.partition.mode, "k": self.partition.k,
-                          "boundaries": None if self.partition.boundaries is None
-                          else list(self.partition.boundaries)},
-            "model": {"hidden_dims": list(self.model.hidden_dims),
-                      "activation": self.model.activation},
-            "train": self.train,
-            "ablation": {"sav": self.ablation.sav, "saw": self.ablation.saw,
-                         "fixed_sigma": self.ablation.fixed_sigma,
-                         "loss_mode": self.ablation.loss_mode,
-                         "seeds": None if self.ablation.seeds is None
-                         else list(self.ablation.seeds)},
-            "eval": {"cs_thresholds": list(self.eval.cs_thresholds),
-                     "anchors": list(self.eval.anchors),
-                     "similarity_aggregation": self.eval.similarity_aggregation},
-        }
-
     def sha256(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -293,16 +263,16 @@ def _out(config: ExperimentConfig) -> Path:
     return p
 
 
-def _dataset_paths(config: ExperimentConfig) -> tuple[Path, Path, Path]:
-    out = Path(config.out_dir)
-    train = Path(config.data.train_csv) if config.data.train_csv else out / "train.csv"
-    val = Path(config.data.val_csv) if config.data.val_csv else out / "val.csv"
-    test = Path(config.data.test_csv) if config.data.test_csv else out / "test.csv"
-    for p in (train, val, test):
+def _read_data(config: ExperimentConfig, *names: str) -> list[Dataset]:
+    """The named splits, read from the configured CSVs or from ``out_dir``."""
+    data, out = config.data, Path(config.out_dir)
+    configured = dict(zip(SPLITS, (data.train_csv, data.val_csv, data.test_csv)))
+    paths = {name: Path(p) if p else out / f"{name}.csv" for name, p in configured.items()}
+    for p in paths.values():
         if not p.exists():
             raise CommandError(
                 f"dataset file missing: {p} (run gen-data or set data.*_csv)")
-    return train, val, test
+    return [load_csv(paths[name], config.support) for name in names]
 
 
 def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePartition:
@@ -315,19 +285,22 @@ def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePart
     return kmeans_1d(train_data.labels_array().tolist(), sect.k, config.support)
 
 
-def cmd_gen_data(config: ExperimentConfig) -> list[Path]:
-    """Generate the synthetic dataset, split it, and write the three CSVs
-    plus the profile actually used."""
-    if config.data.synthetic is None:
-        raise CommandError("gen-data needs a data.synthetic section")
-    out = _out(config)
-    profile = config.data.synthetic.profile(config.support)
-    dataset = generate_synthetic(profile, config.data.synthetic.n_per_label,
-                                 config.seed)
-    train, val, test = split(dataset, config.data.fractions, config.seed)
+def _generate_data(config: ExperimentConfig
+                   ) -> tuple[AmbiguityProfile, tuple[Dataset, Dataset, Dataset]]:
+    """The synthetic profile and the train/val/test split of its dataset."""
+    spec = config.data.synthetic
+    profile = spec.profile(config.support)
+    dataset = generate_synthetic(profile, spec.n_per_label, config.seed)
+    return profile, split(dataset, config.data.fractions, config.seed)
+
+
+def _write_data(config: ExperimentConfig, profile: AmbiguityProfile,
+                splits: tuple[Dataset, Dataset, Dataset]) -> list[Path]:
+    """Write the three split CSVs and the profile actually used."""
+    out = Path(config.out_dir)
     outputs = []
-    for name, ds in (("train.csv", train), ("val.csv", val), ("test.csv", test)):
-        path = out / name
+    for name, ds in zip(SPLITS, splits):
+        path = out / f"{name}.csv"
         save_csv(ds, path)
         load_csv(path, config.support)  # round-trip sanity before declaring success
         outputs.append(path)
@@ -339,31 +312,11 @@ def cmd_gen_data(config: ExperimentConfig) -> list[Path]:
     return outputs
 
 
-def cmd_stage(config: ExperimentConfig) -> list[Path]:
-    """Compute the stage partition from the training labels and write it."""
-    out = _out(config)
-    train_path, _, _ = _dataset_paths(config)
-    train_data = load_csv(train_path, config.support)
-    partition = _build_partition(config, train_data)
-    path = out / "partition.json"
-    save_partition(partition, path)
-    return [path]
-
-
-def cmd_train(config: ExperimentConfig) -> list[Path]:
+def _train(config: ExperimentConfig, train_data: Dataset, val_data: Dataset,
+           partition: StagePartition) -> list[Path]:
     """Train per the configured switches; write the best checkpoint and the
     per-epoch history. On divergence the history is still written."""
-    out = _out(config)
-    train_path, val_path, _ = _dataset_paths(config)
-    train_data = load_csv(train_path, config.support)
-    val_data = load_csv(val_path, config.support)
-    partition_path = out / "partition.json"
-    if partition_path.exists():
-        partition = load_partition(partition_path, config.support)
-    else:
-        partition = _build_partition(config, train_data)
-        save_partition(partition, partition_path)
-
+    out = Path(config.out_dir)
     tc = config.train_config()
     dims = (train_data.feature_dim, *config.model.hidden_dims, config.support.size)
     model0 = init_model(dims, config.model.activation, tc.seed, config.support)
@@ -382,31 +335,78 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
     save_checkpoint(checkpoint, best_model, best_params, partition)
     history.to_csv(history_csv)
     history.to_json(history_json)
-    return [checkpoint, history_csv, history_json, partition_path]
+    return [checkpoint, history_csv, history_json]
 
 
-def _load_checkpoint_or_fail(config: ExperimentConfig):
+def _load_model(config: ExperimentConfig, test_data: Dataset
+                ) -> tuple[Model, StagePartition]:
+    """The checkpoint in ``out_dir``, checked against the config and the data."""
     path = Path(config.out_dir) / "checkpoint.json"
     if not path.exists():
         raise CommandError(f"checkpoint missing: {path} (run train first)")
-    return load_checkpoint(path)
+    model, _, partition, support = load_checkpoint(path)
+    if support != config.support:
+        raise CommandError(
+            f"checkpoint {path} is for labels {support.min_label}..{support.max_label}, "
+            f"the config support is {config.support.min_label}..{config.support.max_label}")
+    if (model.input_dim, model.output_dim) != (test_data.feature_dim, support.size):
+        raise CommandError(f"checkpoint {path} maps {model.input_dim} features to "
+                           f"{model.output_dim} labels; the test data has "
+                           f"{test_data.feature_dim} features over {support.size} labels")
+    return model, partition
 
 
-def cmd_eval(config: ExperimentConfig) -> list[Path]:
-    """Score the checkpoint on the test split."""
-    out = _out(config)
-    _, _, test_path = _dataset_paths(config)
-    test_data = load_csv(test_path, config.support)
-    model, _, partition, _ = _load_checkpoint_or_fail(config)
-    tc = config.train_config()
+def _evaluate(config: ExperimentConfig, test_data: Dataset
+              ) -> tuple[MetricsReport, list[Path]]:
+    """Score the checkpoint on the test split and write the metrics."""
+    out = Path(config.out_dir)
+    model, partition = _load_model(config, test_data)
     preds = predict_ages(model, test_data.features_matrix(), config.support,
-                         tc.prediction_rule)
+                         config.train_config().prediction_rule)
     report = compute_metrics(preds, test_data.labels_array(), partition,
                              config.eval.cs_thresholds)
     json_path, csv_path = out / "metrics.json", out / "metrics.csv"
     report.save_json(json_path)
     report.save_csv(csv_path)
-    return [json_path, csv_path]
+    return report, [json_path, csv_path]
+
+
+def cmd_gen_data(config: ExperimentConfig) -> list[Path]:
+    """Generate the synthetic dataset, split it, and write the three CSVs
+    plus the profile actually used."""
+    if config.data.synthetic is None:
+        raise CommandError("gen-data needs a data.synthetic section")
+    _out(config)
+    return _write_data(config, *_generate_data(config))
+
+
+def cmd_stage(config: ExperimentConfig) -> list[Path]:
+    """Compute the stage partition from the training labels and write it."""
+    out = _out(config)
+    [train_data] = _read_data(config, "train")
+    path = out / "partition.json"
+    save_partition(_build_partition(config, train_data), path)
+    return [path]
+
+
+def cmd_train(config: ExperimentConfig) -> list[Path]:
+    """Train on the CSVs, with the partition in ``out_dir`` (built and
+    written first when there is none)."""
+    out = _out(config)
+    train_data, val_data = _read_data(config, "train", "val")
+    partition_path = out / "partition.json"
+    if partition_path.exists():
+        partition = load_partition(partition_path, config.support)
+    else:
+        partition = _build_partition(config, train_data)
+        save_partition(partition, partition_path)
+    return [*_train(config, train_data, val_data, partition), partition_path]
+
+
+def cmd_eval(config: ExperimentConfig) -> list[Path]:
+    """Score the checkpoint on the test split."""
+    [test_data] = _read_data(config, "test")
+    return _evaluate(config, test_data)[1]
 
 
 def cmd_analyze(config: ExperimentConfig) -> list[Path]:
@@ -415,9 +415,8 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
     if not config.eval.anchors:
         raise CommandError("analyze needs a non-empty eval.anchors list")
     out = _out(config)
-    _, _, test_path = _dataset_paths(config)
-    test_data = load_csv(test_path, config.support)
-    model, _, _, _ = _load_checkpoint_or_fail(config)
+    [test_data] = _read_data(config, "test")
+    model, _ = _load_model(config, test_data)
     _, embeddings, _, _ = forward_batch(model, test_data.features_matrix())
     outputs = []
     for anchor in config.eval.anchors:
@@ -430,48 +429,46 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
     return outputs
 
 
-def _run_arm(config: ExperimentConfig, arm: str, sav: bool, saw: bool,
-             seed: int, arm_dir: Path) -> dict:
-    sub = ExperimentConfig.from_dict(config.canonical_dict())
-    sub.seed = seed
-    sub.out_dir = str(arm_dir)
-    sub.ablation.sav = sav
-    sub.ablation.saw = saw
-    sub.ablation.loss_mode = None
-    cmd_gen_data(sub)
-    cmd_stage(sub)
-    cmd_train(sub)
-    cmd_eval(sub)
-    with open(arm_dir / "metrics.json", encoding="utf-8") as fh:
-        metrics = json.load(fh)
-    cs_first = next(iter(metrics["cs"].values())) if metrics["cs"] else ""
-    return {"arm": arm, "sav": int(sav), "saw": int(saw), "seed": seed,
-            "test_mae": metrics["mae"], "test_cs": cs_first}
-
-
 def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
     """Run all four sav/saw arm combinations over the configured seeds and
-    emit one comparison CSV (per-seed rows plus per-arm means)."""
+    emit one comparison CSV (per-seed rows plus per-arm means). Each seed's
+    data and partition are built once and shared by its four arms."""
     if config.data.synthetic is None:
         raise CommandError("run-ablation needs a data.synthetic section")
+    if config.data.train_csv or config.data.val_csv or config.data.test_csv:
+        raise CommandError("run-ablation generates its own data; remove "
+                           "data.train_csv, data.val_csv and data.test_csv")
+    if not config.eval.cs_thresholds:
+        raise CommandError("run-ablation reports test_cs; eval.cs_thresholds is empty")
     out = _out(config)
     seeds = config.ablation.seeds or tuple(config.seed + i for i in range(5))
-    rows = []
-    for arm, sav, saw in ABLATION_ARMS:
-        for seed in seeds:
+    # per arm: (seed, test MAE, CS at the lowest threshold), in seed order
+    rows = {arm: [] for arm, _, _ in ABLATION_ARMS}
+    for seed in seeds:
+        seed_config = replace(config, seed=seed)
+        profile, splits = _generate_data(seed_config)
+        train_data, val_data, test_data = splits
+        partition = _build_partition(seed_config, train_data)
+        for arm, sav, saw in ABLATION_ARMS:
             arm_dir = out / "ablation" / arm / f"seed_{seed}"
             arm_dir.mkdir(parents=True, exist_ok=True)
-            rows.append(_run_arm(config, arm, sav, saw, seed, arm_dir))
+            arm_config = replace(seed_config, out_dir=str(arm_dir), ablation=replace(
+                config.ablation, sav=sav, saw=saw, loss_mode=None))
+            _write_data(arm_config, profile, splits)
+            save_partition(partition, arm_dir / "partition.json")
+            _train(arm_config, train_data, val_data, partition)
+            report, _ = _evaluate(arm_config, test_data)
+            rows[arm].append((seed, report.mae, report.cs[min(report.cs)]))
     path = out / "ablation.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["arm", "sav", "saw", "seed", "test_mae", "test_cs"])
-        for r in rows:
-            writer.writerow([r["arm"], r["sav"], r["saw"], r["seed"],
-                             repr(float(r["test_mae"])), repr(float(r["test_cs"]))])
         for arm, sav, saw in ABLATION_ARMS:
-            maes = [r["test_mae"] for r in rows if r["arm"] == arm]
-            css = [r["test_cs"] for r in rows if r["arm"] == arm]
+            for seed, mae, cs in rows[arm]:
+                writer.writerow([arm, int(sav), int(saw), seed,
+                                 repr(float(mae)), repr(float(cs))])
+        for arm, sav, saw in ABLATION_ARMS:
+            _, maes, css = zip(*rows[arm])
             writer.writerow([arm, int(sav), int(saw), "mean",
                              repr(float(np.mean(maes))), repr(float(np.mean(css)))])
     return [path]

@@ -204,6 +204,8 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
             except ValueError:
                 raise ParseError("non-numeric feature cell", line=line_no) from None
+            if not np.all(np.isfinite(feats)):
+                raise ParseError("non-finite feature cell", line=line_no)
             samples.append(Sample(id=row[0], label=label, features=feats))
     return Dataset(samples=samples, feature_dim=feature_dim, support=support)
 

@@ -9,7 +9,6 @@ difference checks in the tests can run at tight tolerances.
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,8 @@ from .errors import (
 
 ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_VERSION = 1
-
 LOSS_MODES = ("kl", "ce", "saw")
+PREDICTION_RULES = ("expectation", "argmax")
 
 
 @dataclass
@@ -147,7 +146,7 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
                  prediction_rule: str = "expectation") -> np.ndarray:
     """Per-sample age read-out from the output distribution."""
-    if prediction_rule not in ("expectation", "argmax"):
+    if prediction_rule not in PREDICTION_RULES:
         raise InvalidParameterError(f"unknown prediction rule {prediction_rule!r}")
     logits, _, _, _ = forward_batch(model, features)
     k = support.labels().astype(np.float64)
@@ -301,14 +300,3 @@ def model_from_dict(d: dict) -> Model:
     biases = [_decode(blob, (fan_out,)) for blob, fan_out in zip(d["biases"], dims[1:])]
     return Model(layer_dims=dims, activation=str(d["activation"]),
                  weights=weights, biases=biases)
-
-
-def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
-
-
-def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

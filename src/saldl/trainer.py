@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
-from .core import SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
+from .core import MSE_WEIGHT, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -26,6 +26,8 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import (
+    LOSS_MODES,
+    PREDICTION_RULES,
     Model,
     backward_step,
     model_from_dict,
@@ -35,8 +37,6 @@ from .model import (
 from .staging import StagePartition
 
 ADAPTATION_MODES = ("grid", "gradient")
-PREDICTION_RULES = ("expectation", "argmax")
-LOSS_MODES = ("kl", "ce", "saw")
 
 # Keeps alphas strictly inside (0, 1) even for extreme raw values.
 _ALPHA_EPS = 1e-15
@@ -357,7 +357,7 @@ def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation
 def _objective_from_stats(loss_mode: str, stats) -> np.ndarray:
     if loss_mode == "saw":
         return (stats.alphas * stats.kl + (1.0 - stats.alphas) * stats.ce
-                + 0.01 * stats.mse)
+                + MSE_WEIGHT * stats.mse)
     if loss_mode == "kl":
         return stats.kl
     return stats.ce
@@ -477,8 +477,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         if not np.all(np.isfinite(val_preds)):
             raise TrainingDivergedError(
                 f"non-finite validation predictions at epoch {epoch}", history=history)
-        l1 = float(np.mean(np.abs(val_preds - val.labels_array())))
-        val_mae = evaluation.mae(val_preds, val.labels_array())
+        l1 = evaluation.mae(val_preds, val.labels_array())
 
         improved = l1 < min_l1
         if improved:
@@ -495,7 +494,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             mse=epoch_breakdown.mse,
             alpha_mean=epoch_breakdown.alpha_used,
             val_l1=l1,
-            val_mae=val_mae,
+            val_mae=l1,
             snapshot=improved,
             best_val_l1=min_l1,
             sigmas=tuple(float(v) for v in params_current.sigmas),

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from saldl.cli import ExperimentConfig, load_config, main
+from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
 from saldl.data import Dataset, Sample, load_csv, save_csv
 from saldl.errors import InvalidParameterError
@@ -244,6 +244,24 @@ class TestEvalCommand:
         assert meta["status"] == "partial"
 
 
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_checkpoint_support_mismatch_fails_cleanly(self, tmp_path, capsys, command):
+        doc = base_config(tmp_path / "run", epochs=0)
+        doc["support"]["max_label"] = 90
+        path = write_config(tmp_path, doc)
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        doc["support"]["max_label"] = 100
+        write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "checkpoint" in err[0]
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "partial"
+        assert meta["command"] == command
+
+
 class TestAnalyzeCommand:
     def test_three_anchor_fan_out(self, tmp_path):
         doc = base_config(tmp_path / "run")
@@ -262,3 +280,44 @@ class TestAnalyzeCommand:
         assert main(["gen-data", "--config", str(path)]) == 0
         assert main(["train", "--config", str(path)]) == 0
         assert main(["analyze", "--config", str(path)]) == 1
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "run_meta.json"}
+
+
+class TestRunAblation:
+    def test_arm_dirs_match_command_pipeline(self, tmp_path):
+        doc = base_config(tmp_path / "ablation_run")
+        doc["partition"] = {"mode": "kmeans", "k": 2}
+        doc["ablation"]["seeds"] = [3]
+        path = write_config(tmp_path, doc)
+        assert main(["run-ablation", "--config", str(path)]) == 0
+        for arm, sav, saw in ABLATION_ARMS:
+            arm_dir = tmp_path / "ablation_run" / "ablation" / arm / "seed_3"
+            cmd_doc = base_config(tmp_path / f"cmd_{arm}")
+            cmd_doc["seed"] = 3
+            cmd_doc["partition"] = doc["partition"]
+            cmd_doc["ablation"].update(sav=sav, saw=saw)
+            cmd_path = write_config(tmp_path, cmd_doc, f"cmd_{arm}.json")
+            for cmd in ("gen-data", "stage", "train", "eval"):
+                assert main([cmd, "--config", str(cmd_path)]) == 0, (arm, cmd)
+            produced = tree_bytes(arm_dir)
+            assert len(produced) == 10
+            assert produced == tree_bytes(tmp_path / f"cmd_{arm}"), arm
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "train_csv", "train.csv"),  # would train on other data than it writes
+        ("eval", "cs_thresholds", []),       # leaves the test_cs column without a value
+    ])
+    def test_config_rejected(self, tmp_path, capsys, section, key, value):
+        doc = base_config(tmp_path / "run")
+        doc[section][key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["run-ablation", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"{section}.{key}" in err[0]
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "partial"
+        assert not (tmp_path / "run" / "ablation").exists()

@@ -147,6 +147,14 @@ class TestCsvRoundTrip:
             load_csv(path, SUP)
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,age,f0\nrow1,5,0.25\nrow2,6,{cell}\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, SUP)
+        assert exc_info.value.line == 3
+
     def test_non_integer_age_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,age,f0\nrow1,5.5,0.25\n")

@@ -1,6 +1,8 @@
 """Classifier tests: determinism, hand-computed forward passes, finite
 difference gradient checks, and exact checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,9 @@ from saldl.model import (
     forward,
     forward_batch,
     init_model,
-    load_model,
     model_from_dict,
     model_to_dict,
     predict_ages,
-    save_model,
 )
 from saldl.staging import StagePartition
 from saldl.trainer import StageParams
@@ -204,21 +204,28 @@ class TestPredictAges:
 
 
 class TestCheckpointRoundTrip:
+    def test_dict_round_trip(self):
+        m = init_model((7, 33, 12, 101), "tanh", 9, SUP)
+        for w in m.weights:
+            w += np.random.default_rng(1).normal(size=w.shape) * 0.37
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+        assert again.equals(m)
+        assert again.layer_dims == m.layer_dims
+        assert again.activation == m.activation
+
     def test_bit_exact(self, tmp_path):
         m = init_model((7, 33, 12, 101), "tanh", 9, SUP)
         for w in m.weights:
             w += np.random.default_rng(1).normal(size=w.shape) * 0.37
+        # values that compare equal to, or underflow towards, zero
+        m.weights[0][0, 0] = -0.0
+        m.biases[-1][0] = 5e-324
         path = tmp_path / "model.json"
-        save_model(m, path)
-        loaded = load_model(path)
-        assert loaded.equals(m)
-        assert loaded.layer_dims == m.layer_dims
-        assert loaded.activation == m.activation
-
-    def test_dict_round_trip(self):
-        m = init_model((4, 101), "relu", 2, SUP)
-        again = model_from_dict(model_to_dict(m))
-        assert again.equals(m)
+        path.write_text(json.dumps(model_to_dict(m)), encoding="utf-8")
+        loaded = model_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        for a, b in zip(loaded.weights + loaded.biases, m.weights + m.biases):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_version_checked(self):
         doc = model_to_dict(init_model((4, 101), "relu", 2, SUP))
