@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import LabelSupport
+from .core import LOSS_MODES, LabelSupport
 from .data import (
     AmbiguityProfile,
     Dataset,
@@ -36,7 +36,7 @@ from .data import (
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
 from .evaluation import MetricsReport, anchor_similarity_curve, compute_metrics
-from .model import LOSS_MODES, Model, forward_batch, init_model, predict_ages
+from .model import Model, forward_batch, init_model, predict_ages
 from .staging import (
     StagePartition,
     decade_partition,
@@ -73,10 +73,13 @@ def _keys(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-def _strict(d: dict, allowed: set[str], ctx: str) -> None:
+def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise InvalidParameterError(f"unknown keys in {ctx}: {unknown}")
+    for key in required:
+        if key not in d:
+            raise InvalidParameterError(f"{ctx} is missing {key!r}")
 
 
 # The train section holds the TrainConfig knobs that no other section sets.
@@ -93,7 +96,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        _strict(d, _keys(cls), "data.synthetic")
+        _strict(d, _keys(cls), "data.synthetic", required=("levels", "boundaries"))
         return cls(levels=tuple(float(v) for v in d["levels"]),
                    boundaries=tuple(int(v) for v in d["boundaries"]),
                    feature_dim=int(d.get("feature_dim", 16)),
@@ -208,10 +211,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _strict(d, _keys(cls), "config")
-        for key in ("seed", "out_dir"):
-            if key not in d:
-                raise InvalidParameterError(f"config is missing {key!r}")
+        _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
         sup = d.get("support", {})
         _strict(sup, _keys(LabelSupport), "support")
         support = LabelSupport(int(sup.get("min_label", 0)),
@@ -390,16 +390,19 @@ def cmd_stage(config: ExperimentConfig) -> list[Path]:
 
 
 def cmd_train(config: ExperimentConfig) -> list[Path]:
-    """Train on the CSVs, with the partition in ``out_dir`` (built and
-    written first when there is none)."""
+    """Train on the CSVs with the partition the config gives for the training
+    labels; a ``partition.json`` already in ``out_dir`` must hold the same."""
     out = _out(config)
     train_data, val_data = _read_data(config, "train", "val")
+    partition = _build_partition(config, train_data)
     partition_path = out / "partition.json"
     if partition_path.exists():
-        partition = load_partition(partition_path, config.support)
-    else:
-        partition = _build_partition(config, train_data)
-        save_partition(partition, partition_path)
+        found = load_partition(partition_path, config.support)
+        if found != partition:
+            raise CommandError(
+                f"{partition_path} holds stages {list(found.boundaries)} ({found.provenance}), "
+                f"the config gives {list(partition.boundaries)} ({partition.provenance})")
+    save_partition(partition, partition_path)
     return [*_train(config, train_data, val_data, partition), partition_path]
 
 
@@ -516,23 +519,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.time()
-    try:
-        config = load_config(args.config, args.seed, args.out)
-    except (SaldlError, CommandError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    config: ExperimentConfig | None = None
     outputs: list[Path] = []
     try:
+        config = load_config(args.config, args.seed, args.out)
         outputs = COMMANDS[args.command](config)
-    except SaldlError as exc:
-        _write_run_meta(config, args.command, "partial", outputs, started)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    missing = [p for p in outputs if not Path(p).exists()]
-    if missing:
-        _write_run_meta(config, args.command, "partial", outputs, started)
-        print(f"error: outputs missing: {missing}", file=sys.stderr)
+        missing = [p for p in outputs if not Path(p).exists()]
+        if missing:
+            raise CommandError(f"outputs missing: {missing}")
+    except Exception as exc:  # every failure ends as one error line
+        if config is not None:
+            _write_run_meta(config, args.command, "partial", outputs, started)
+        reason = exc if isinstance(exc, SaldlError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {reason}", file=sys.stderr)
         return 1
     _write_run_meta(config, args.command, "complete", outputs, started)
     for p in outputs:

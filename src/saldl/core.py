@@ -1,9 +1,12 @@
 """Discrete label distributions and the composite training loss.
 
 Targets are Gaussians evaluated on the integer label grid and renormalized,
-so boundary-truncated targets stay valid distributions. All losses are
-per-sample here; batch reductions (means) live with the callers. Gradients
-are hand-derived and checked against finite differences in the test suite.
+so boundary-truncated targets stay valid distributions. ``loss_terms`` is
+the one batched kernel: per-sample loss terms and the logit gradient of
+the optimized objective. The single-sample functions are n = 1 views of
+the same helpers; batch reductions (means) live with the callers.
+Gradients are hand-derived and checked against finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ SIGMA_MIN = 0.25
 # Fixed weight of the squared-error term in the composite loss.
 MSE_WEIGHT = 0.01
 
+# Optimized objective: the composite loss, or its KL or CE term alone.
+LOSS_MODES = ("kl", "ce", "saw")
+
 
 @dataclass(frozen=True)
 class LabelSupport:
@@ -55,12 +61,17 @@ class LabelSupport:
     def contains(self, label: int) -> bool:
         return self.min_label <= label <= self.max_label
 
+    def indices_of(self, labels) -> np.ndarray:
+        """Grid index of each label; any label outside the support raises."""
+        labels = np.asarray(labels, dtype=np.int64)
+        outside = (labels < self.min_label) | (labels > self.max_label)
+        if outside.any():
+            raise InvalidLabelError(f"label {labels[outside].flat[0]} outside support "
+                                    f"[{self.min_label}, {self.max_label}]")
+        return labels - self.min_label
+
     def index_of(self, label: int) -> int:
-        if not self.contains(label):
-            raise InvalidLabelError(
-                f"label {label} outside support [{self.min_label}, {self.max_label}]"
-            )
-        return int(label) - self.min_label
+        return int(self.indices_of(label))
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,21 @@ class LossBreakdown:
     @classmethod
     def compose(cls, kl: float, ce: float, mse: float, alpha: float) -> "LossBreakdown":
         _check_alpha(alpha)
-        total = alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse
-        return cls(kl=float(kl), ce=float(ce), mse=float(mse), total=float(total),
-                   alpha_used=float(alpha))
+        return cls(kl=float(kl), ce=float(ce), mse=float(mse),
+                   total=float(_weigh("saw", alpha, kl, ce, mse)), alpha_used=float(alpha))
+
+
+@dataclass(frozen=True)
+class LossTerms:
+    """Per-sample outputs of ``loss_terms`` for a batch of n samples."""
+
+    preds: np.ndarray        # (n, support) predicted distributions
+    pred_ages: np.ndarray    # (n,) expectation read-outs
+    kl: np.ndarray           # (n,)
+    ce: np.ndarray           # (n,)
+    mse: np.ndarray          # (n,)
+    objective: np.ndarray    # (n,) the loss_mode objective
+    dlogits: np.ndarray      # (n, support) its gradient w.r.t. the logits
 
 
 def _check_sigma(sigma: float) -> None:
@@ -96,6 +119,101 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
+def _check_width(arr: np.ndarray, support: LabelSupport, what: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.shape != (support.size,):
+        raise ShapeError(f"{what} has shape {arr.shape}, support size {support.size}")
+    return arr
+
+
+def _check_logits(logits) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInputError("logits must be finite")
+    return z
+
+
+# The helpers below work along the last axis, so one sample (a vector) and
+# a batch (one row per sample) share each piece of math.
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Probabilities from logits, with max-subtraction for overflow safety."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _floored_log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, PROB_FLOOR))
+
+
+def _gaussian_targets(label_idx, sigmas, support: LabelSupport):
+    """Targets exp(-d^2 / (2 sigma^2)) renormalized over the support, and the
+    squared distances d^2 from the label to each grid label."""
+    k = support.labels().astype(np.float64)
+    sq_dist = (k - k[np.asarray(label_idx)[..., None]]) ** 2
+    w = np.exp(-sq_dist / (2.0 * np.asarray(sigmas, dtype=np.float64)[..., None] ** 2))
+    return w / w.sum(axis=-1, keepdims=True), sq_dist
+
+
+def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.ndarray:
+    """KL(target || pred) with the 0 * log(0 / q) = 0 convention; the true
+    value is nonnegative, and flooring can leave a ~1e-9 residue."""
+    val = np.where(target > 0.0, target * (log_target - log_pred), 0.0).sum(axis=-1)
+    return np.maximum(val, 0.0)
+
+
+def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
+    """Expectation read-out: sum of label * probability."""
+    return probs @ support.labels().astype(np.float64)
+
+
+def _weigh(loss_mode: str, alpha, kl, ce, mse):
+    """The optimized objective from its terms. Linear in the terms, so it
+    weighs the per-sample losses and their logit gradients alike."""
+    if loss_mode == "kl":
+        return kl
+    if loss_mode == "ce":
+        return ce
+    return alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse
+
+
+def loss_terms(logits: np.ndarray, label_idx: np.ndarray, sigmas: np.ndarray,
+               alphas: np.ndarray, support: LabelSupport,
+               loss_mode: str = "saw") -> LossTerms:
+    """Loss terms and logit gradient for a batch of (n, support) logits.
+
+    Sample i has the true label at grid index ``label_idx[i]``, a Gaussian
+    target of spread ``sigmas[i]`` and the composite weight ``alphas[i]``.
+    Logit gradients: KL term pred - target, CE term pred - onehot,
+    squared-error term 2 (age_hat - label) * pred_k * (k - age_hat), from
+    the softmax Jacobian applied to the expectation read-out.
+    """
+    if loss_mode not in LOSS_MODES:
+        raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
+    z = _check_logits(logits)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    rows = np.arange(z.shape[0])
+    k = support.labels().astype(np.float64)
+
+    preds = _softmax(z)
+    targets, _ = _gaussian_targets(label_idx, sigmas, support)
+    log_pred = _floored_log(preds)
+    kl = _kl(targets, _floored_log(targets), log_pred)
+    ce = -log_pred[rows, label_idx]
+    pred_ages = _expectation(preds, support)
+    err = pred_ages - k[label_idx]
+    mse = err ** 2
+
+    onehot = np.zeros_like(preds)
+    onehot[rows, label_idx] = 1.0
+    g_kl = preds - targets
+    g_ce = preds - onehot
+    g_mse = 2.0 * err[:, None] * preds * (k - pred_ages[:, None])
+    return LossTerms(preds=preds, pred_ages=pred_ages, kl=kl, ce=ce, mse=mse,
+                     objective=_weigh(loss_mode, alphas, kl, ce, mse),
+                     dlogits=_weigh(loss_mode, alphas[:, None], g_kl, g_ce, g_mse))
+
+
 def gaussian_label_distribution(label: int, sigma: float,
                                 support: LabelSupport) -> np.ndarray:
     """Gaussian target centered on ``label``, renormalized over the support.
@@ -105,24 +223,12 @@ def gaussian_label_distribution(label: int, sigma: float,
     distributions.
     """
     _check_sigma(sigma)
-    idx = support.index_of(label)
-    k = support.labels().astype(np.float64)
-    w = np.exp(-((k - k[idx]) ** 2) / (2.0 * sigma * sigma))
-    return w / w.sum()
+    return _gaussian_targets(support.index_of(label), sigma, support)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Probability vector from logits, with max-subtraction for overflow safety."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("logits must be finite")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def is_distribution(p: np.ndarray, tol: float = 1e-9) -> bool:
-    p = np.asarray(p, dtype=np.float64)
-    return bool(np.all(p >= 0.0) and abs(p.sum() - 1.0) <= tol)
+    return _softmax(_check_logits(logits))
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -131,19 +237,14 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ShapeError(f"distributions differ in shape: {p.shape} vs {q.shape}")
-    log_ratio = np.log(np.maximum(p, PROB_FLOOR)) - np.log(np.maximum(q, PROB_FLOOR))
-    val = float(np.where(p > 0.0, p * log_ratio, 0.0).sum())
-    # The true value is nonnegative; flooring can leave a ~1e-9 residue.
-    return max(val, 0.0)
+    return float(_kl(p, _floored_log(p), _floored_log(q)))
 
 
 def cross_entropy(pred: np.ndarray, label: int, support: LabelSupport) -> float:
     """Negative log-probability of the true label under ``pred`` (one sample)."""
     idx = support.index_of(label)
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != (support.size,):
-        raise ShapeError(f"prediction has shape {pred.shape}, support size {support.size}")
-    return float(-np.log(max(float(pred[idx]), PROB_FLOOR)))
+    pred = _check_width(pred, support, "prediction")
+    return float(-_floored_log(pred[idx]))
 
 
 def mse_loss(pred_age: float, label: int) -> float:
@@ -152,10 +253,17 @@ def mse_loss(pred_age: float, label: int) -> float:
 
 def expected_age(dist: np.ndarray, support: LabelSupport) -> float:
     """Expectation read-out: sum of label * probability."""
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (support.size,):
-        raise ShapeError(f"distribution has shape {dist.shape}, support size {support.size}")
-    return float(np.dot(support.labels().astype(np.float64), dist))
+    return float(_expectation(_check_width(dist, support, "distribution"), support))
+
+
+def _one_sample(logits, label: int, sigma: float, alpha: float,
+                support: LabelSupport) -> LossTerms:
+    _check_sigma(sigma)
+    _check_alpha(alpha)
+    idx = support.index_of(label)
+    z = _check_width(logits, support, "logits")
+    return loss_terms(z[None, :], np.array([idx]), np.array([sigma]),
+                      np.array([alpha]), support)
 
 
 def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
@@ -165,61 +273,38 @@ def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
     The KL target is the Gaussian label distribution at ``sigma``; the
     squared-error term uses the differentiable expectation read-out.
     """
-    _check_sigma(sigma)
-    _check_alpha(alpha)
-    target = gaussian_label_distribution(label, sigma, support)
-    pred = softmax(logits)
-    kl = kl_divergence(target, pred)
-    ce = cross_entropy(pred, label, support)
-    mse = mse_loss(expected_age(pred, support), label)
-    return LossBreakdown.compose(kl, ce, mse, alpha)
+    t = _one_sample(logits, label, sigma, alpha, support)
+    return LossBreakdown.compose(t.kl[0], t.ce[0], t.mse[0], alpha)
 
 
 def saw_gradient_logits(logits: np.ndarray, label: int, sigma: float, alpha: float,
                         support: LabelSupport) -> np.ndarray:
-    """Exact gradient of the composite loss w.r.t. each logit.
-
-    KL term: pred - target. CE term: pred - onehot. Squared-error term:
-    2 (age_hat - label) * pred_k * (k - age_hat), from the softmax Jacobian
-    applied to the expectation read-out.
-    """
-    _check_sigma(sigma)
-    _check_alpha(alpha)
-    target = gaussian_label_distribution(label, sigma, support)
-    pred = softmax(logits)
-    idx = support.index_of(label)
-    onehot = np.zeros(support.size, dtype=np.float64)
-    onehot[idx] = 1.0
-    k = support.labels().astype(np.float64)
-    age_hat = float(np.dot(k, pred))
-    g_kl = pred - target
-    g_ce = pred - onehot
-    g_mse = 2.0 * (age_hat - label) * pred * (k - age_hat)
-    return alpha * g_kl + (1.0 - alpha) * g_ce + MSE_WEIGHT * g_mse
+    """Exact gradient of the composite loss w.r.t. each logit (see
+    ``loss_terms`` for the per-term formulas)."""
+    return _one_sample(logits, label, sigma, alpha, support).dlogits[0]
 
 
-def kl_gradient_sigma(label: int, sigma: float, pred: np.ndarray,
+def kl_gradient_sigma(labels, sigma: float, preds: np.ndarray,
                       support: LabelSupport) -> float:
-    """Derivative of KL(target(sigma) || pred) w.r.t. sigma.
+    """Derivative w.r.t. sigma of KL(target(label, sigma) || pred), summed
+    over samples that share the one ``sigma``.
 
-    Differentiates through the renormalized Gaussian target: with
-    a_k = (k - label)^2 / sigma^3 the target derivative is
-    d_k (a_k - mean_d(a)), giving
+    ``labels`` is one label with a (support,) ``preds``, or n labels with
+    (n, support) ``preds``. Differentiates through the renormalized
+    Gaussian target: with a_k = (k - label)^2 / sigma^3 the target
+    derivative is d_k (a_k - mean_d(a)), giving
     dKL/dsigma = sum_k d_k (a_k - mean_d(a)) (log d_k - log pred_k).
     Spreads below SIGMA_MIN are clamped so degenerate inputs stay finite.
     """
     _check_sigma(sigma)
     s = max(float(sigma), SIGMA_MIN)
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != (support.size,):
-        raise ShapeError(f"prediction has shape {pred.shape}, support size {support.size}")
-    idx = support.index_of(label)
-    k = support.labels().astype(np.float64)
-    diff2 = (k - k[idx]) ** 2
-    w = np.exp(-diff2 / (2.0 * s * s))
-    d = w / w.sum()
-    a = diff2 / s**3
-    a_bar = float(np.dot(d, a))
-    log_ratio = np.log(np.maximum(d, PROB_FLOOR)) - np.log(np.maximum(pred, PROB_FLOOR))
-    terms = np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0)
-    return float(terms.sum())
+    idx = support.indices_of(labels)
+    preds = np.asarray(preds, dtype=np.float64)
+    if preds.shape != idx.shape + (support.size,):
+        raise ShapeError(f"predictions have shape {preds.shape} for "
+                         f"{idx.size} labels, support size {support.size}")
+    d, sq_dist = _gaussian_targets(idx, s, support)
+    a = sq_dist / s**3
+    a_bar = (d * a).sum(axis=-1, keepdims=True)
+    log_ratio = _floored_log(d) - _floored_log(preds)
+    return float(np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0).sum())

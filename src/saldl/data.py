@@ -105,19 +105,11 @@ class AmbiguityProfile:
                 "feature_dim": self.feature_dim,
                 "noise_scale": self.noise_scale}
 
-    @classmethod
-    def from_dict(cls, d: dict, support: LabelSupport) -> "AmbiguityProfile":
-        partition = StagePartition(boundaries=tuple(int(b) for b in d["boundaries"]),
-                                   support=support, provenance="manual")
-        return cls(levels=tuple(d["levels"]), partition=partition,
-                   feature_dim=int(d.get("feature_dim", 16)),
-                   noise_scale=float(d.get("noise_scale", 0.05)))
-
 
 def _prototypes(profile: AmbiguityProfile, rng: np.random.Generator) -> np.ndarray:
     support = profile.partition.support
-    steps = np.array([1.0 / profile.levels[profile.partition.stage_of(lab)]
-                      for lab in range(support.min_label, support.max_label)])
+    stages = profile.partition.stages_of(np.arange(support.min_label, support.max_label))
+    steps = 1.0 / np.asarray(profile.levels)[stages]
     t = np.concatenate(([0.0], np.cumsum(steps)))
     t = t * (_ARC_SPAN / t[-1])
     basis, _ = np.linalg.qr(rng.standard_normal((profile.feature_dim, 2)))

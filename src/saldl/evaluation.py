@@ -50,7 +50,7 @@ def cumulative_score(preds, labels, threshold: float) -> float:
 def per_stage_mae(preds, labels, partition: StagePartition) -> list[float | None]:
     """MAE restricted to each stage's labels; ``None`` marks empty stages."""
     preds, labels = _check_pair(preds, labels)
-    stage_idx = np.array([partition.stage_of(int(v)) for v in labels])
+    stage_idx = partition.stages_of(labels)
     out: list[float | None] = []
     for s in range(partition.k):
         mask = stage_idx == s

@@ -14,21 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MSE_WEIGHT,
     LabelSupport,
     LossBreakdown,
-    PROB_FLOOR,
+    LossTerms,
+    _expectation,
+    _softmax,
+    loss_terms,
 )
 from .errors import (
     EmptyInputError,
-    InvalidInputError,
     InvalidParameterError,
     ShapeError,
 )
 
 ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_VERSION = 1
-LOSS_MODES = ("kl", "ce", "saw")
 PREDICTION_RULES = ("expectation", "argmax")
 
 
@@ -49,10 +49,6 @@ class Model:
     def output_dim(self) -> int:
         return self.layer_dims[-1]
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.layer_dims[-2]
-
     def copy(self) -> "Model":
         return Model(layer_dims=self.layer_dims, activation=self.activation,
                      weights=[w.copy() for w in self.weights],
@@ -67,12 +63,10 @@ class Model:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Logits plus the penultimate embedding and cached layer state."""
+    """Logits plus the penultimate embedding."""
 
     logits: np.ndarray
     embedding: np.ndarray
-    pre_activations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
 
 
 def init_model(layer_dims, activation: str, seed: int,
@@ -137,10 +131,8 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a feature vector, got shape {x.shape}")
-    logits, emb, pre, acts = forward_batch(model, x[None, :])
-    return ForwardTrace(logits=logits[0], embedding=emb[0],
-                        pre_activations=tuple(p[0] for p in pre),
-                        activations=tuple(a[0] for a in acts))
+    logits, emb, _, _ = forward_batch(model, x[None, :])
+    return ForwardTrace(logits=logits[0], embedding=emb[0])
 
 
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
@@ -149,26 +141,16 @@ def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
     if prediction_rule not in PREDICTION_RULES:
         raise InvalidParameterError(f"unknown prediction rule {prediction_rule!r}")
     logits, _, _, _ = forward_batch(model, features)
-    k = support.labels().astype(np.float64)
     if prediction_rule == "argmax":
-        return k[np.argmax(logits, axis=1)]
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs @ k
+        return support.labels().astype(np.float64)[np.argmax(logits, axis=1)]
+    return _expectation(_softmax(logits), support)
 
 
 @dataclass(frozen=True)
-class BatchStats:
-    """Per-sample quantities from one training step, pre-update."""
+class BatchStats(LossTerms):
+    """Kernel terms of one training step (pre-update), with stages and alphas."""
 
-    preds: np.ndarray        # (n, support) predicted distributions
-    pred_ages: np.ndarray    # (n,) expectation read-outs
-    kl: np.ndarray           # (n,)
-    ce: np.ndarray           # (n,)
-    mse: np.ndarray          # (n,)
-    alphas: np.ndarray       # (n,) per-sample stage alphas
-    sigmas: np.ndarray       # (n,) per-sample stage sigmas
+    alphas: np.ndarray       # (n,)
     stage_idx: np.ndarray    # (n,)
 
 
@@ -197,8 +179,6 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     term alone); the returned breakdown always reports the full composite
     decomposition so arms stay comparable in training histories.
     """
-    if loss_mode not in LOSS_MODES:
-        raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
     if learning_rate < 0:
         raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
     x = np.asarray(features, dtype=np.float64)
@@ -209,46 +189,16 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     if n == 0:
         raise EmptyInputError("batch is empty")
 
-    stage_idx = np.array([partition.stage_of(int(v)) for v in y])
-    sigmas = np.asarray(stage_params.sigmas, dtype=np.float64)[stage_idx]
+    stage_idx = partition.stages_of(y)
     alphas = np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
 
     with np.errstate(invalid="ignore", over="ignore"):
         logits, _, pre, acts = forward_batch(model, x)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInputError("non-finite logits; parameters may have diverged")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    preds = e / e.sum(axis=1, keepdims=True)
+    terms = loss_terms(logits, y - support.min_label,
+                       np.asarray(stage_params.sigmas, dtype=np.float64)[stage_idx],
+                       alphas, support, loss_mode)
 
-    k = support.labels().astype(np.float64)
-    y_idx = y - support.min_label
-    diff = k[None, :] - k[y_idx][:, None]
-    targets = np.exp(-(diff ** 2) / (2.0 * sigmas[:, None] ** 2))
-    targets /= targets.sum(axis=1, keepdims=True)
-
-    log_pred = np.log(np.maximum(preds, PROB_FLOOR))
-    log_target = np.log(np.maximum(targets, PROB_FLOOR))
-    kl = np.where(targets > 0.0, targets * (log_target - log_pred), 0.0).sum(axis=1)
-    kl = np.maximum(kl, 0.0)
-    ce = -log_pred[np.arange(n), y_idx]
-    pred_ages = preds @ k
-    mse = (pred_ages - y.astype(np.float64)) ** 2
-
-    onehot = np.zeros_like(preds)
-    onehot[np.arange(n), y_idx] = 1.0
-    g_kl = preds - targets
-    g_ce = preds - onehot
-    g_mse = 2.0 * (pred_ages - y)[:, None] * preds * (k[None, :] - pred_ages[:, None])
-    if loss_mode == "saw":
-        dlogits = alphas[:, None] * g_kl + (1.0 - alphas)[:, None] * g_ce + MSE_WEIGHT * g_mse
-    elif loss_mode == "kl":
-        dlogits = g_kl
-    else:
-        dlogits = g_ce
-    dlogits = dlogits / n  # batch-mean objective
-
-    delta = dlogits
+    delta = terms.dlogits / n  # batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):
         h_in = acts[layer]
         grad_w = h_in.T @ delta
@@ -259,10 +209,9 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         model.weights[layer] -= learning_rate * grad_w
         model.biases[layer] -= learning_rate * grad_b
 
-    breakdown = batch_breakdown(kl, ce, mse, alphas)
+    breakdown = batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
     if return_stats:
-        stats = BatchStats(preds=preds, pred_ages=pred_ages, kl=kl, ce=ce, mse=mse,
-                           alphas=alphas, sigmas=sigmas, stage_idx=stage_idx)
+        stats = BatchStats(**vars(terms), alphas=alphas, stage_idx=stage_idx)
         return model, breakdown, stats
     return model, breakdown
 

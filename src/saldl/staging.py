@@ -8,7 +8,6 @@ optimum and fully deterministic) or from fixed ten-year intervals.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -16,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import LabelSupport
-from .errors import EmptyInputError, InvalidLabelError, InvalidParameterError
+from .errors import EmptyInputError, InvalidParameterError, parsing
 
 PROVENANCES = ("kmeans", "decade", "manual")
 
@@ -55,14 +54,14 @@ class StagePartition:
     def k(self) -> int:
         return len(self.boundaries)
 
+    def stages_of(self, labels) -> np.ndarray:
+        """Index of the unique stage containing each label."""
+        labels = self.support.indices_of(labels) + self.support.min_label
+        return np.searchsorted(self.boundaries, labels, side="right") - 1
+
     def stage_of(self, label: int) -> int:
         """Index of the unique stage containing ``label``."""
-        if not self.support.contains(label):
-            raise InvalidLabelError(
-                f"label {label} outside support "
-                f"[{self.support.min_label}, {self.support.max_label}]"
-            )
-        return bisect_right(self.boundaries, label) - 1
+        return int(self.stages_of(label))
 
     def stage_ranges(self) -> list[tuple[int, int]]:
         """Inclusive (start, end) label range per stage."""
@@ -86,7 +85,7 @@ def save_partition(partition: StagePartition, path) -> None:
 
 
 def load_partition(path, support: LabelSupport) -> StagePartition:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path):
         return StagePartition.from_dict(json.load(fh), support)
 
 
@@ -102,12 +101,7 @@ def kmeans_1d(labels: Iterable[int], k: int, support: LabelSupport) -> StagePart
     labels = [int(x) for x in labels]
     if not labels:
         raise EmptyInputError("cannot cluster an empty label multiset")
-    for x in labels:
-        if not support.contains(x):
-            raise InvalidLabelError(
-                f"label {x} outside support "
-                f"[{support.min_label}, {support.max_label}]"
-            )
+    support.indices_of(labels)
     counts = Counter(labels)
     values = sorted(counts)
     m = len(values)

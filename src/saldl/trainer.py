@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import evaluation
-from .core import MSE_WEIGHT, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
+from .core import LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
 from .data import Dataset
 from .errors import (
     EmptyInputError,
     InvalidInputError,
     InvalidParameterError,
     TrainingDivergedError,
+    parsing,
 )
 from .model import (
-    LOSS_MODES,
     PREDICTION_RULES,
     Model,
     backward_step,
@@ -310,17 +310,7 @@ class TrainHistory:
         return [r.val_l1 for r in self.records if r.snapshot]
 
     def to_dicts(self) -> list[dict]:
-        out = []
-        for r in self.records:
-            d = {
-                "epoch": r.epoch, "objective": r.objective, "total": r.total,
-                "kl": r.kl, "ce": r.ce, "mse": r.mse, "alpha_mean": r.alpha_mean,
-                "val_l1": r.val_l1, "val_mae": r.val_mae,
-                "snapshot": r.snapshot, "best_val_l1": r.best_val_l1,
-                "sigmas": list(r.sigmas), "alphas": list(r.alphas),
-            }
-            out.append(d)
-        return out
+        return [asdict(r) for r in self.records]
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -329,21 +319,16 @@ class TrainHistory:
 
     def to_csv(self, path) -> None:
         k = len(self.records[0].sigmas) if self.records else 0
-        header = (["epoch", "objective", "total", "kl", "ce", "mse", "alpha_mean",
-                   "val_l1", "val_mae", "snapshot", "best_val_l1"]
-                  + [f"sigma_{s}" for s in range(k)]
-                  + [f"alpha_{s}" for s in range(k)])
+        scalars = [f.name for f in fields(EpochRecord)][:-2]  # all but sigmas, alphas
+        header = scalars + [f"sigma_{s}" for s in range(k)] + [f"alpha_{s}" for s in range(k)]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for r in self.records:
-                row = ([r.epoch] + [repr(float(v)) for v in
-                                    (r.objective, r.total, r.kl, r.ce, r.mse,
-                                     r.alpha_mean, r.val_l1, r.val_mae)]
-                       + [int(r.snapshot), repr(float(r.best_val_l1))]
-                       + [repr(float(v)) for v in r.sigmas]
-                       + [repr(float(v)) for v in r.alphas])
-                writer.writerow(row)
+                values = [getattr(r, name) for name in scalars] + [*r.sigmas, *r.alphas]
+                # epoch and snapshot as integers, every other value as a round-trip float
+                writer.writerow([int(v) if isinstance(v, int) else repr(float(v))
+                                 for v in values])
 
 
 def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation") -> float:
@@ -352,15 +337,6 @@ def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation
         raise EmptyInputError("cannot evaluate on an empty dataset")
     preds = predict_ages(model, data.features_matrix(), data.support, prediction_rule)
     return float(np.mean(np.abs(preds - data.labels_array())))
-
-
-def _objective_from_stats(loss_mode: str, stats) -> np.ndarray:
-    if loss_mode == "saw":
-        return (stats.alphas * stats.kl + (1.0 - stats.alphas) * stats.ce
-                + MSE_WEIGHT * stats.mse)
-    if loss_mode == "kl":
-        return stats.kl
-    return stats.ce
 
 
 def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
@@ -404,30 +380,24 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     n = len(train)
 
     for epoch in range(config.epochs):
+        params_current = params_accepted
         if adapting and epoch > 0:
-            if config.adaptation_mode == "grid":
+            params_current = propose_stage_update(
+                params_accepted, "grid", grid_state=grid_state,
+                sigma_grid=config.sigma_grid, alpha_grid=config.alpha_grid)
+            # set in gradient mode only, from the previous epoch
+            if config.adapt_sigma and last_sigma_grads is not None:
                 params_current = propose_stage_update(
-                    params_accepted, "grid", grid_state=grid_state,
-                    sigma_grid=config.sigma_grid, alpha_grid=config.alpha_grid)
-            else:
-                params_current = params_accepted
-                if config.adapt_alpha:
-                    params_current = propose_stage_update(
-                        params_current, "grid", grid_state=grid_state,
-                        sigma_grid=config.sigma_grid, alpha_grid=config.alpha_grid)
-                if config.adapt_sigma and last_sigma_grads is not None:
-                    params_current = propose_stage_update(
-                        params_current, "gradient", sigma_grads=last_sigma_grads,
-                        stage_lr=config.stage_lr)
-        else:
-            params_current = params_accepted
+                    params_current, "gradient", sigma_grads=last_sigma_grads,
+                    stage_lr=config.stage_lr)
 
         order = rng.permutation(n)
-        sums = {"wkl": 0.0, "wce": 0.0, "kl": 0.0, "ce": 0.0, "mse": 0.0,
-                "alpha": 0.0, "obj": 0.0}
+        sums = {"wkl": 0.0, "wce": 0.0, "mse": 0.0, "alpha": 0.0, "obj": 0.0}
         sig_grad_sum = np.zeros(partition.k)
         stage_counts = np.zeros(partition.k)
         sig_sigmoid = sigmoid(params_current.raw_sigma)
+        stage_sigmas = params_current.sigmas
+        stage_alphas = params_current.alphas
 
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -441,33 +411,30 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
                 ) from exc
-            obj = _objective_from_stats(config.loss_mode, stats)
-            if not np.all(np.isfinite(obj)):
+            if not np.all(np.isfinite(stats.objective)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}", history=history)
             sums["wkl"] += float(np.dot(stats.alphas, stats.kl))
             sums["wce"] += float(np.dot(1.0 - stats.alphas, stats.ce))
-            sums["kl"] += float(stats.kl.sum())
-            sums["ce"] += float(stats.ce.sum())
             sums["mse"] += float(stats.mse.sum())
             sums["alpha"] += float(stats.alphas.sum())
-            sums["obj"] += float(obj.sum())
+            sums["obj"] += float(stats.objective.sum())
+            batch_counts = np.bincount(stats.stage_idx, minlength=partition.k)
+            stage_counts += batch_counts
             if config.adaptation_mode == "gradient" and config.adapt_sigma:
-                for i in range(len(idx)):
-                    s = stats.stage_idx[i]
-                    g = kl_gradient_sigma(int(batch_labels[i]), float(stats.sigmas[i]),
-                                          stats.preds[i], support)
+                for s in np.flatnonzero(batch_counts):
+                    in_stage = stats.stage_idx == s
+                    g = kl_gradient_sigma(batch_labels[in_stage], float(stage_sigmas[s]),
+                                          stats.preds[in_stage], support)
                     if config.loss_mode == "saw":
-                        g *= stats.alphas[i]
+                        g *= stage_alphas[s]
                     sig_grad_sum[s] += g * sig_sigmoid[s]
-            np.add.at(stage_counts, stats.stage_idx, 1.0)
 
-        mean_alpha = sums["alpha"] / n
         epoch_breakdown = LossBreakdown.compose(
             kl=sums["wkl"] / sums["alpha"],
             ce=sums["wce"] / (n - sums["alpha"]),
             mse=sums["mse"] / n,
-            alpha=mean_alpha)
+            alpha=sums["alpha"] / n)
         if config.adaptation_mode == "gradient":
             nz = stage_counts > 0
             last_sigma_grads = np.where(nz, sig_grad_sum / np.maximum(stage_counts, 1), 0.0)
@@ -525,15 +492,14 @@ def save_checkpoint(path, model: Model, stage_params: StageParams,
 
 
 def load_checkpoint(path) -> tuple[Model, StageParams, StagePartition, LabelSupport]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path):
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
-        raise InvalidParameterError(
-            f"unsupported checkpoint format {doc.get('format')!r} "
-            f"v{doc.get('version')!r}")
-    support = LabelSupport(int(doc["support"]["min_label"]),
-                           int(doc["support"]["max_label"]))
-    model = model_from_dict(doc["model"])
-    params = StageParams.from_dict(doc["stage_params"])
-    partition = StagePartition.from_dict(doc["partition"], support)
+        if doc["format"] != CHECKPOINT_FORMAT or doc["version"] != CHECKPOINT_VERSION:
+            raise InvalidParameterError(
+                f"unsupported checkpoint format {doc['format']!r} v{doc['version']!r}")
+        support = LabelSupport(int(doc["support"]["min_label"]),
+                               int(doc["support"]["max_label"]))
+        model = model_from_dict(doc["model"])
+        params = StageParams.from_dict(doc["stage_params"])
+        partition = StagePartition.from_dict(doc["partition"], support)
     return model, params, partition, support

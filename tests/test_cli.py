@@ -114,6 +114,15 @@ class TestGenData:
         path = write_config(tmp_path, doc)
         assert main(["gen-data", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("key", ["levels", "boundaries"])
+    def test_synthetic_field_missing_fails_cleanly(self, tmp_path, capsys, key):
+        doc = base_config(tmp_path / "run")
+        del doc["data"]["synthetic"][key]
+        path = write_config(tmp_path, doc)
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
     def test_invalid_profile_fails_cleanly(self, tmp_path, capsys):
         doc = base_config(tmp_path / "run")
         doc["data"]["synthetic"]["levels"] = [-1.0, 1.0]
@@ -190,6 +199,26 @@ class TestTrainCommand:
         assert (out / "similarity_anchor_10.csv").exists()
         assert (out / "similarity_anchor_75.csv").exists()
 
+    def test_partition_file_from_other_config_rejected(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "run", epochs=0)
+        doc["partition"] = {"mode": "kmeans", "k": 2}
+        path = write_config(tmp_path, doc)
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        out = tmp_path / "run"
+        first = json.loads((out / "partition.json").read_text())["boundaries"]
+        doc["partition"]["k"] = 5
+        write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "partition.json" in err[0] and str(first) in err[0]
+        assert json.loads((out / "run_meta.json").read_text())["status"] == "partial"
+        # the checkpoint of the k = 2 run is left as it was
+        assert len(json.loads((out / "checkpoint.json").read_text())
+                   ["partition"]["boundaries"]) == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         doc = base_config(tmp_path / "a")
         path = write_config(tmp_path, doc)
@@ -243,6 +272,19 @@ class TestEvalCommand:
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert meta["status"] == "partial"
 
+
+    def test_truncated_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        checkpoint.write_text(checkpoint.read_text()[:200])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "checkpoint.json" in err[0]
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert (meta["command"], meta["status"]) == ("eval", "partial")
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_checkpoint_support_mismatch_fails_cleanly(self, tmp_path, capsys, command):

@@ -17,6 +17,7 @@ from saldl.core import (
     gaussian_label_distribution,
     kl_divergence,
     kl_gradient_sigma,
+    loss_terms,
     mse_loss,
     saw_gradient_logits,
     saw_loss,
@@ -338,3 +339,57 @@ class TestKlGradientSigma:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             kl_gradient_sigma(40, 0.0, np.full(101, 1 / 101), SUP)
+
+
+class TestBatchedSigmaGradient:
+    @given(labels=st.lists(st.integers(0, 100), min_size=1, max_size=6),
+           sigma=st.floats(0.6, 4.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_sum_of_single_calls_and_finite_difference(self, labels, sigma, seed):
+        rng = np.random.default_rng(seed)
+        preds = np.stack([random_distribution(rng) for _ in labels])
+        g = kl_gradient_sigma(np.array(labels), sigma, preds, SUP)
+        assert isinstance(g, float)
+        singles = [kl_gradient_sigma(y, sigma, p, SUP) for y, p in zip(labels, preds)]
+        assert g == pytest.approx(sum(singles), rel=1e-12, abs=1e-12)
+
+        def summed_kl(s):
+            return sum(kl_divergence(gaussian_label_distribution(y, s, SUP), p)
+                       for y, p in zip(labels, preds))
+
+        h = 1e-5
+        fd = (summed_kl(sigma + h) - summed_kl(sigma - h)) / (2 * h)
+        assert abs(g - fd) <= 1e-5 * max(abs(fd), 1.0)
+
+    def test_shape_and_label_checked(self):
+        preds = np.full((2, 101), 1 / 101)
+        with pytest.raises(ShapeError):
+            kl_gradient_sigma(np.array([3, 4, 5]), 1.5, preds, SUP)
+        with pytest.raises(InvalidLabelError):
+            kl_gradient_sigma(np.array([3, 101]), 1.5, preds, SUP)
+
+
+class TestLossTerms:
+    @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
+    def test_gradient_matches_finite_differences(self, mode):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(3, 101))
+        args = (np.array([5, 50, 95]), np.array([0.8, 2.0, 3.0]), np.array([0.2, 0.5, 0.7]),
+                SUP, mode)
+        t = loss_terms(z, *args)
+        h = 1e-5
+        for i in range(3):
+            for k in (0, 5, 49, 50, 95, 100):
+                zp, zm = z.copy(), z.copy()
+                zp[i, k] += h
+                zm[i, k] -= h
+                fd = (loss_terms(zp, *args).objective[i]
+                      - loss_terms(zm, *args).objective[i]) / (2 * h)
+                assert abs(t.dlogits[i, k] - fd) <= 1e-6
+
+    def test_unknown_mode_and_non_finite_logits_rejected(self):
+        ok = (np.array([1]), np.array([2.0]), np.array([0.5]), SUP)
+        with pytest.raises(InvalidParameterError):
+            loss_terms(np.zeros((1, 101)), *ok, loss_mode="mse")
+        with pytest.raises(InvalidInputError):
+            loss_terms(np.full((1, 101), np.nan), *ok)

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from saldl.core import LabelSupport, saw_loss
+from saldl.core import (
+    LabelSupport,
+    cross_entropy,
+    gaussian_label_distribution,
+    kl_divergence,
+    saw_loss,
+    softmax,
+)
 from saldl.errors import EmptyInputError, InvalidParameterError, ShapeError
 from saldl.model import (
     backward_step,
@@ -176,6 +183,24 @@ class TestBackwardStep:
         with pytest.raises(EmptyInputError):
             backward_step(self.model.copy(), self.X[:0], self.y[:0], PARAMS,
                           PART, 0.1, SUP)
+
+    @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
+    def test_stats_objective_is_per_sample_objective(self, mode):
+        _, _, stats = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
+                                    0.1, SUP, loss_mode=mode, return_stats=True)
+        np.testing.assert_array_equal(stats.stage_idx, [0, 0, 1, 1, 1])
+        for i, y in enumerate(self.y):
+            s = PART.stage_of(int(y))
+            logits = forward(self.model, self.X[i]).logits
+            sigma, alpha = PARAMS.sigmas[s], PARAMS.alphas[s]
+            if mode == "kl":
+                target = gaussian_label_distribution(int(y), sigma, SUP)
+                want = kl_divergence(target, softmax(logits))
+            elif mode == "ce":
+                want = cross_entropy(softmax(logits), int(y), SUP)
+            else:
+                want = saw_loss(logits, int(y), sigma, alpha, SUP).total
+            assert stats.objective[i] == pytest.approx(want, rel=1e-12)
 
     def test_breakdown_identity_with_mixed_stages(self):
         _, bd = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from saldl.core import LabelSupport
-from saldl.errors import EmptyInputError, InvalidLabelError, InvalidParameterError
+from saldl.errors import EmptyInputError, InvalidLabelError, InvalidParameterError, ParseError
 from saldl.staging import (
     StagePartition,
     decade_partition,
@@ -147,6 +147,21 @@ class TestStageOf:
         with pytest.raises(InvalidLabelError):
             p.stage_of(-1)
 
+    @pytest.mark.parametrize("boundaries", [(0,), (0, 50), (0, 7, 30, 88), (0, 1, 99, 100)])
+    def test_stages_of_matches_stage_of_over_support(self, boundaries):
+        p = StagePartition(boundaries=boundaries, support=SUP, provenance="manual")
+        labels = SUP.labels()
+        stages = p.stages_of(labels)
+        assert stages.tolist() == [p.stage_of(int(x)) for x in labels]
+        for s, (start, end) in enumerate(p.stage_ranges()):
+            assert np.all(stages[start:end + 1] == s)
+
+    def test_stages_of_outside_support_rejected(self):
+        p = StagePartition(boundaries=(0, 50), support=SUP, provenance="manual")
+        for labels in ([3, 101], [-1], np.array([[0, 5], [200, 7]])):
+            with pytest.raises(InvalidLabelError):
+                p.stages_of(labels)
+
     @given(label=st.integers(0, 100))
     def test_total_over_support(self, label):
         p = StagePartition(boundaries=(0, 7, 30, 88), support=SUP, provenance="manual")
@@ -186,3 +201,10 @@ class TestSerialization:
         assert doc["provenance"] == "kmeans"
         loaded = load_partition(path, SUP)
         assert loaded == p
+
+    @pytest.mark.parametrize("text", ['{"boundaries": [0, 5', '{"k": 2, "provenance": "manual"}'])
+    def test_malformed_file_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "partition.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="partition.json"):
+            load_partition(path, SUP)

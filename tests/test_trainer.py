@@ -1,6 +1,8 @@
 """Outer-loop tests: stage parameterization, proposal mechanics, snapshot
 rules, determinism, and divergence handling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from saldl.data import AmbiguityProfile, generate_synthetic, split
 from saldl.errors import (
     EmptyInputError,
     InvalidParameterError,
+    ParseError,
     TrainingDivergedError,
 )
 from saldl.model import backward_step, init_model
@@ -336,7 +339,6 @@ class TestHistoryExport:
         hist = self.make_history()
         path = tmp_path / "h.json"
         hist.to_json(path)
-        import json
         docs = json.loads(path.read_text())
         assert len(docs) == len(hist)
         assert docs[0]["epoch"] == 0
@@ -353,3 +355,16 @@ class TestCheckpointBundle:
         assert p2.equals(p)
         assert part2 == PART
         assert sup2 == SUP
+
+    def test_malformed_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, small_model(), StageParams.initial(2), PART)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ParseError, match="checkpoint.json"):
+            load_checkpoint(path)
+        doc = json.loads(text)
+        del doc["stage_params"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="stage_params"):
+            load_checkpoint(path)
