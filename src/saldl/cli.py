@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -74,12 +75,33 @@ def _keys(cls) -> set[str]:
 
 
 def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()) -> None:
+    if not isinstance(d, dict):
+        raise InvalidParameterError(f"{ctx} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise InvalidParameterError(f"unknown keys in {ctx}: {unknown}")
     for key in required:
         if key not in d:
             raise InvalidParameterError(f"{ctx} is missing {key!r}")
+
+
+def _get(d: dict, ctx: str, key: str, convert, default=None):
+    """``convert(d[key])``, or ``default`` if the key is absent. A value that
+    does not convert is an InvalidParameterError naming ``ctx.key``."""
+    if key not in d:
+        return default
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{ctx}.{key}: {exc}") from None
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
 
 
 # The train section holds the TrainConfig knobs that no other section sets.
@@ -96,12 +118,13 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        _strict(d, _keys(cls), "data.synthetic", required=("levels", "boundaries"))
-        return cls(levels=tuple(float(v) for v in d["levels"]),
-                   boundaries=tuple(int(v) for v in d["boundaries"]),
-                   feature_dim=int(d.get("feature_dim", 16)),
-                   noise_scale=float(d.get("noise_scale", 0.05)),
-                   n_per_label=int(d.get("n_per_label", 12)))
+        ctx = "data.synthetic"
+        _strict(d, _keys(cls), ctx, required=("levels", "boundaries"))
+        return cls(levels=_get(d, ctx, "levels", _floats),
+                   boundaries=_get(d, ctx, "boundaries", _ints),
+                   feature_dim=_get(d, ctx, "feature_dim", int, 16),
+                   noise_scale=_get(d, ctx, "noise_scale", float, 0.05),
+                   n_per_label=_get(d, ctx, "n_per_label", int, 12))
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
         partition = StagePartition(boundaries=self.boundaries, support=support,
@@ -123,10 +146,10 @@ class DataSection:
     def from_dict(cls, d: dict) -> "DataSection":
         _strict(d, _keys(cls), "data")
         synth = SyntheticSpec.from_dict(d["synthetic"]) if d.get("synthetic") else None
-        fr = d.get("fractions", (0.7, 0.15, 0.15))
-        if len(fr) != 3:
+        fractions = _get(d, "data", "fractions", _floats, (0.7, 0.15, 0.15))
+        if len(fractions) != 3:
             raise InvalidParameterError("data.fractions needs three values")
-        return cls(synthetic=synth, fractions=tuple(float(f) for f in fr),
+        return cls(synthetic=synth, fractions=fractions,
                    train_csv=d.get("train_csv"), val_csv=d.get("val_csv"),
                    test_csv=d.get("test_csv"))
 
@@ -146,8 +169,8 @@ class PartitionSection:
         boundaries = d.get("boundaries")
         if mode == "manual" and not boundaries:
             raise InvalidParameterError("manual partition needs boundaries")
-        return cls(mode=mode, k=int(d.get("k", 10)),
-                   boundaries=tuple(int(b) for b in boundaries) if boundaries else None)
+        return cls(mode=mode, k=_get(d, "partition", "k", int, 10),
+                   boundaries=_get(d, "partition", "boundaries", _ints) if boundaries else None)
 
 
 @dataclass
@@ -158,7 +181,7 @@ class ModelSection:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSection":
         _strict(d, _keys(cls), "model")
-        return cls(hidden_dims=tuple(int(v) for v in d.get("hidden_dims", (64, 32))),
+        return cls(hidden_dims=_get(d, "model", "hidden_dims", _ints, (64, 32)),
                    activation=str(d.get("activation", "relu")))
 
 
@@ -176,10 +199,10 @@ class AblationSection:
         loss_mode = d.get("loss_mode")
         if loss_mode is not None and loss_mode not in LOSS_MODES:
             raise InvalidParameterError(f"ablation.loss_mode {loss_mode!r} unknown")
-        seeds = d.get("seeds")
         return cls(sav=bool(d.get("sav", True)), saw=bool(d.get("saw", True)),
-                   fixed_sigma=float(d.get("fixed_sigma", 2.0)), loss_mode=loss_mode,
-                   seeds=tuple(int(s) for s in seeds) if seeds else None)
+                   fixed_sigma=_get(d, "ablation", "fixed_sigma", float, 2.0),
+                   loss_mode=loss_mode,
+                   seeds=_get(d, "ablation", "seeds", _ints) if d.get("seeds") else None)
 
 
 @dataclass
@@ -191,8 +214,8 @@ class EvalSection:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalSection":
         _strict(d, _keys(cls), "eval")
-        return cls(cs_thresholds=tuple(float(t) for t in d.get("cs_thresholds", (5.0,))),
-                   anchors=tuple(int(a) for a in d.get("anchors", ())),
+        return cls(cs_thresholds=_get(d, "eval", "cs_thresholds", _floats, (5.0,)),
+                   anchors=_get(d, "eval", "anchors", _ints, ()),
                    similarity_aggregation=str(d.get("similarity_aggregation",
                                                     "pairwise")))
 
@@ -214,21 +237,25 @@ class ExperimentConfig:
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
         sup = d.get("support", {})
         _strict(sup, _keys(LabelSupport), "support")
-        support = LabelSupport(int(sup.get("min_label", 0)),
-                               int(sup.get("max_label", 100)))
-        train = dict(d.get("train", {}))
+        support = LabelSupport(_get(sup, "support", "min_label", int, 0),
+                               _get(sup, "support", "max_label", int, 100))
+        train = d.get("train", {})
         _strict(train, TRAIN_KEYS, "train")
-        return cls(
-            seed=int(d["seed"]),
+        for key in train:  # checked one at a time, so an error names its key
+            _get(train, "train", key, lambda v: TrainConfig(**{key: v}))
+        config = cls(
+            seed=_get(d, "config", "seed", int),
             out_dir=str(d["out_dir"]),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
             partition=PartitionSection.from_dict(d.get("partition", {})),
             model=ModelSection.from_dict(d.get("model", {})),
-            train=train,
+            train=dict(train),
             ablation=AblationSection.from_dict(d.get("ablation", {})),
             eval=EvalSection.from_dict(d.get("eval", {})),
         )
+        config.train_config()  # the train section combined with the ablation switches
+        return config
 
     def train_config(self) -> TrainConfig:
         loss_mode = self.ablation.loss_mode or ("saw" if self.ablation.saw else "kl")
@@ -296,13 +323,16 @@ def _generate_data(config: ExperimentConfig
 
 def _write_data(config: ExperimentConfig, profile: AmbiguityProfile,
                 splits: tuple[Dataset, Dataset, Dataset]) -> list[Path]:
-    """Write the three split CSVs and the profile actually used."""
+    """Write the three split CSVs and the profile actually used. Each CSV
+    must read back as the split it was written from."""
     out = Path(config.out_dir)
     outputs = []
     for name, ds in zip(SPLITS, splits):
         path = out / f"{name}.csv"
         save_csv(ds, path)
-        load_csv(path, config.support)  # round-trip sanity before declaring success
+        if not load_csv(path, config.support).same_as(ds):
+            raise CommandError(f"{path} does not read back as the {name} split "
+                               "written to it")
         outputs.append(path)
     profile_path = out / "profile.json"
     with open(profile_path, "w", encoding="utf-8") as fh:
@@ -435,7 +465,9 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
 def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
     """Run all four sav/saw arm combinations over the configured seeds and
     emit one comparison CSV (per-seed rows plus per-arm means). Each seed's
-    data and partition are built once and shared by its four arms."""
+    data and partition are built once and shared by its four arms; its data
+    files are written and checked in the first arm's directory and copied
+    byte for byte into the others."""
     if config.data.synthetic is None:
         raise CommandError("run-ablation needs a data.synthetic section")
     if config.data.train_csv or config.data.val_csv or config.data.test_csv:
@@ -452,12 +484,17 @@ def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
         profile, splits = _generate_data(seed_config)
         train_data, val_data, test_data = splits
         partition = _build_partition(seed_config, train_data)
+        data_files: list[Path] = []
         for arm, sav, saw in ABLATION_ARMS:
             arm_dir = out / "ablation" / arm / f"seed_{seed}"
             arm_dir.mkdir(parents=True, exist_ok=True)
             arm_config = replace(seed_config, out_dir=str(arm_dir), ablation=replace(
                 config.ablation, sav=sav, saw=saw, loss_mode=None))
-            _write_data(arm_config, profile, splits)
+            if data_files:
+                for src in data_files:
+                    shutil.copyfile(src, arm_dir / src.name)
+            else:
+                data_files = _write_data(arm_config, profile, splits)
             save_partition(partition, arm_dir / "partition.json")
             _train(arm_config, train_data, val_data, partition)
             report, _ = _evaluate(arm_config, test_data)

@@ -152,14 +152,15 @@ CSV_LABEL_COLUMN = "age"
 
 def save_csv(dataset: Dataset, path) -> None:
     """Schema: header ``id,age,f0,...,fD``; floats written with full
-    round-trip precision."""
+    round-trip precision (``repr`` of each Python float)."""
     header = [CSV_ID_COLUMN, CSV_LABEL_COLUMN] + [
         f"f{i}" for i in range(dataset.feature_dim)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for s in dataset.samples:
-            writer.writerow([s.id, s.label] + [repr(float(v)) for v in s.features])
+        writer.writerows(
+            [s.id, s.label, *s.features.astype(np.float64, copy=False).tolist()]
+            for s in dataset.samples)
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:

@@ -28,7 +28,8 @@ from .errors import (
 )
 
 ACTIVATIONS = ("relu", "tanh")
-CHECKPOINT_VERSION = 1
+MODEL_FORMAT = "saldl-model"
+MODEL_VERSION = 1
 PREDICTION_RULES = ("expectation", "argmax")
 
 
@@ -226,11 +227,11 @@ def _decode(blob: str, shape) -> np.ndarray:
 
 
 def model_to_dict(model: Model) -> dict:
-    """Versioned checkpoint document; parameters as base64 float64 for an
-    exact round trip."""
+    """Versioned model document, the ``model`` part of a checkpoint;
+    parameters as base64 float64 for an exact round trip."""
     return {
-        "format": "saldl-model",
-        "version": CHECKPOINT_VERSION,
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
         "layer_dims": list(model.layer_dims),
         "activation": model.activation,
         "weights": [_encode(w) for w in model.weights],
@@ -239,9 +240,9 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(d: dict) -> Model:
-    if d.get("format") != "saldl-model" or d.get("version") != CHECKPOINT_VERSION:
+    if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
         raise InvalidParameterError(
-            f"unsupported checkpoint format {d.get('format')!r} v{d.get('version')!r}"
+            f"unsupported model format {d.get('format')!r} v{d.get('version')!r}"
         )
     dims = tuple(int(v) for v in d["layer_dims"])
     weights = [_decode(blob, (fan_in, fan_out))

@@ -2,10 +2,13 @@
 reproducibility of written artifacts."""
 
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from saldl import cli
 from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
 from saldl.data import Dataset, Sample, load_csv, save_csv
@@ -84,6 +87,38 @@ class TestConfigValidation:
         b = ExperimentConfig.from_dict(doc)
         assert a.sha256() == b.sha256()
 
+    def test_config_hash_pinned(self):
+        # run_meta.json's config_sha256 stays the same for every config that loads
+        doc = base_config("runs/demo")
+        assert ExperimentConfig.from_dict(doc).sha256() == (
+            "da800950e8bbc395acc05be396685611e979759045dc6a24c822436e642cbd68")
+        # values that convert keep the hash of their converted form
+        doc["partition"] = {"mode": "kmeans", "k": 2.0}
+        doc["ablation"]["seeds"] = ["3", 4.0]
+        doc["data"]["synthetic"]["levels"] = [6, "1"]
+        assert ExperimentConfig.from_dict(doc).sha256() == (
+            "04467e8a854a9fed7ca60641deef59aa598c53b7a57f2953e8f914064082b49c")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data.synthetic", "levels", 5),
+        ("partition", "k", "ten"),
+        ("train", "epochs", "3"),
+        ("data", "synthetic", 5),  # a section that is not a JSON object
+    ])
+    def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
+        doc = base_config(tmp_path / "run")
+        target = doc
+        for part in section.split("."):
+            target = target[part]
+        target[key] = value
+        field = f"{section}.{key}"
+        with pytest.raises(InvalidParameterError, match=re.escape(field)):
+            ExperimentConfig.from_dict(doc)
+        path = write_config(tmp_path, doc)
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
 
 class TestGenData:
     def test_outputs_and_reload(self, tmp_path):
@@ -122,6 +157,20 @@ class TestGenData:
         assert main(["gen-data", "--config", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    @pytest.mark.parametrize("command", ["gen-data", "run-ablation"])
+    def test_csv_that_does_not_read_back_fails(self, tmp_path, capsys, monkeypatch, command):
+        def rounding_save_csv(dataset, path):
+            rounded = [Sample(s.id, s.label, np.round(s.features, 3)) for s in dataset.samples]
+            save_csv(Dataset(rounded, dataset.feature_dim, dataset.support), path)
+
+        monkeypatch.setattr(cli, "save_csv", rounding_save_csv)
+        path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "train.csv" in err[0]
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "partial"
 
     def test_invalid_profile_fails_cleanly(self, tmp_path, capsys):
         doc = base_config(tmp_path / "run")
@@ -348,6 +397,31 @@ class TestRunAblation:
             produced = tree_bytes(arm_dir)
             assert len(produced) == 10
             assert produced == tree_bytes(tmp_path / f"cmd_{arm}"), arm
+
+    def test_data_files_written_once_per_seed(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("save_csv", "load_csv"):
+            monkeypatch.setattr(cli, name, spy(name))
+        doc = base_config(tmp_path / "run", epochs=1)
+        doc["ablation"]["seeds"] = [3, 4]
+        path = write_config(tmp_path, doc)
+        assert main(["run-ablation", "--config", str(path)]) == 0
+        assert calls == {"save_csv": 2 * 3, "load_csv": 2 * 3}
+        for seed in (3, 4):
+            first, *others = [tmp_path / "run" / "ablation" / arm / f"seed_{seed}"
+                              for arm, _, _ in ABLATION_ARMS]
+            for name in ("train.csv", "val.csv", "test.csv", "profile.json"):
+                data = (first / name).read_bytes()
+                assert all((d / name).read_bytes() == data for d in others), (seed, name)
 
     @pytest.mark.parametrize("section, key, value", [
         ("data", "train_csv", "train.csv"),  # would train on other data than it writes

@@ -1,8 +1,12 @@
 """Dataset tests: generator geometry, CSV round trips, and split properties."""
 
+import csv
+import io
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from saldl.core import LabelSupport
@@ -121,7 +125,6 @@ class TestCsvRoundTrip:
                               width=64), min_size=2, max_size=6))
     @settings(max_examples=30)
     def test_float_precision_preserved(self, values):
-        import tempfile
         ds = Dataset(samples=[Sample(id="x", label=5,
                                      features=np.array(values))],
                      feature_dim=len(values), support=SUP)
@@ -131,6 +134,26 @@ class TestCsvRoundTrip:
             again = load_csv(path, SUP)
         np.testing.assert_array_equal(again.samples[0].features,
                                       ds.samples[0].features)
+
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                             min_size=3, max_size=3), max_size=5))
+    @example([[-0.0, 5e-324, 2.2250738585072014e-308], [1e300, -1e-300, -1e300]])
+    @settings(max_examples=50)
+    def test_bytes_match_per_cell_repr(self, rows):
+        """The CSV bytes are those of formatting each cell as ``repr(float(v))``."""
+        ds = Dataset(samples=[Sample(id=f"s{i}", label=i, features=np.array(row))
+                              for i, row in enumerate(rows)],
+                     feature_dim=3, support=SUP)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["id", "age", "f0", "f1", "f2"])
+        for s in ds.samples:
+            writer.writerow([s.id, s.label] + [repr(float(v)) for v in s.features])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/rows.csv"
+            save_csv(ds, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == want.getvalue()
 
     def test_header_only_loads_empty_then_training_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
