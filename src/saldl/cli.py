@@ -104,6 +104,12 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _path(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
+
+
 # The train section holds the TrainConfig knobs that no other section sets.
 TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 
@@ -150,8 +156,9 @@ class DataSection:
         if len(fractions) != 3:
             raise InvalidParameterError("data.fractions needs three values")
         return cls(synthetic=synth, fractions=fractions,
-                   train_csv=d.get("train_csv"), val_csv=d.get("val_csv"),
-                   test_csv=d.get("test_csv"))
+                   train_csv=_get(d, "data", "train_csv", _path),
+                   val_csv=_get(d, "data", "val_csv", _path),
+                   test_csv=_get(d, "data", "test_csv", _path))
 
 
 @dataclass
@@ -200,7 +207,9 @@ class AblationSection:
         if loss_mode is not None and loss_mode not in LOSS_MODES:
             raise InvalidParameterError(f"ablation.loss_mode {loss_mode!r} unknown")
         return cls(sav=bool(d.get("sav", True)), saw=bool(d.get("saw", True)),
-                   fixed_sigma=_get(d, "ablation", "fixed_sigma", float, 2.0),
+                   fixed_sigma=_get(d, "ablation", "fixed_sigma",
+                                    lambda v: TrainConfig(fixed_sigma=float(v)).fixed_sigma,
+                                    2.0),
                    loss_mode=loss_mode,
                    seeds=_get(d, "ablation", "seeds", _ints) if d.get("seeds") else None)
 

@@ -5,12 +5,16 @@ so boundary-truncated targets stay valid distributions. ``loss_terms`` is
 the one batched kernel: per-sample loss terms and the logit gradient of
 the optimized objective. The single-sample functions are n = 1 views of
 the same helpers; batch reductions (means) live with the callers.
+Each label's target row is memoized per support at the last spread it was
+asked for, since a stage's spread stays fixed for a whole epoch.
 Gradients are hand-derived and checked against finite differences in the
 test suite.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +159,68 @@ def _gaussian_targets(label_idx, sigmas, support: LabelSupport):
     return w / w.sum(axis=-1, keepdims=True), sq_dist
 
 
+def _build_rows(label_idx: np.ndarray, sigmas: np.ndarray, support: LabelSupport):
+    """For each (label, sigma) pair: the target d, its floored log, and the
+    target's sigma derivative d_k (a_k - mean_d(a)), a_k = (k - label)^2 / sigma^3."""
+    d, sq_dist = _gaussian_targets(label_idx, sigmas, support)
+    # a Python float cube per row: NumPy's vectorized ** 3 can differ in the last bit
+    cubes = np.array([float(s) ** 3 for s in sigmas])
+    a = sq_dist / cubes[:, None]
+    a_bar = (d * a).sum(axis=-1, keepdims=True)
+    return d, _floored_log(d), d * (a - a_bar)
+
+
+@dataclass(frozen=True)
+class _RowMemo:
+    """Row i holds label i's ``_build_rows`` output at spread ``sigma[i]``."""
+
+    sigma: np.ndarray       # (size,) NaN until the row is first built
+    rows: tuple             # target, log_target, dsigma; each (size, size)
+
+
+# held while a memo's rows are checked, refilled and read
+_MEMO_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=8)
+def _row_memo(support: LabelSupport) -> _RowMemo:
+    n = support.size
+    return _RowMemo(np.full(n, np.nan), tuple(np.empty((n, n)) for _ in range(3)))
+
+
+def _target_rows(label_idx, sigmas, support: LabelSupport):
+    """(target, log_target, dsigma) rows, one per sample, for 1-d label
+    indices and per-sample spreads (or one shared spread), read from the
+    support's memo.
+
+    A label's row is rebuilt when it is asked for at a spread (compared
+    exactly) other than the one it holds. When one call asks for a label at
+    two spreads, the memo keeps the last and the other samples get freshly
+    built rows. The returned arrays are copies.
+    """
+    memo = _row_memo(support)
+    idx = np.asarray(label_idx)
+    sig = np.asarray(sigmas, dtype=np.float64)
+    with _MEMO_LOCK:
+        stale = memo.sigma.take(idx) != sig
+        if stale.any():
+            sig = np.broadcast_to(sig, idx.shape)
+            refill = np.zeros(support.size, dtype=bool)
+            refill[idx[stale]] = True
+            refill = np.flatnonzero(refill)
+            wanted = memo.sigma.copy()
+            wanted[idx[stale]] = sig[stale]  # the last sample asking for a label wins
+            for row, built in zip(memo.rows, _build_rows(refill, wanted[refill], support)):
+                row[refill] = built
+            memo.sigma[refill] = wanted[refill]
+            stale = memo.sigma.take(idx) != sig
+        out = tuple(row.take(idx, axis=0) for row in memo.rows)
+    if stale.any():
+        for arr, built in zip(out, _build_rows(idx[stale], sig[stale], support)):
+            arr[stale] = built
+    return out
+
+
 def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.ndarray:
     """KL(target || pred) with the 0 * log(0 / q) = 0 convention; the true
     value is nonnegative, and flooring can leave a ~1e-9 residue."""
@@ -196,9 +262,9 @@ def loss_terms(logits: np.ndarray, label_idx: np.ndarray, sigmas: np.ndarray,
     k = support.labels().astype(np.float64)
 
     preds = _softmax(z)
-    targets, _ = _gaussian_targets(label_idx, sigmas, support)
+    targets, log_targets, _ = _target_rows(label_idx, sigmas, support)
     log_pred = _floored_log(preds)
-    kl = _kl(targets, _floored_log(targets), log_pred)
+    kl = _kl(targets, log_targets, log_pred)
     ce = -log_pred[rows, label_idx]
     pred_ages = _expectation(preds, support)
     err = pred_ages - k[label_idx]
@@ -223,7 +289,7 @@ def gaussian_label_distribution(label: int, sigma: float,
     distributions.
     """
     _check_sigma(sigma)
-    return _gaussian_targets(support.index_of(label), sigma, support)[0]
+    return _target_rows([support.index_of(label)], sigma, support)[0][0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -303,8 +369,7 @@ def kl_gradient_sigma(labels, sigma: float, preds: np.ndarray,
     if preds.shape != idx.shape + (support.size,):
         raise ShapeError(f"predictions have shape {preds.shape} for "
                          f"{idx.size} labels, support size {support.size}")
-    d, sq_dist = _gaussian_targets(idx, s, support)
-    a = sq_dist / s**3
-    a_bar = (d * a).sum(axis=-1, keepdims=True)
-    log_ratio = _floored_log(d) - _floored_log(preds)
-    return float(np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0).sum())
+    idx = idx.reshape(-1)
+    d, log_d, dsigma = _target_rows(idx, s, support)
+    log_ratio = log_d - _floored_log(preds.reshape(d.shape))
+    return float(np.where(d > 0.0, dsigma * log_ratio, 0.0).sum())

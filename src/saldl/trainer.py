@@ -11,6 +11,7 @@ raw parameterizations); proposals only survive if validation improves.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -70,6 +71,11 @@ def logit(a):
     return np.log(a / (1.0 - a))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class StageParams:
     """Per-stage spread and loss weight, stored in unconstrained form.
@@ -82,8 +88,9 @@ class StageParams:
     raw_alpha: np.ndarray
 
     def __post_init__(self):
-        rs = np.asarray(self.raw_sigma, dtype=np.float64)
-        ra = np.asarray(self.raw_alpha, dtype=np.float64)
+        # read-only copies, so the values derived from them stay valid
+        rs = _read_only(np.array(self.raw_sigma, dtype=np.float64))
+        ra = _read_only(np.array(self.raw_alpha, dtype=np.float64))
         if rs.shape != ra.shape or rs.ndim != 1 or rs.size < 1:
             raise InvalidParameterError(
                 f"stage parameter vectors disagree: {rs.shape} vs {ra.shape}"
@@ -95,13 +102,13 @@ class StageParams:
     def k(self) -> int:
         return self.raw_sigma.size
 
-    @property
+    @functools.cached_property
     def sigmas(self) -> np.ndarray:
-        return SIGMA_MIN + softplus(self.raw_sigma)
+        return _read_only(SIGMA_MIN + softplus(self.raw_sigma))
 
-    @property
+    @functools.cached_property
     def alphas(self) -> np.ndarray:
-        return sigmoid(self.raw_alpha)
+        return _read_only(sigmoid(self.raw_alpha))
 
     @classmethod
     def initial(cls, k: int) -> "StageParams":
@@ -115,18 +122,17 @@ class StageParams:
         return cls(raw_sigma=softplus_inv(sigmas - SIGMA_MIN), raw_alpha=logit(alphas))
 
     def copy(self) -> "StageParams":
-        return StageParams(raw_sigma=self.raw_sigma.copy(),
-                           raw_alpha=self.raw_alpha.copy())
+        return StageParams(raw_sigma=self.raw_sigma, raw_alpha=self.raw_alpha)
 
     def with_sigma(self, stage: int, sigma: float) -> "StageParams":
         raw = self.raw_sigma.copy()
         raw[stage] = softplus_inv(sigma - SIGMA_MIN)
-        return StageParams(raw_sigma=raw, raw_alpha=self.raw_alpha.copy())
+        return StageParams(raw_sigma=raw, raw_alpha=self.raw_alpha)
 
     def with_alpha(self, stage: int, alpha: float) -> "StageParams":
         raw = self.raw_alpha.copy()
         raw[stage] = logit(alpha)
-        return StageParams(raw_sigma=self.raw_sigma.copy(), raw_alpha=raw)
+        return StageParams(raw_sigma=self.raw_sigma, raw_alpha=raw)
 
     def equals(self, other: "StageParams") -> bool:
         return (np.array_equal(self.raw_sigma, other.raw_sigma)

@@ -104,6 +104,8 @@ class TestConfigValidation:
         ("partition", "k", "ten"),
         ("train", "epochs", "3"),
         ("data", "synthetic", 5),  # a section that is not a JSON object
+        ("data", "train_csv", 5),
+        ("ablation", "fixed_sigma", 0),  # converts, but TrainConfig rejects it
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")

@@ -1,12 +1,15 @@
 """Core distribution and loss tests against independent oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from saldl import core
 from saldl.core import (
     LabelSupport,
     LossBreakdown,
@@ -393,3 +396,118 @@ class TestLossTerms:
             loss_terms(np.zeros((1, 101)), *ok, loss_mode="mse")
         with pytest.raises(InvalidInputError):
             loss_terms(np.full((1, 101), np.nan), *ok)
+
+
+def _bits(terms) -> list[bytes]:
+    return [getattr(terms, name).tobytes() for name in
+            ("preds", "pred_ages", "kl", "ce", "mse", "objective", "dlogits")]
+
+
+class TestTargetRowMemo:
+    """``loss_terms`` and ``kl_gradient_sigma`` read per-label target rows
+    from a memo; what it held before a call must never show in the result."""
+
+    @given(labels=st.lists(st.integers(0, 100), min_size=1, max_size=8),
+           sigmas=st.lists(st.floats(0.3, 6.0), min_size=1, max_size=3),
+           other=st.floats(0.3, 6.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_cold_and_filled_memo_agree_bitwise(self, labels, sigmas, other, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array(labels)
+        per_sample = np.array([sigmas[i % len(sigmas)] for i in range(len(labels))])
+        z = rng.normal(size=(len(labels), SUP.size))
+        alphas = rng.uniform(0.1, 0.9, len(labels))
+        preds = softmax(z)
+
+        def results():
+            return (_bits(loss_terms(z, idx, per_sample, alphas, SUP)),
+                    kl_gradient_sigma(idx, sigmas[0], preds, SUP))
+
+        core._row_memo.cache_clear()
+        cold = results()
+        # fill every row, and these labels' rows, with other spreads
+        loss_terms(np.zeros((SUP.size, SUP.size)), np.arange(SUP.size),
+                   np.full(SUP.size, other), np.full(SUP.size, 0.5), SUP)
+        kl_gradient_sigma(idx, other + 0.5, preds, SUP)
+        assert results() == cold
+        assert results() == cold  # and read back from the rows the call filled
+
+    @given(label=st.integers(0, 100), s1=st.floats(0.3, 6.0), s2=st.floats(0.3, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_label_under_two_sigmas_in_one_call(self, label, s1, s2, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array([label, label, (label + 7) % 101, label])
+        sigmas = np.array([s1, s2, s2, s1])
+        z = rng.normal(size=(4, SUP.size))
+        alphas = np.full(4, 0.3)
+        # the KL objective and its gradient are row-wise, so each row must equal
+        # its own n = 1 call from a cold memo bit for bit
+        batch = loss_terms(z, idx, sigmas, alphas, SUP, "kl")
+        for i in range(4):
+            core._row_memo.cache_clear()
+            alone = loss_terms(z[i:i + 1], idx[i:i + 1], sigmas[i:i + 1], alphas[i:i + 1],
+                               SUP, "kl")
+            for name in ("kl", "dlogits"):
+                assert getattr(batch, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
+        # each sample's KL is against its own spread's target
+        for i in range(4):
+            target = gaussian_oracle(int(idx[i]), float(sigmas[i]))
+            assert batch.kl[i] == pytest.approx(kl_divergence(target, batch.preds[i]),
+                                                rel=1e-12, abs=1e-12)
+
+    def test_sigma_gradient_matches_direct_formula_bitwise(self):
+        # the formula built per call, with the spread cubed as a Python float
+        rng = np.random.default_rng(5)
+        for sigma in rng.uniform(0.3, 6.0, 300):
+            idx = rng.integers(0, 101, 3)
+            preds = softmax(rng.normal(size=(3, SUP.size)))
+            d, sq_dist = core._gaussian_targets(idx, sigma, SUP)
+            a = sq_dist / float(sigma) ** 3
+            a_bar = (d * a).sum(axis=-1, keepdims=True)
+            log_ratio = np.log(np.maximum(d, core.PROB_FLOOR)) - np.log(
+                np.maximum(preds, core.PROB_FLOOR))
+            direct = float(np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0).sum())
+            assert kl_gradient_sigma(idx, sigma, preds, SUP) == direct
+
+    def test_returned_arrays_do_not_alias_the_memo(self):
+        args = (np.array([3, 40, 40]), np.array([1.5, 1.5, 1.5]), np.full(3, 0.5), SUP)
+        z = np.linspace(-1.0, 1.0, 3 * SUP.size).reshape(3, SUP.size)
+        first = _bits(loss_terms(z, *args))
+        dist = gaussian_label_distribution(40, 1.5, SUP)
+        before = dist.copy()
+        t = loss_terms(z, *args)
+        for name in ("preds", "kl", "ce", "mse", "objective", "dlogits"):
+            getattr(t, name)[...] = 7.0
+        dist[:] = 0.0
+        assert _bits(loss_terms(z, *args)) == first
+        np.testing.assert_array_equal(gaussian_label_distribution(40, 1.5, SUP), before)
+
+    def test_threads_with_different_sigmas_get_their_own_rows(self):
+        idx = np.arange(0, 101, 5)
+        z = np.linspace(-2.0, 2.0, idx.size * SUP.size).reshape(idx.size, SUP.size)
+        alphas = np.full(idx.size, 0.5)
+        spreads = (0.7, 1.3, 2.9, 4.1, 5.5, 6.0)
+        expected = {}
+        for s in spreads:
+            core._row_memo.cache_clear()
+            expected[s] = _bits(loss_terms(z, idx, np.full(idx.size, s), alphas, SUP))
+        wrong = []
+
+        def work(s):
+            for _ in range(40):
+                if _bits(loss_terms(z, idx, np.full(idx.size, s), alphas, SUP)) != expected[s]:
+                    wrong.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in spreads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from saldl import evaluation
+from saldl import core, evaluation
 from saldl.core import SIGMA_MIN, LabelSupport
 from saldl.data import AmbiguityProfile, generate_synthetic, split
 from saldl.errors import (
@@ -77,6 +77,22 @@ class TestStageParams:
         p = StageParams.from_values([1.3, 2.7], [0.25, 0.75])
         q = StageParams.from_dict(p.to_dict())
         assert q.equals(p)
+
+    def test_values_fixed_at_construction(self):
+        raw_sigma, raw_alpha = np.zeros(2), np.zeros(2)
+        p = StageParams(raw_sigma=raw_sigma, raw_alpha=raw_alpha)
+        sigmas, alphas = p.sigmas.copy(), p.alphas.copy()
+        raw_sigma[:] = 5.0  # the caller's arrays are not the parameters
+        raw_alpha[:] = -5.0
+        q = StageParams(raw_sigma=np.full(2, 5.0), raw_alpha=np.full(2, -5.0))
+        np.testing.assert_array_equal(p.raw_sigma, np.zeros(2))
+        np.testing.assert_array_equal(p.sigmas, sigmas)
+        np.testing.assert_array_equal(p.alphas, alphas)
+        assert not np.array_equal(q.sigmas, sigmas)
+        assert p.sigmas is p.sigmas  # computed once
+        for arr in (p.raw_sigma, p.raw_alpha, p.sigmas, p.alphas):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestProposeStageUpdate:
@@ -246,6 +262,24 @@ class TestTrainSav:
                                    StageParams.initial(PART.k), cfg)
             runs.append(hist.records)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("loss_mode", ["kl", "saw"])  # the sav and full arms
+    def test_row_memo_leaves_no_trace_in_training(self, loss_mode):
+        data = tiny_dataset()
+        tr, va, _ = split(data, (0.7, 0.15, 0.15), seed=0)
+        cfg = TrainConfig(epochs=5, learning_rate=0.1, stage_lr=0.3, seed=0,
+                          adaptation_mode="gradient", loss_mode=loss_mode)
+
+        def run(params0):
+            model, params, hist = train_sav(tr, va, PART, small_model(), params0, cfg)
+            return (json.dumps(hist.to_dicts()),
+                    [a.tobytes() for a in (*model.weights, *model.biases,
+                                           params.raw_sigma, params.raw_alpha)])
+
+        core._row_memo.cache_clear()
+        cold = run(StageParams.initial(PART.k))
+        run(StageParams.from_values([0.9, 3.1], [0.3, 0.6]))  # fills rows at other sigmas
+        assert run(StageParams.initial(PART.k)) == cold
 
     def test_divergence_raises_with_history(self):
         # Overflow-safe softmax and floored logs keep the loss finite for any
