@@ -8,6 +8,7 @@ from .core import (
     MSE_WEIGHT,
     PROB_FLOOR,
     SIGMA_MIN,
+    TargetTable,
     cross_entropy,
     expected_age,
     gaussian_label_distribution,
@@ -29,7 +30,7 @@ from .evaluation import (
     per_stage_mae,
 )
 from .model import Model, backward_step, forward, init_model, predict_ages
-from .staging import StagePartition, decade_partition, kmeans_1d, stage_of
+from .staging import StagePartition, decade_partition, kmeans_1d
 from .trainer import (
     StageParams,
     TrainConfig,
@@ -42,7 +43,7 @@ from .trainer import (
 __all__ = [
     "AmbiguityProfile", "Dataset", "LabelSupport", "LossBreakdown",
     "MetricsReport", "Model", "Sample", "SimilarityCurve", "StageParams",
-    "StagePartition", "TrainConfig", "TrainHistory",
+    "StagePartition", "TargetTable", "TrainConfig", "TrainHistory",
     "MSE_WEIGHT", "PROB_FLOOR", "SIGMA_MIN",
     "anchor_similarity_curve", "backward_step", "compute_metrics",
     "cross_entropy", "cumulative_score", "decade_partition", "evaluate_l1",
@@ -50,5 +51,5 @@ __all__ = [
     "generate_synthetic", "init_model", "kl_divergence", "kl_gradient_sigma",
     "kmeans_1d", "load_csv", "mae", "mse_loss", "per_stage_mae",
     "predict_ages", "propose_stage_update", "save_csv", "saw_gradient_logits",
-    "saw_loss", "softmax", "split", "stage_of", "train_sav",
+    "saw_loss", "softmax", "split", "train_sav",
 ]

@@ -5,16 +5,15 @@ so boundary-truncated targets stay valid distributions. ``loss_terms`` is
 the one batched kernel: per-sample loss terms and the logit gradient of
 the optimized objective. The single-sample functions are n = 1 views of
 the same helpers; batch reductions (means) live with the callers.
-Each label's target row is memoized per support at the last spread it was
-asked for, since a stage's spread stays fixed for a whole epoch.
+Batched callers read each label's target row from a ``TargetTable``, a
+read-only value built once for a fixed spread per label; the module holds
+no mutable state.
 Gradients are hand-derived and checked against finite differences in the
 test suite.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +66,16 @@ class LabelSupport:
 
     def indices_of(self, labels) -> np.ndarray:
         """Grid index of each label; any label outside the support raises."""
-        labels = np.asarray(labels, dtype=np.int64)
-        outside = (labels < self.min_label) | (labels > self.max_label)
+        return self.checked_indices(np.asarray(labels, dtype=np.int64) - self.min_label)
+
+    def checked_indices(self, idx) -> np.ndarray:
+        """Grid indices as an int array; any outside the support raises."""
+        idx = np.asarray(idx, dtype=np.int64)
+        outside = (idx < 0) | (idx >= self.size)
         if outside.any():
-            raise InvalidLabelError(f"label {labels[outside].flat[0]} outside support "
-                                    f"[{self.min_label}, {self.max_label}]")
-        return labels - self.min_label
+            raise InvalidLabelError(f"label {self.min_label + idx[outside].flat[0]} outside "
+                                    f"support [{self.min_label}, {self.max_label}]")
+        return idx
 
     def index_of(self, label: int) -> int:
         return int(self.indices_of(label))
@@ -171,54 +174,33 @@ def _build_rows(label_idx: np.ndarray, sigmas: np.ndarray, support: LabelSupport
 
 
 @dataclass(frozen=True)
-class _RowMemo:
-    """Row i holds label i's ``_build_rows`` output at spread ``sigma[i]``."""
+class TargetTable:
+    """Every label's ``_build_rows`` output at that label's spread.
 
-    sigma: np.ndarray       # (size,) NaN until the row is first built
-    rows: tuple             # target, log_target, dsigma; each (size, size)
-
-
-# held while a memo's rows are checked, refilled and read
-_MEMO_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=8)
-def _row_memo(support: LabelSupport) -> _RowMemo:
-    n = support.size
-    return _RowMemo(np.full(n, np.nan), tuple(np.empty((n, n)) for _ in range(3)))
-
-
-def _target_rows(label_idx, sigmas, support: LabelSupport):
-    """(target, log_target, dsigma) rows, one per sample, for 1-d label
-    indices and per-sample spreads (or one shared spread), read from the
-    support's memo.
-
-    A label's row is rebuilt when it is asked for at a spread (compared
-    exactly) other than the one it holds. When one call asks for a label at
-    two spreads, the memo keeps the last and the other samples get freshly
-    built rows. The returned arrays are copies.
+    Row i belongs to the label at grid index i. ``train_sav`` builds one per
+    epoch, since each stage's spread stays fixed for a whole epoch. The
+    arrays are read-only.
     """
-    memo = _row_memo(support)
-    idx = np.asarray(label_idx)
-    sig = np.asarray(sigmas, dtype=np.float64)
-    with _MEMO_LOCK:
-        stale = memo.sigma.take(idx) != sig
-        if stale.any():
-            sig = np.broadcast_to(sig, idx.shape)
-            refill = np.zeros(support.size, dtype=bool)
-            refill[idx[stale]] = True
-            refill = np.flatnonzero(refill)
-            wanted = memo.sigma.copy()
-            wanted[idx[stale]] = sig[stale]  # the last sample asking for a label wins
-            for row, built in zip(memo.rows, _build_rows(refill, wanted[refill], support)):
-                row[refill] = built
-            memo.sigma[refill] = wanted[refill]
-            stale = memo.sigma.take(idx) != sig
-        out = tuple(row.take(idx, axis=0) for row in memo.rows)
-    if stale.any():
-        for arr, built in zip(out, _build_rows(idx[stale], sig[stale], support)):
-            arr[stale] = built
-    return out
+
+    support: LabelSupport
+    target: np.ndarray       # (size, size) Gaussian targets
+    log_target: np.ndarray   # their floored logs
+    dsigma: np.ndarray       # their derivatives w.r.t. the row's spread
+
+    @classmethod
+    def build(cls, sigma_per_label, support: LabelSupport) -> "TargetTable":
+        sig = np.asarray(sigma_per_label, dtype=np.float64)
+        if sig.shape != (support.size,):
+            raise ShapeError(f"{sig.shape} spreads for support size {support.size}")
+        # SIGMA_MIN + softplus(raw) can round to exactly SIGMA_MIN
+        bad = ~(np.isfinite(sig) & (sig >= SIGMA_MIN))
+        if bad.any():
+            raise InvalidParameterError(
+                f"spreads must be finite and >= {SIGMA_MIN}, got {sig[bad][0]}")
+        rows = _build_rows(np.arange(support.size), sig, support)
+        for row in rows:
+            row.flags.writeable = False
+        return cls(support, *rows)
 
 
 def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.ndarray:
@@ -243,17 +225,9 @@ def _weigh(loss_mode: str, alpha, kl, ce, mse):
     return alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse
 
 
-def loss_terms(logits: np.ndarray, label_idx: np.ndarray, sigmas: np.ndarray,
-               alphas: np.ndarray, support: LabelSupport,
-               loss_mode: str = "saw") -> LossTerms:
-    """Loss terms and logit gradient for a batch of (n, support) logits.
-
-    Sample i has the true label at grid index ``label_idx[i]``, a Gaussian
-    target of spread ``sigmas[i]`` and the composite weight ``alphas[i]``.
-    Logit gradients: KL term pred - target, CE term pred - onehot,
-    squared-error term 2 (age_hat - label) * pred_k * (k - age_hat), from
-    the softmax Jacobian applied to the expectation read-out.
-    """
+def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
+                log_targets: np.ndarray, alphas, support: LabelSupport,
+                loss_mode: str) -> LossTerms:
     if loss_mode not in LOSS_MODES:
         raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
     z = _check_logits(logits)
@@ -262,7 +236,6 @@ def loss_terms(logits: np.ndarray, label_idx: np.ndarray, sigmas: np.ndarray,
     k = support.labels().astype(np.float64)
 
     preds = _softmax(z)
-    targets, log_targets, _ = _target_rows(label_idx, sigmas, support)
     log_pred = _floored_log(preds)
     kl = _kl(targets, log_targets, log_pred)
     ce = -log_pred[rows, label_idx]
@@ -280,6 +253,22 @@ def loss_terms(logits: np.ndarray, label_idx: np.ndarray, sigmas: np.ndarray,
                      dlogits=_weigh(loss_mode, alphas[:, None], g_kl, g_ce, g_mse))
 
 
+def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,
+               table: TargetTable, loss_mode: str = "saw") -> LossTerms:
+    """Loss terms and logit gradient for a batch of (n, support) logits.
+
+    Sample i has the true label at grid index ``label_idx[i]``, the Gaussian
+    target of that label's row in ``table`` and the composite weight
+    ``alphas[i]``. Logit gradients: KL term pred - target, CE term
+    pred - onehot, squared-error term 2 (age_hat - label) * pred_k *
+    (k - age_hat), from the softmax Jacobian applied to the expectation
+    read-out.
+    """
+    idx = table.support.checked_indices(label_idx)
+    return _loss_terms(logits, idx, table.target[idx], table.log_target[idx], alphas,
+                       table.support, loss_mode)
+
+
 def gaussian_label_distribution(label: int, sigma: float,
                                 support: LabelSupport) -> np.ndarray:
     """Gaussian target centered on ``label``, renormalized over the support.
@@ -289,7 +278,8 @@ def gaussian_label_distribution(label: int, sigma: float,
     distributions.
     """
     _check_sigma(sigma)
-    return _target_rows([support.index_of(label)], sigma, support)[0][0]
+    target, _ = _gaussian_targets(support.index_of(label), np.float64(sigma), support)
+    return target
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -326,10 +316,10 @@ def _one_sample(logits, label: int, sigma: float, alpha: float,
                 support: LabelSupport) -> LossTerms:
     _check_sigma(sigma)
     _check_alpha(alpha)
-    idx = support.index_of(label)
+    idx = np.array([support.index_of(label)])
     z = _check_width(logits, support, "logits")
-    return loss_terms(z[None, :], np.array([idx]), np.array([sigma]),
-                      np.array([alpha]), support)
+    d, log_d, _ = _build_rows(idx, np.array([sigma], dtype=np.float64), support)
+    return _loss_terms(z[None, :], idx, d, log_d, np.array([alpha]), support, "saw")
 
 
 def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
@@ -350,26 +340,25 @@ def saw_gradient_logits(logits: np.ndarray, label: int, sigma: float, alpha: flo
     return _one_sample(logits, label, sigma, alpha, support).dlogits[0]
 
 
-def kl_gradient_sigma(labels, sigma: float, preds: np.ndarray,
-                      support: LabelSupport) -> float:
-    """Derivative w.r.t. sigma of KL(target(label, sigma) || pred), summed
-    over samples that share the one ``sigma``.
+def kl_gradient_sigma(labels, preds: np.ndarray, table: TargetTable) -> float:
+    """Derivative of KL(target || pred) w.r.t. the target's spread, summed
+    over the samples; each target is its label's row in ``table``.
 
     ``labels`` is one label with a (support,) ``preds``, or n labels with
-    (n, support) ``preds``. Differentiates through the renormalized
-    Gaussian target: with a_k = (k - label)^2 / sigma^3 the target
-    derivative is d_k (a_k - mean_d(a)), giving
+    (n, support) ``preds``. The sum is a derivative w.r.t. one shared spread
+    when the labels share their table spread, as one stage's labels do.
+    Differentiates through the renormalized Gaussian target: with
+    a_k = (k - label)^2 / sigma^3 the target derivative is
+    d_k (a_k - mean_d(a)), the table's ``dsigma`` row, giving
     dKL/dsigma = sum_k d_k (a_k - mean_d(a)) (log d_k - log pred_k).
-    Spreads below SIGMA_MIN are clamped so degenerate inputs stay finite.
     """
-    _check_sigma(sigma)
-    s = max(float(sigma), SIGMA_MIN)
+    support = table.support
     idx = support.indices_of(labels)
     preds = np.asarray(preds, dtype=np.float64)
     if preds.shape != idx.shape + (support.size,):
         raise ShapeError(f"predictions have shape {preds.shape} for "
                          f"{idx.size} labels, support size {support.size}")
     idx = idx.reshape(-1)
-    d, log_d, dsigma = _target_rows(idx, s, support)
-    log_ratio = log_d - _floored_log(preds.reshape(d.shape))
-    return float(np.where(d > 0.0, dsigma * log_ratio, 0.0).sum())
+    d = table.target[idx]
+    log_ratio = table.log_target[idx] - _floored_log(preds.reshape(d.shape))
+    return float(np.where(d > 0.0, table.dsigma[idx] * log_ratio, 0.0).sum())

@@ -17,6 +17,7 @@ from .core import (
     LabelSupport,
     LossBreakdown,
     LossTerms,
+    TargetTable,
     _expectation,
     _softmax,
     loss_terms,
@@ -169,16 +170,25 @@ def batch_breakdown(kl, ce, mse, alphas) -> LossBreakdown:
                                  float(np.mean(alphas)))
 
 
+def stage_target_table(stage_params, partition, support: LabelSupport) -> TargetTable:
+    """Every label's target at its stage's sigma."""
+    return TargetTable.build(
+        np.asarray(stage_params.sigmas)[partition.stages_of(support.labels())], support)
+
+
 def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
                   stage_params, partition, learning_rate: float,
                   support: LabelSupport, loss_mode: str = "saw",
-                  return_stats: bool = False):
-    """One SGD step on the batch-mean loss; returns the pre-step loss.
+                  return_stats: bool = False, table: TargetTable | None = None):
+    """One SGD step on the batch-mean loss.
 
-    Each sample uses the sigma and alpha of its label's stage. ``loss_mode``
-    selects the optimized objective (the composite loss, or its KL or CE
-    term alone); the returned breakdown always reports the full composite
-    decomposition so arms stay comparable in training histories.
+    Each sample uses the alpha of its label's stage and its label's row of
+    ``table``, which defaults to the targets at ``stage_params``' stage
+    sigmas. ``loss_mode`` selects the optimized objective (the composite
+    loss, or its KL or CE term alone). Returns (model, breakdown): the
+    pre-step batch loss with the full composite decomposition, so arms stay
+    comparable. With ``return_stats`` it returns (model, None, stats)
+    instead, the per-sample terms from which a caller reduces its own sums.
     """
     if learning_rate < 0:
         raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
@@ -192,12 +202,12 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
 
     stage_idx = partition.stages_of(y)
     alphas = np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
+    if table is None:
+        table = stage_target_table(stage_params, partition, support)
 
     with np.errstate(invalid="ignore", over="ignore"):
         logits, _, pre, acts = forward_batch(model, x)
-    terms = loss_terms(logits, y - support.min_label,
-                       np.asarray(stage_params.sigmas, dtype=np.float64)[stage_idx],
-                       alphas, support, loss_mode)
+    terms = loss_terms(logits, y - table.support.min_label, alphas, table, loss_mode)
 
     delta = terms.dlogits / n  # batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -210,11 +220,9 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         model.weights[layer] -= learning_rate * grad_w
         model.biases[layer] -= learning_rate * grad_b
 
-    breakdown = batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
     if return_stats:
-        stats = BatchStats(**vars(terms), alphas=alphas, stage_idx=stage_idx)
-        return model, breakdown, stats
-    return model, breakdown
+        return model, None, BatchStats(**vars(terms), alphas=alphas, stage_idx=stage_idx)
+    return model, batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
 
 
 def _encode(arr: np.ndarray) -> str:

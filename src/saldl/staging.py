@@ -167,7 +167,3 @@ def decade_partition(support: LabelSupport) -> StagePartition:
         starts = [support.min_label + 10 * i for i in range(n_full)]
     return StagePartition(boundaries=tuple(starts), support=support,
                           provenance="decade")
-
-
-def stage_of(partition: StagePartition, label: int) -> int:
-    return partition.stage_of(label)

@@ -34,6 +34,7 @@ from .model import (
     model_from_dict,
     model_to_dict,
     predict_ages,
+    stage_target_table,
 )
 from .staging import StagePartition
 
@@ -402,8 +403,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         sig_grad_sum = np.zeros(partition.k)
         stage_counts = np.zeros(partition.k)
         sig_sigmoid = sigmoid(params_current.raw_sigma)
-        stage_sigmas = params_current.sigmas
         stage_alphas = params_current.alphas
+        # every stage's sigma is fixed for the epoch, so is each label's target
+        table = stage_target_table(params_current, partition, support)
 
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -412,7 +414,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                 model, _, stats = backward_step(
                     model, features[idx], batch_labels, params_current, partition,
                     config.learning_rate, support, loss_mode=config.loss_mode,
-                    return_stats=True)
+                    return_stats=True, table=table)
             except InvalidInputError as exc:
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
@@ -430,8 +432,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             if config.adaptation_mode == "gradient" and config.adapt_sigma:
                 for s in np.flatnonzero(batch_counts):
                     in_stage = stats.stage_idx == s
-                    g = kl_gradient_sigma(batch_labels[in_stage], float(stage_sigmas[s]),
-                                          stats.preds[in_stage], support)
+                    g = kl_gradient_sigma(batch_labels[in_stage], stats.preds[in_stage],
+                                          table)
                     if config.loss_mode == "saw":
                         g *= stage_alphas[s]
                     sig_grad_sum[s] += g * sig_sigmoid[s]

@@ -1,8 +1,6 @@
 """Core distribution and loss tests against independent oracles."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from saldl.core import (
     LossBreakdown,
     MSE_WEIGHT,
     SIGMA_MIN,
+    TargetTable,
     cross_entropy,
     expected_age,
     gaussian_label_distribution,
@@ -131,6 +130,11 @@ class TestSoftmax:
 def random_distribution(rng, n=101):
     p = rng.random(n) + 1e-6
     return p / p.sum()
+
+
+def table_at(sigma, support=SUP):
+    """Every label's target at one spread."""
+    return TargetTable.build(np.full(support.size, sigma), support)
 
 
 class TestKlDivergence:
@@ -308,15 +312,15 @@ class TestKlGradientSigma:
 
     def test_matches_finite_differences_at_matching_spread(self):
         pred = gaussian_label_distribution(40, 1.5, SUP)
-        g = kl_gradient_sigma(40, 1.5, pred, SUP)
+        g = kl_gradient_sigma(40, pred, table_at(1.5))
         h = 1e-5
         fd = (self.f(1.5 + h, 40, pred) - self.f(1.5 - h, 40, pred)) / (2 * h)
         assert abs(g - fd) < 1e-5
 
     def test_sign_flips_around_matching_spread(self):
         pred = gaussian_label_distribution(40, 1.5, SUP)
-        up = kl_gradient_sigma(40, 3.0, pred, SUP)
-        down = kl_gradient_sigma(40, 0.8, pred, SUP)
+        up = kl_gradient_sigma(40, pred, table_at(3.0))
+        down = kl_gradient_sigma(40, pred, table_at(0.8))
         assert up > 0 > down
         h = 1e-5
         fd_up = (self.f(3.0 + h, 40, pred) - self.f(3.0 - h, 40, pred)) / (2 * h)
@@ -328,20 +332,24 @@ class TestKlGradientSigma:
             y = int(rng.integers(5, 96))
             sigma = float(rng.uniform(0.6, 4.0))
             pred = random_distribution(rng)
-            g = kl_gradient_sigma(y, sigma, pred, SUP)
+            g = kl_gradient_sigma(y, pred, table_at(sigma))
             h = 1e-5
             fd = (self.f(sigma + h, y, pred) - self.f(sigma - h, y, pred)) / (2 * h)
             assert abs(g - fd) <= 1e-5 * max(abs(fd), 1.0)
 
-    def test_degenerate_sigma_clamped_finite(self):
-        pred = np.full(101, 1 / 101)
-        g = kl_gradient_sigma(40, 1e-6, pred, SUP)
-        assert np.isfinite(g)
-        assert g == kl_gradient_sigma(40, SIGMA_MIN, pred, SUP)
+    def test_spread_below_floor_or_non_finite_rejected(self):
+        for bad in (1e-6, np.nextafter(SIGMA_MIN, 0.0), np.nan, np.inf):
+            sigmas = np.full(SUP.size, 2.0)
+            sigmas[40] = bad
+            with pytest.raises(InvalidParameterError):
+                TargetTable.build(sigmas, SUP)
+        # SIGMA_MIN + softplus(raw) rounds to SIGMA_MIN itself for raw <= -37
+        assert np.isfinite(kl_gradient_sigma(40, np.full(101, 1 / 101), table_at(SIGMA_MIN)))
 
     def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            kl_gradient_sigma(40, 0.0, np.full(101, 1 / 101), SUP)
+        for bad in (0.0, -1.0):
+            with pytest.raises(InvalidParameterError):
+                table_at(bad)
 
 
 class TestBatchedSigmaGradient:
@@ -351,9 +359,10 @@ class TestBatchedSigmaGradient:
     def test_equals_sum_of_single_calls_and_finite_difference(self, labels, sigma, seed):
         rng = np.random.default_rng(seed)
         preds = np.stack([random_distribution(rng) for _ in labels])
-        g = kl_gradient_sigma(np.array(labels), sigma, preds, SUP)
+        table = table_at(sigma)
+        g = kl_gradient_sigma(np.array(labels), preds, table)
         assert isinstance(g, float)
-        singles = [kl_gradient_sigma(y, sigma, p, SUP) for y, p in zip(labels, preds)]
+        singles = [kl_gradient_sigma(y, p, table) for y, p in zip(labels, preds)]
         assert g == pytest.approx(sum(singles), rel=1e-12, abs=1e-12)
 
         def summed_kl(s):
@@ -366,10 +375,12 @@ class TestBatchedSigmaGradient:
 
     def test_shape_and_label_checked(self):
         preds = np.full((2, 101), 1 / 101)
+        table = table_at(1.5)
         with pytest.raises(ShapeError):
-            kl_gradient_sigma(np.array([3, 4, 5]), 1.5, preds, SUP)
-        with pytest.raises(InvalidLabelError):
-            kl_gradient_sigma(np.array([3, 101]), 1.5, preds, SUP)
+            kl_gradient_sigma(np.array([3, 4, 5]), preds, table)
+        for bad in (-1, 101):
+            with pytest.raises(InvalidLabelError):
+                kl_gradient_sigma(np.array([3, bad]), preds, table)
 
 
 class TestLossTerms:
@@ -377,8 +388,10 @@ class TestLossTerms:
     def test_gradient_matches_finite_differences(self, mode):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(3, 101))
-        args = (np.array([5, 50, 95]), np.array([0.8, 2.0, 3.0]), np.array([0.2, 0.5, 0.7]),
-                SUP, mode)
+        sigmas = np.full(SUP.size, 2.0)
+        sigmas[5], sigmas[95] = 0.8, 3.0
+        args = (np.array([5, 50, 95]), np.array([0.2, 0.5, 0.7]),
+                TargetTable.build(sigmas, SUP), mode)
         t = loss_terms(z, *args)
         h = 1e-5
         for i in range(3):
@@ -391,11 +404,20 @@ class TestLossTerms:
                 assert abs(t.dlogits[i, k] - fd) <= 1e-6
 
     def test_unknown_mode_and_non_finite_logits_rejected(self):
-        ok = (np.array([1]), np.array([2.0]), np.array([0.5]), SUP)
+        ok = (np.array([1]), np.array([0.5]), table_at(2.0))
         with pytest.raises(InvalidParameterError):
             loss_terms(np.zeros((1, 101)), *ok, loss_mode="mse")
         with pytest.raises(InvalidInputError):
             loss_terms(np.full((1, 101), np.nan), *ok)
+
+    # index -1 used to be scored as the last label, index 101 to end in IndexError
+    def test_label_index_below_support_rejected(self):
+        with pytest.raises(InvalidLabelError, match="label -1 outside"):
+            loss_terms(np.zeros((2, 101)), np.array([3, -1]), np.full(2, 0.5), table_at(2.0))
+
+    def test_label_index_above_support_rejected(self):
+        with pytest.raises(InvalidLabelError, match="label 101 outside"):
+            loss_terms(np.zeros((2, 101)), np.array([101, 3]), np.full(2, 0.5), table_at(2.0))
 
 
 def _bits(terms) -> list[bytes]:
@@ -404,55 +426,61 @@ def _bits(terms) -> list[bytes]:
 
 
 class TestTargetRowMemo:
-    """``loss_terms`` and ``kl_gradient_sigma`` read per-label target rows
-    from a memo; what it held before a call must never show in the result."""
+    """``loss_terms`` and ``kl_gradient_sigma`` read each label's target row
+    from a ``TargetTable``, the rows built once for one spread per label."""
 
-    @given(labels=st.lists(st.integers(0, 100), min_size=1, max_size=8),
-           sigmas=st.lists(st.floats(0.3, 6.0), min_size=1, max_size=3),
-           other=st.floats(0.3, 6.0), seed=st.integers(0, 2**32 - 1))
+    @given(sigmas=st.lists(st.floats(SIGMA_MIN, 6.0), min_size=1, max_size=4),
+           boundaries=st.lists(st.integers(1, 100), max_size=3, unique=True),
+           subset=st.lists(st.integers(0, 100), min_size=1, max_size=8),
+           other=st.floats(SIGMA_MIN, 6.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_cold_and_filled_memo_agree_bitwise(self, labels, sigmas, other, seed):
+    def test_cold_and_filled_memo_agree_bitwise(self, sigmas, boundaries, subset, other,
+                                                seed):
+        # stage spreads over a random partition, as train_sav builds them
+        stage = np.searchsorted(sorted(boundaries), SUP.labels(), side="right")
+        per_label = np.resize(sigmas, len(boundaries) + 1)[stage]
+        table = TargetTable.build(per_label, SUP)
+        idx = np.array(subset)
+        # each table row equals its label's row built cold, on its own
+        for name, rows in zip(("target", "log_target", "dsigma"),
+                              core._build_rows(idx, per_label[idx], SUP)):
+            assert getattr(table, name)[idx].tobytes() == rows.tobytes()
+
         rng = np.random.default_rng(seed)
-        idx = np.array(labels)
-        per_sample = np.array([sigmas[i % len(sigmas)] for i in range(len(labels))])
-        z = rng.normal(size=(len(labels), SUP.size))
-        alphas = rng.uniform(0.1, 0.9, len(labels))
+        z = rng.normal(size=(idx.size, SUP.size))
+        alphas = rng.uniform(0.1, 0.9, idx.size)
         preds = softmax(z)
 
-        def results():
-            return (_bits(loss_terms(z, idx, per_sample, alphas, SUP)),
-                    kl_gradient_sigma(idx, sigmas[0], preds, SUP))
+        def results(t):
+            return (_bits(loss_terms(z, idx, alphas, t)), kl_gradient_sigma(idx, preds, t))
 
-        core._row_memo.cache_clear()
-        cold = results()
-        # fill every row, and these labels' rows, with other spreads
-        loss_terms(np.zeros((SUP.size, SUP.size)), np.arange(SUP.size),
-                   np.full(SUP.size, other), np.full(SUP.size, 0.5), SUP)
-        kl_gradient_sigma(idx, other + 0.5, preds, SUP)
-        assert results() == cold
-        assert results() == cold  # and read back from the rows the call filled
+        first = results(table)
+        results(table_at(other))  # rows filled at other spreads leave no trace
+        assert results(table) == first
+        assert results(TargetTable.build(per_label, SUP)) == first
 
     @given(label=st.integers(0, 100), s1=st.floats(0.3, 6.0), s2=st.floats(0.3, 6.0),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_label_under_two_sigmas_in_one_call(self, label, s1, s2, seed):
+    def test_each_label_reads_its_own_spread(self, label, s1, s2, seed):
         rng = np.random.default_rng(seed)
-        idx = np.array([label, label, (label + 7) % 101, label])
-        sigmas = np.array([s1, s2, s2, s1])
+        other = (label + 7) % 101
+        idx = np.array([label, other, label, other])
+        per_label = np.full(SUP.size, s1)
+        per_label[other] = s2
+        table = TargetTable.build(per_label, SUP)
         z = rng.normal(size=(4, SUP.size))
         alphas = np.full(4, 0.3)
         # the KL objective and its gradient are row-wise, so each row must equal
-        # its own n = 1 call from a cold memo bit for bit
-        batch = loss_terms(z, idx, sigmas, alphas, SUP, "kl")
+        # its own n = 1 call bit for bit
+        batch = loss_terms(z, idx, alphas, table, "kl")
         for i in range(4):
-            core._row_memo.cache_clear()
-            alone = loss_terms(z[i:i + 1], idx[i:i + 1], sigmas[i:i + 1], alphas[i:i + 1],
-                               SUP, "kl")
+            alone = loss_terms(z[i:i + 1], idx[i:i + 1], alphas[i:i + 1], table, "kl")
             for name in ("kl", "dlogits"):
                 assert getattr(batch, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
-        # each sample's KL is against its own spread's target
+        # each sample's KL is against its own label's spread
         for i in range(4):
-            target = gaussian_oracle(int(idx[i]), float(sigmas[i]))
+            target = gaussian_oracle(int(idx[i]), float(per_label[idx[i]]))
             assert batch.kl[i] == pytest.approx(kl_divergence(target, batch.preds[i]),
                                                 rel=1e-12, abs=1e-12)
 
@@ -468,46 +496,26 @@ class TestTargetRowMemo:
             log_ratio = np.log(np.maximum(d, core.PROB_FLOOR)) - np.log(
                 np.maximum(preds, core.PROB_FLOOR))
             direct = float(np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0).sum())
-            assert kl_gradient_sigma(idx, sigma, preds, SUP) == direct
+            assert kl_gradient_sigma(idx, preds, table_at(sigma)) == direct
 
     def test_returned_arrays_do_not_alias_the_memo(self):
-        args = (np.array([3, 40, 40]), np.array([1.5, 1.5, 1.5]), np.full(3, 0.5), SUP)
+        table = table_at(1.5)
+        for arr in (table.target, table.log_target, table.dsigma):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+        args = (np.array([3, 40, 40]), np.full(3, 0.5), table)
         z = np.linspace(-1.0, 1.0, 3 * SUP.size).reshape(3, SUP.size)
         first = _bits(loss_terms(z, *args))
-        dist = gaussian_label_distribution(40, 1.5, SUP)
-        before = dist.copy()
         t = loss_terms(z, *args)
         for name in ("preds", "kl", "ce", "mse", "objective", "dlogits"):
-            getattr(t, name)[...] = 7.0
-        dist[:] = 0.0
+            arr = getattr(t, name)
+            assert not any(np.shares_memory(arr, row)
+                           for row in (table.target, table.log_target, table.dsigma))
+            arr[...] = 7.0
         assert _bits(loss_terms(z, *args)) == first
+        dist = gaussian_label_distribution(40, 1.5, SUP)
+        before = dist.copy()
+        dist[:] = 0.0
         np.testing.assert_array_equal(gaussian_label_distribution(40, 1.5, SUP), before)
-
-    def test_threads_with_different_sigmas_get_their_own_rows(self):
-        idx = np.arange(0, 101, 5)
-        z = np.linspace(-2.0, 2.0, idx.size * SUP.size).reshape(idx.size, SUP.size)
-        alphas = np.full(idx.size, 0.5)
-        spreads = (0.7, 1.3, 2.9, 4.1, 5.5, 6.0)
-        expected = {}
-        for s in spreads:
-            core._row_memo.cache_clear()
-            expected[s] = _bits(loss_terms(z, idx, np.full(idx.size, s), alphas, SUP))
-        wrong = []
-
-        def work(s):
-            for _ in range(40):
-                if _bits(loss_terms(z, idx, np.full(idx.size, s), alphas, SUP)) != expected[s]:
-                    wrong.append(s)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(s,)) for s in spreads]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+        np.testing.assert_array_equal(table.target[40], before)

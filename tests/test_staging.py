@@ -17,7 +17,6 @@ from saldl.staging import (
     kmeans_1d,
     load_partition,
     save_partition,
-    stage_of,
 )
 
 SUP = LabelSupport()
@@ -129,7 +128,6 @@ class TestStageOf:
     def test_interval_membership(self):
         p = StagePartition(boundaries=(0, 12, 22), support=SUP, provenance="manual")
         assert p.stage_of(11) == 0
-        assert stage_of(p, 11) == 0
 
     def test_boundary_start_maps_to_own_stage(self):
         p = StagePartition(boundaries=(0, 12, 22), support=SUP, provenance="manual")
