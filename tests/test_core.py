@@ -343,7 +343,7 @@ class TestKlGradientSigma:
             sigmas[40] = bad
             with pytest.raises(InvalidParameterError):
                 TargetTable.build(sigmas, SUP)
-        # SIGMA_MIN + softplus(raw) rounds to SIGMA_MIN itself for raw <= -37
+        # SIGMA_MIN + softplus(raw) rounds to SIGMA_MIN itself for raw <= -38.5
         assert np.isfinite(kl_gradient_sigma(40, np.full(101, 1 / 101), table_at(SIGMA_MIN)))
 
     def test_nonpositive_sigma_rejected(self):
@@ -410,7 +410,7 @@ class TestLossTerms:
         with pytest.raises(InvalidInputError):
             loss_terms(np.full((1, 101), np.nan), *ok)
 
-    # index -1 used to be scored as the last label, index 101 to end in IndexError
+    # unchecked, NumPy would wrap index -1 to the last label and fail on 101 with IndexError
     def test_label_index_below_support_rejected(self):
         with pytest.raises(InvalidLabelError, match="label -1 outside"):
             loss_terms(np.zeros((2, 101)), np.array([3, -1]), np.full(2, 0.5), table_at(2.0))
