@@ -19,7 +19,7 @@ from .core import (
     saw_loss,
     softmax,
 )
-from .data import AmbiguityProfile, Dataset, Sample, generate_synthetic, load_csv, save_csv, split
+from .data import AmbiguityProfile, Dataset, generate_synthetic, load_csv, save_csv, split
 from .evaluation import (
     MetricsReport,
     SimilarityCurve,
@@ -42,7 +42,7 @@ from .trainer import (
 
 __all__ = [
     "AmbiguityProfile", "Dataset", "LabelSupport", "LossBreakdown",
-    "MetricsReport", "Model", "Sample", "SimilarityCurve", "StageParams",
+    "MetricsReport", "Model", "SimilarityCurve", "StageParams",
     "StagePartition", "TargetTable", "TrainConfig", "TrainHistory",
     "MSE_WEIGHT", "PROB_FLOOR", "SIGMA_MIN",
     "anchor_similarity_curve", "backward_step", "compute_metrics",

@@ -36,9 +36,15 @@ from .data import (
     split,
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
-from .evaluation import MetricsReport, anchor_similarity_curve, compute_metrics
-from .model import Model, forward_batch, init_model, predict_ages
+from .evaluation import (
+    SIMILARITY_AGGREGATIONS,
+    MetricsReport,
+    anchor_similarity_curve,
+    compute_metrics,
+)
+from .model import ACTIVATIONS, Model, forward_batch, init_model, predict_ages
 from .staging import (
+    PROVENANCES,
     StagePartition,
     decade_partition,
     kmeans_1d,
@@ -85,15 +91,19 @@ def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()
             raise InvalidParameterError(f"{ctx} is missing {key!r}")
 
 
-def _get(d: dict, ctx: str, key: str, convert, default=None):
-    """``convert(d[key])``, or ``default`` if the key is absent. A value that
-    does not convert is an InvalidParameterError naming ``ctx.key``."""
-    if key not in d:
-        return default
+def _get(d: dict, ctx: str, key: str, convert):
+    """``convert(d[key])``; a failure is an InvalidParameterError naming ``ctx.key``."""
     try:
         return convert(d[key])
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{ctx}.{key}: {exc}") from None
+
+
+def _section(cls, d: dict, ctx: str, converters: dict, required: tuple[str, ...] = ()):
+    """``cls`` built from the keys of ``d``, each converted by its entry in
+    ``converters``; a key left out keeps the dataclass default."""
+    _strict(d, set(converters), ctx, required)
+    return cls(**{key: _get(d, ctx, key, converters[key]) for key in d})
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -102,6 +112,19 @@ def _floats(values) -> tuple[float, ...]:
 
 def _ints(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
+
+
+def _optional(convert):
+    """``convert``, except that an empty or null value means None."""
+    return lambda value: convert(value) if value else None
+
+
+def _one_of(choices: tuple):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {choices}")
+        return value
+    return convert
 
 
 def _path(value) -> str | None:
@@ -124,13 +147,9 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        ctx = "data.synthetic"
-        _strict(d, _keys(cls), ctx, required=("levels", "boundaries"))
-        return cls(levels=_get(d, ctx, "levels", _floats),
-                   boundaries=_get(d, ctx, "boundaries", _ints),
-                   feature_dim=_get(d, ctx, "feature_dim", int, 16),
-                   noise_scale=_get(d, ctx, "noise_scale", float, 0.05),
-                   n_per_label=_get(d, ctx, "n_per_label", int, 12))
+        return _section(cls, d, "data.synthetic", {
+            "levels": _floats, "boundaries": _ints, "feature_dim": int,
+            "noise_scale": float, "n_per_label": int}, required=("levels", "boundaries"))
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
         partition = StagePartition(boundaries=self.boundaries, support=support,
@@ -150,15 +169,14 @@ class DataSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSection":
-        _strict(d, _keys(cls), "data")
-        synth = SyntheticSpec.from_dict(d["synthetic"]) if d.get("synthetic") else None
-        fractions = _get(d, "data", "fractions", _floats, (0.7, 0.15, 0.15))
-        if len(fractions) != 3:
+        section = _section(cls, d, "data", {
+            "synthetic": lambda v: v or None, "fractions": _floats,
+            "train_csv": _path, "val_csv": _path, "test_csv": _path})
+        if section.synthetic is not None:  # parsed outside _get: it names its own fields
+            section.synthetic = SyntheticSpec.from_dict(section.synthetic)
+        if len(section.fractions) != 3:
             raise InvalidParameterError("data.fractions needs three values")
-        return cls(synthetic=synth, fractions=fractions,
-                   train_csv=_get(d, "data", "train_csv", _path),
-                   val_csv=_get(d, "data", "val_csv", _path),
-                   test_csv=_get(d, "data", "test_csv", _path))
+        return section
 
 
 @dataclass
@@ -169,15 +187,11 @@ class PartitionSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionSection":
-        _strict(d, _keys(cls), "partition")
-        mode = d.get("mode", "kmeans")
-        if mode not in ("kmeans", "decade", "manual"):
-            raise InvalidParameterError(f"partition.mode {mode!r} unknown")
-        boundaries = d.get("boundaries")
-        if mode == "manual" and not boundaries:
+        section = _section(cls, d, "partition", {
+            "mode": _one_of(PROVENANCES), "k": int, "boundaries": _optional(_ints)})
+        if section.mode == "manual" and not section.boundaries:
             raise InvalidParameterError("manual partition needs boundaries")
-        return cls(mode=mode, k=_get(d, "partition", "k", int, 10),
-                   boundaries=_get(d, "partition", "boundaries", _ints) if boundaries else None)
+        return section
 
 
 @dataclass
@@ -187,9 +201,8 @@ class ModelSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSection":
-        _strict(d, _keys(cls), "model")
-        return cls(hidden_dims=_get(d, "model", "hidden_dims", _ints, (64, 32)),
-                   activation=str(d.get("activation", "relu")))
+        return _section(cls, d, "model", {"hidden_dims": _ints,
+                                          "activation": _one_of(ACTIVATIONS)})
 
 
 @dataclass
@@ -202,16 +215,10 @@ class AblationSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AblationSection":
-        _strict(d, _keys(cls), "ablation")
-        loss_mode = d.get("loss_mode")
-        if loss_mode is not None and loss_mode not in LOSS_MODES:
-            raise InvalidParameterError(f"ablation.loss_mode {loss_mode!r} unknown")
-        return cls(sav=bool(d.get("sav", True)), saw=bool(d.get("saw", True)),
-                   fixed_sigma=_get(d, "ablation", "fixed_sigma",
-                                    lambda v: TrainConfig(fixed_sigma=float(v)).fixed_sigma,
-                                    2.0),
-                   loss_mode=loss_mode,
-                   seeds=_get(d, "ablation", "seeds", _ints) if d.get("seeds") else None)
+        return _section(cls, d, "ablation", {
+            "sav": bool, "saw": bool,
+            "fixed_sigma": lambda v: TrainConfig(fixed_sigma=float(v)).fixed_sigma,
+            "loss_mode": _optional(_one_of(LOSS_MODES)), "seeds": _optional(_ints)})
 
 
 @dataclass
@@ -222,11 +229,9 @@ class EvalSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalSection":
-        _strict(d, _keys(cls), "eval")
-        return cls(cs_thresholds=_get(d, "eval", "cs_thresholds", _floats, (5.0,)),
-                   anchors=_get(d, "eval", "anchors", _ints, ()),
-                   similarity_aggregation=str(d.get("similarity_aggregation",
-                                                    "pairwise")))
+        return _section(cls, d, "eval", {
+            "cs_thresholds": _floats, "anchors": _ints,
+            "similarity_aggregation": _one_of(SIMILARITY_AGGREGATIONS)})
 
 
 @dataclass
@@ -244,10 +249,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
-        sup = d.get("support", {})
-        _strict(sup, _keys(LabelSupport), "support")
-        support = LabelSupport(_get(sup, "support", "min_label", int, 0),
-                               _get(sup, "support", "max_label", int, 100))
+        support = _section(LabelSupport, d.get("support", {}), "support",
+                           {"min_label": int, "max_label": int})
         train = d.get("train", {})
         _strict(train, TRAIN_KEYS, "train")
         for key in train:  # checked one at a time, so an error names its key
@@ -318,7 +321,7 @@ def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePart
     if sect.mode == "manual":
         return StagePartition(boundaries=sect.boundaries, support=config.support,
                               provenance="manual")
-    return kmeans_1d(train_data.labels_array().tolist(), sect.k, config.support)
+    return kmeans_1d(train_data.labels_array(), sect.k, config.support)
 
 
 def _generate_data(config: ExperimentConfig

@@ -31,51 +31,51 @@ _ARC_SPAN = 0.9 * np.pi
 
 
 @dataclass(frozen=True, eq=False)
-class Sample:
-    id: str
-    label: int
-    features: np.ndarray
-
-    def same_as(self, other: "Sample") -> bool:
-        return (self.id == other.id and self.label == other.label
-                and np.array_equal(self.features, other.features))
-
-
-@dataclass
 class Dataset:
-    samples: list[Sample]
-    feature_dim: int
+    """Column store of one split: sample ids, int64 labels and a float64
+    ``(n, d)`` feature matrix, row i belonging to ``ids[i]``. The arrays are
+    private read-only copies."""
+
+    ids: tuple[str, ...]
+    labels: np.ndarray
+    features: np.ndarray
     support: LabelSupport
 
     def __post_init__(self):
-        for s in self.samples:
-            if s.features.shape != (self.feature_dim,):
-                raise ShapeError(
-                    f"sample {s.id} has {s.features.shape[0]} features, "
-                    f"expected {self.feature_dim}")
-            if not self.support.contains(s.label):
-                raise InvalidLabelError(
-                    f"sample {s.id} label {s.label} outside support")
+        ids = tuple(self.ids)
+        labels = np.array(self.labels, dtype=np.int64)
+        features = np.array(self.features, dtype=np.float64)
+        if labels.shape != (len(ids),) or features.ndim != 2 or len(features) != len(ids):
+            raise ShapeError(f"{len(ids)} ids need ({len(ids)},) labels and ({len(ids)}, d) "
+                             f"features, got {labels.shape} and {features.shape}")
+        outside = np.flatnonzero((labels < self.support.min_label)
+                                 | (labels > self.support.max_label))
+        if outside.size:
+            i = outside[0]
+            raise InvalidLabelError(f"sample {ids[i]} label {labels[i]} outside support")
+        labels.flags.writeable = False
+        features.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", features)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     def features_matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, self.feature_dim))
-        return np.stack([s.features for s in self.samples])
+        return self.features
 
     def labels_array(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+        return self.labels
 
     def same_as(self, other: "Dataset") -> bool:
-        return (self.feature_dim == other.feature_dim
-                and self.support == other.support
-                and len(self) == len(other)
-                and all(a.same_as(b) for a, b in zip(self.samples, other.samples)))
+        return (self.support == other.support and self.ids == other.ids
+                and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.features, other.features))
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,12 @@ def generate_synthetic(profile: AmbiguityProfile, n_per_label: int, seed: int) -
     support = profile.partition.support
     rng = np.random.default_rng(seed)
     protos = _prototypes(profile, rng)
-    samples = []
-    for offset, label in enumerate(range(support.min_label, support.max_label + 1)):
-        noise = rng.standard_normal((n_per_label, profile.feature_dim))
-        feats = protos[offset][None, :] + profile.noise_scale * noise
-        for i in range(n_per_label):
-            samples.append(Sample(id=f"syn-{label}-{i}", label=label,
-                                  features=feats[i]))
-    return Dataset(samples=samples, feature_dim=profile.feature_dim, support=support)
+    noise = rng.standard_normal((support.size, n_per_label, profile.feature_dim))
+    features = protos[:, None, :] + profile.noise_scale * noise
+    labels = np.repeat(support.labels(), n_per_label)
+    ids = map("syn-{}-{}".format, labels.tolist(), list(range(n_per_label)) * support.size)
+    return Dataset(ids=tuple(ids), labels=labels,
+                   features=features.reshape(-1, profile.feature_dim), support=support)
 
 
 CSV_ID_COLUMN = "id"
@@ -158,9 +156,8 @@ def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [s.id, s.label, *s.features.astype(np.float64, copy=False).tolist()]
-            for s in dataset.samples)
+        writer.writerows(zip(dataset.ids, dataset.labels.tolist(),
+                             *dataset.features.T.tolist()))
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:
@@ -177,7 +174,7 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},f0,...', "
                 f"got {header[:3]}", line=1)
         feature_dim = len(header) - 2
-        samples = []
+        ids, labels, rows = [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -199,8 +196,11 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 raise ParseError("non-numeric feature cell", line=line_no) from None
             if not np.all(np.isfinite(feats)):
                 raise ParseError("non-finite feature cell", line=line_no)
-            samples.append(Sample(id=row[0], label=label, features=feats))
-    return Dataset(samples=samples, feature_dim=feature_dim, support=support)
+            ids.append(row[0])
+            labels.append(label)
+            rows.append(feats)
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), feature_dim)
+    return Dataset(ids=tuple(ids), labels=labels, features=features, support=support)
 
 
 def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
@@ -222,13 +222,9 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
         raise StratificationError("cannot stratify an empty dataset")
 
     rng = np.random.default_rng(seed)
-    by_label: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        by_label.setdefault(s.label, []).append(i)
-
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for label in sorted(by_label):
-        idxs = np.array(by_label[label])
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
+    for label in np.unique(dataset.labels):
+        idxs = np.flatnonzero(dataset.labels == label)
         rng.shuffle(idxs)
         g = len(idxs)
         quotas = [g * f for f in fr]
@@ -242,13 +238,14 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
             donor = 1 if counts[1] >= counts[2] and counts[1] > 0 else 2
             counts[donor] -= 1
             counts[0] += 1
-        cut1, cut2 = counts[0], counts[0] + counts[1]
-        parts[0].extend(idxs[:cut1].tolist())
-        parts[1].extend(idxs[cut1:cut2].tolist())
-        parts[2].extend(idxs[cut2:].tolist())
+        for part, piece in zip(parts, np.split(idxs, np.cumsum(counts[:2]))):
+            part.append(piece)
 
-    def subset(indices: list[int]) -> Dataset:
-        return Dataset(samples=[dataset.samples[i] for i in indices],
-                       feature_dim=dataset.feature_dim, support=dataset.support)
+    ids = np.array(dataset.ids, dtype=object)
+
+    def subset(pieces: list[np.ndarray]) -> Dataset:
+        idx = np.concatenate(pieces)
+        return Dataset(ids=tuple(ids[idx]), labels=dataset.labels[idx],
+                       features=dataset.features[idx], support=dataset.support)
 
     return subset(parts[0]), subset(parts[1]), subset(parts[2])

@@ -8,9 +8,7 @@ optimum and fully deterministic) or from fixed ten-year intervals.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -89,7 +87,7 @@ def load_partition(path, support: LabelSupport) -> StagePartition:
         return StagePartition.from_dict(json.load(fh), support)
 
 
-def kmeans_1d(labels: Iterable[int], k: int, support: LabelSupport) -> StagePartition:
+def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
     """Globally optimal k-means clustering of a 1-D label multiset.
 
     Optimal 1-D clusters are contiguous in sorted order, so a dynamic
@@ -98,20 +96,19 @@ def kmeans_1d(labels: Iterable[int], k: int, support: LabelSupport) -> StagePart
     are attached to the nearest cluster interval, ties going to the lower
     stage, which makes the partition total over the support.
     """
-    labels = [int(x) for x in labels]
-    if not labels:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
         raise EmptyInputError("cannot cluster an empty label multiset")
     support.indices_of(labels)
-    counts = Counter(labels)
-    values = sorted(counts)
+    values, counts = np.unique(labels, return_counts=True)
     m = len(values)
     if k < 1 or k > m:
         raise InvalidParameterError(
             f"k must lie in [1, {m}] for {m} distinct labels, got {k}"
         )
 
-    v = np.array(values, dtype=np.float64)
-    c = np.array([counts[x] for x in values], dtype=np.float64)
+    v = values.astype(np.float64)
+    c = counts.astype(np.float64)
     cw = np.concatenate(([0.0], np.cumsum(c)))
     cv = np.concatenate(([0.0], np.cumsum(c * v)))
     cv2 = np.concatenate(([0.0], np.cumsum(c * v * v)))
@@ -149,8 +146,8 @@ def kmeans_1d(labels: Iterable[int], k: int, support: LabelSupport) -> StagePart
 
     boundaries = [support.min_label]
     for t in range(1, k):
-        upper_end = values[starts[t] - 1]   # largest value of cluster t-1
-        lower_start = values[starts[t]]     # smallest value of cluster t
+        upper_end = int(values[starts[t] - 1])   # largest value of cluster t-1
+        lower_start = int(values[starts[t]])     # smallest value of cluster t
         # gap labels closer to the lower cluster stay there; ties go low
         boundaries.append((upper_end + lower_start) // 2 + 1)
     return StagePartition(boundaries=tuple(boundaries), support=support,

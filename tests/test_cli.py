@@ -11,7 +11,7 @@ import pytest
 from saldl import cli
 from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
-from saldl.data import Dataset, Sample, load_csv, save_csv
+from saldl.data import Dataset, load_csv, save_csv
 from saldl.errors import InvalidParameterError
 from saldl.model import init_model
 from saldl.staging import StagePartition
@@ -106,6 +106,9 @@ class TestConfigValidation:
         ("data", "synthetic", 5),  # a section that is not a JSON object
         ("data", "train_csv", 5),
         ("ablation", "fixed_sigma", 0),  # converts, but TrainConfig rejects it
+        ("model", "activation", "sigmoid"),
+        ("model", "activation", 5),
+        ("eval", "similarity_aggregation", "median"),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -163,8 +166,8 @@ class TestGenData:
     @pytest.mark.parametrize("command", ["gen-data", "run-ablation"])
     def test_csv_that_does_not_read_back_fails(self, tmp_path, capsys, monkeypatch, command):
         def rounding_save_csv(dataset, path):
-            rounded = [Sample(s.id, s.label, np.round(s.features, 3)) for s in dataset.samples]
-            save_csv(Dataset(rounded, dataset.feature_dim, dataset.support), path)
+            save_csv(Dataset(dataset.ids, dataset.labels, np.round(dataset.features, 3),
+                             dataset.support), path)
 
         monkeypatch.setattr(cli, "save_csv", rounding_save_csv)
         path = write_config(tmp_path, base_config(tmp_path / "run"))
@@ -197,9 +200,8 @@ class TestStage:
     def test_kmeans_example_via_csv(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
-        samples = [Sample(id=str(i), label=lab, features=np.zeros(2))
-                   for i, lab in enumerate([1, 2, 9, 10])]
-        ds = Dataset(samples=samples, feature_dim=2, support=SUP)
+        ds = Dataset(ids=("0", "1", "2", "3"), labels=[1, 2, 9, 10],
+                     features=np.zeros((4, 2)), support=SUP)
         for name in ("train.csv", "val.csv", "test.csv"):
             save_csv(ds, out / name)
         doc = base_config(out)
@@ -215,9 +217,8 @@ class TestStage:
     def test_kmeans_k_exceeding_distinct_fails(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
-        samples = [Sample(id=str(i), label=5, features=np.zeros(2))
-                   for i in range(4)]
-        ds = Dataset(samples=samples, feature_dim=2, support=SUP)
+        ds = Dataset(ids=("0", "1", "2", "3"), labels=[5] * 4,
+                     features=np.zeros((4, 2)), support=SUP)
         for name in ("train.csv", "val.csv", "test.csv"):
             save_csv(ds, out / name)
         doc = base_config(out)
@@ -293,10 +294,9 @@ class TestEvalCommand:
         # features one-hot-encode the label; huge identity weights make the
         # model an oracle under both read-out rules
         dim = SUP.size
-        samples = [Sample(id=str(i), label=lab,
-                          features=np.eye(dim)[lab])
-                   for i, lab in enumerate([0, 10, 50, 90, 100] * 3)]
-        ds = Dataset(samples=samples, feature_dim=dim, support=SUP)
+        labels = [0, 10, 50, 90, 100] * 3
+        ds = Dataset(ids=tuple(str(i) for i in range(len(labels))), labels=labels,
+                     features=np.eye(dim)[labels], support=SUP)
         for name in ("train.csv", "val.csv", "test.csv"):
             save_csv(ds, out / name)
         model = init_model((dim, dim), "relu", 0, SUP)

@@ -1,6 +1,7 @@
 """Dataset tests: generator geometry, CSV round trips, and split properties."""
 
 import csv
+import hashlib
 import io
 import tempfile
 
@@ -13,7 +14,7 @@ from saldl.core import LabelSupport
 from saldl.data import (
     AmbiguityProfile,
     Dataset,
-    Sample,
+    _prototypes,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -25,6 +26,7 @@ from saldl.errors import (
     InvalidLabelError,
     InvalidParameterError,
     ParseError,
+    ShapeError,
     StratificationError,
 )
 from saldl.staging import StagePartition
@@ -45,6 +47,56 @@ def adjacent_cos(protos, start, end):
         a, b = protos[lab], protos[lab + 1]
         sims.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
     return float(np.mean(sims))
+
+
+class TestDatasetColumns:
+    def test_lengths_must_agree(self):
+        with pytest.raises(ShapeError):
+            Dataset(ids=("a", "b"), labels=[1], features=np.zeros((1, 2)), support=SUP)
+        with pytest.raises(ShapeError):
+            Dataset(ids=("a",), labels=[1, 2], features=np.zeros((1, 2)), support=SUP)
+        with pytest.raises(ShapeError):
+            Dataset(ids=("a",), labels=[1], features=np.zeros((2, 2)), support=SUP)
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ShapeError):
+            Dataset(ids=("a", "b"), labels=[1, 2], features=np.zeros(2), support=SUP)
+        with pytest.raises(ShapeError):
+            Dataset(ids=("a",), labels=[1], features=np.zeros((1, 2, 2)), support=SUP)
+
+    def test_label_outside_support_names_sample(self):
+        with pytest.raises(InvalidLabelError, match="sample b label 101"):
+            Dataset(ids=("a", "b"), labels=[100, 101], features=np.zeros((2, 2)),
+                    support=SUP)
+
+    def test_columns_read_only_and_not_copied(self):
+        features = np.ones((2, 3))
+        ds = Dataset(ids=("a", "b"), labels=[1, 2], features=features, support=SUP)
+        assert ds.labels.dtype == np.int64 and ds.features.dtype == np.float64
+        features[0, 0] = 5.0  # the dataset holds its own copy
+        assert ds.features[0, 0] == 1.0
+        for column in (ds.labels, ds.features):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert ds.features_matrix() is ds.features
+        assert ds.labels_array() is ds.labels
+
+    def test_empty_split_keeps_width(self):
+        ds = Dataset(ids=(), labels=[], features=np.zeros((0, 4)), support=SUP)
+        assert len(ds) == 0 and ds.feature_dim == 4
+
+    def test_split_csv_bytes_pinned(self, tmp_path):
+        # recorded with the per-sample implementation this column store replaced
+        golden = {
+            "train": "6984a2e9f510bfd271ca0de771d7313934db4354499052649a01e59f03feac0a",
+            "val": "5df8ecc6fad29574f682b6c7b6cb9c93d9c8560fd30553037dd206ed03cdfa55",
+            "test": "77e9a20a29e8c473bb6a816099020eebcc1fa3fb49a3658d01befb8f989945f0",
+        }
+        parts = split(generate_synthetic(profile(), 3, seed=11), (0.7, 0.15, 0.15), seed=11)
+        for name, ds in zip(golden, parts):
+            path = tmp_path / f"{name}.csv"
+            save_csv(ds, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[name]
 
 
 class TestSyntheticGenerator:
@@ -92,11 +144,18 @@ class TestSyntheticGenerator:
         assert (adjacent_cos(protos_b, 0, 49)
                 >= adjacent_cos(protos_a, 0, 49) - 1e-12)
 
+    def test_rows_equal_one_noise_draw_per_label(self):
+        rng = np.random.default_rng(4)
+        protos = _prototypes(profile(), rng)
+        want = np.concatenate([protos[i] + 0.05 * rng.standard_normal((3, 8))
+                               for i in range(SUP.size)])
+        np.testing.assert_array_equal(generate_synthetic(profile(), 3, seed=4).features, want)
+
     def test_noise_scale_zero_gives_exact_prototypes(self):
         ds = generate_synthetic(profile(noise=0.0), 2, seed=1)
         protos = synthetic_prototypes(profile(noise=0.0), seed=1)
-        for s in ds.samples:
-            np.testing.assert_array_equal(s.features, protos[s.label])
+        for features, label in zip(ds.features, ds.labels):
+            np.testing.assert_array_equal(features, protos[label])
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -111,11 +170,9 @@ class TestSyntheticGenerator:
 
 class TestCsvRoundTrip:
     def test_three_sample_round_trip(self, tmp_path):
-        ds = Dataset(samples=[
-            Sample(id="a", label=3, features=np.array([0.1, -2.5])),
-            Sample(id="b", label=100, features=np.array([1e-17, 3.00000001])),
-            Sample(id="c", label=0, features=np.array([-0.0, 12345.678])),
-        ], feature_dim=2, support=SUP)
+        ds = Dataset(ids=("a", "b", "c"), labels=[3, 100, 0],
+                     features=[[0.1, -2.5], [1e-17, 3.00000001], [-0.0, 12345.678]],
+                     support=SUP)
         path = tmp_path / "data.csv"
         save_csv(ds, path)
         again = load_csv(path, SUP)
@@ -125,15 +182,12 @@ class TestCsvRoundTrip:
                               width=64), min_size=2, max_size=6))
     @settings(max_examples=30)
     def test_float_precision_preserved(self, values):
-        ds = Dataset(samples=[Sample(id="x", label=5,
-                                     features=np.array(values))],
-                     feature_dim=len(values), support=SUP)
+        ds = Dataset(ids=("x",), labels=[5], features=[values], support=SUP)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/one.csv"
             save_csv(ds, path)
             again = load_csv(path, SUP)
-        np.testing.assert_array_equal(again.samples[0].features,
-                                      ds.samples[0].features)
+        np.testing.assert_array_equal(again.features[0], ds.features[0])
 
     @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                              min_size=3, max_size=3), max_size=5))
@@ -141,14 +195,14 @@ class TestCsvRoundTrip:
     @settings(max_examples=50)
     def test_bytes_match_per_cell_repr(self, rows):
         """The CSV bytes are those of formatting each cell as ``repr(float(v))``."""
-        ds = Dataset(samples=[Sample(id=f"s{i}", label=i, features=np.array(row))
-                              for i, row in enumerate(rows)],
-                     feature_dim=3, support=SUP)
+        ds = Dataset(ids=tuple(f"s{i}" for i in range(len(rows))),
+                     labels=range(len(rows)), features=np.reshape(rows, (-1, 3)),
+                     support=SUP)
         want = io.StringIO(newline="")
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["id", "age", "f0", "f1", "f2"])
-        for s in ds.samples:
-            writer.writerow([s.id, s.label] + [repr(float(v)) for v in s.features])
+        for id_, label, features in zip(ds.ids, ds.labels, ds.features):
+            writer.writerow([id_, label] + [repr(float(v)) for v in features])
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/rows.csv"
             save_csv(ds, path)
@@ -206,12 +260,10 @@ class TestCsvRoundTrip:
 
 
 def uniform_dataset(n_labels=10, per_label=10, dim=3):
-    samples = []
-    for lab in range(n_labels):
-        for i in range(per_label):
-            samples.append(Sample(id=f"{lab}-{i}", label=lab,
-                                  features=np.full(dim, float(lab))))
-    return Dataset(samples=samples, feature_dim=dim, support=SUP)
+    labels = np.repeat(np.arange(n_labels), per_label)
+    ids = tuple(f"{lab}-{i}" for lab in range(n_labels) for i in range(per_label))
+    features = np.repeat(labels[:, None].astype(float), dim, axis=1)
+    return Dataset(ids=ids, labels=labels, features=features, support=SUP)
 
 
 class TestSplit:
@@ -230,9 +282,9 @@ class TestSplit:
     def test_disjoint_and_exhaustive(self):
         ds = uniform_dataset()
         tr, va, te = split(ds, (0.6, 0.2, 0.2), seed=1)
-        ids = [set(s.ids()) for s in (tr, va, te)]
+        ids = [set(s.ids) for s in (tr, va, te)]
         assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
-        assert ids[0] | ids[1] | ids[2] == set(ds.ids())
+        assert ids[0] | ids[1] | ids[2] == set(ds.ids)
 
     def test_same_seed_identical(self):
         ds = uniform_dataset()
@@ -251,12 +303,10 @@ class TestSplit:
            seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_labels_with_three_or_more_samples_reach_train(self, counts, seed):
-        samples = []
-        for lab, c in enumerate(counts):
-            for i in range(c):
-                samples.append(Sample(id=f"{lab}-{i}", label=lab,
-                                      features=np.zeros(2)))
-        ds = Dataset(samples=samples, feature_dim=2, support=SUP)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        ids = tuple(f"{lab}-{i}" for lab, c in enumerate(counts) for i in range(c))
+        ds = Dataset(ids=ids, labels=labels, features=np.zeros((len(ids), 2)),
+                     support=SUP)
         tr, va, te = split(ds, (0.5, 0.25, 0.25), seed=seed)
         train_labels = set(tr.labels_array().tolist())
         for lab, c in enumerate(counts):
@@ -265,6 +315,6 @@ class TestSplit:
         assert len(tr) + len(va) + len(te) == len(ds)
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset(samples=[], feature_dim=2, support=SUP)
+        empty = Dataset(ids=(), labels=[], features=np.zeros((0, 2)), support=SUP)
         with pytest.raises(StratificationError):
             split(empty, (0.7, 0.15, 0.15), seed=0)

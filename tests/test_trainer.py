@@ -198,13 +198,14 @@ class TestTrainSav:
         profile = AmbiguityProfile(levels=(1.0, 1.0), partition=PART,
                                    feature_dim=8, noise_scale=0.05)
         full = generate_synthetic(profile, n_per_label=3, seed=1)
-        only42 = [s for s in full.samples if s.label == 42]
+        only42 = np.flatnonzero(full.labels == 42)
         # replicate the group so the stratified split has enough samples
-        from saldl.data import Dataset, Sample
-        samples = [Sample(id=f"{s.id}-{i}", label=42,
-                          features=s.features + 0.001 * i)
-                   for s in only42 for i in range(20)]
-        data = Dataset(samples=samples, feature_dim=8, support=SUP)
+        from saldl.data import Dataset
+        data = Dataset(ids=tuple(f"{full.ids[j]}-{i}" for j in only42 for i in range(20)),
+                       labels=[42] * (20 * len(only42)),
+                       features=[full.features[j] + 0.001 * i
+                                 for j in only42 for i in range(20)],
+                       support=SUP)
         tr, va, te = split(data, (0.6, 0.2, 0.2), seed=0)
         cfg = TrainConfig(epochs=10, batch_size=16, learning_rate=0.2, seed=0)
         best_m, _, hist = train_sav(tr, va, PART, small_model(),
@@ -299,7 +300,7 @@ class TestTrainSav:
         data = tiny_dataset()
         tr, va, _ = split(data, (0.7, 0.15, 0.15), seed=0)
         from saldl.data import Dataset
-        empty = Dataset(samples=[], feature_dim=8, support=SUP)
+        empty = Dataset(ids=(), labels=[], features=np.zeros((0, 8)), support=SUP)
         with pytest.raises(EmptyInputError):
             train_sav(empty, va, PART, small_model(),
                       StageParams.initial(PART.k), TrainConfig())
@@ -378,8 +379,8 @@ class TestEvaluateL1:
     def test_empty_rejected(self):
         from saldl.data import Dataset
         with pytest.raises(EmptyInputError):
-            evaluate_l1(small_model(), Dataset(samples=[], feature_dim=8,
-                                               support=SUP))
+            evaluate_l1(small_model(), Dataset(ids=(), labels=[],
+                                               features=np.zeros((0, 8)), support=SUP))
 
 
 class TestHistoryExport:
