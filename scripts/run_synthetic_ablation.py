@@ -39,7 +39,6 @@ def build_config(out_dir: str, seeds: list[int]) -> dict:
             "stage_lr": 0.3,
             "adaptation_mode": "gradient",
             "prediction_rule": "expectation",
-            "cs_threshold": 5.0,
         },
         "ablation": {"sav": True, "saw": True, "fixed_sigma": 2.0, "seeds": seeds},
         "eval": {"cs_thresholds": [5.0], "anchors": [10, 75]},

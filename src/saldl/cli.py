@@ -14,10 +14,8 @@ the data and the partition once per seed and runs each arm on them.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -26,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import copy_file, write_csv, write_json
 from .core import LOSS_MODES, LabelSupport
 from .data import (
     AmbiguityProfile,
@@ -127,10 +126,17 @@ def _one_of(choices: tuple):
     return convert
 
 
+def _exactly(kind):
+    """The value unchanged if it is a ``kind``: the string "false" is no bool."""
+    def convert(value):
+        if isinstance(value, kind):
+            return value
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return convert
+
+
 def _path(value) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"expected a path string, got {value!r}")
-    return value
+    return value if value is None else _exactly(str)(value)
 
 
 # The train section holds the TrainConfig knobs that no other section sets.
@@ -216,7 +222,7 @@ class AblationSection:
     @classmethod
     def from_dict(cls, d: dict) -> "AblationSection":
         return _section(cls, d, "ablation", {
-            "sav": bool, "saw": bool,
+            "sav": _exactly(bool), "saw": _exactly(bool),
             "fixed_sigma": lambda v: TrainConfig(fixed_sigma=float(v)).fixed_sigma,
             "loss_mode": _optional(_one_of(LOSS_MODES)), "seeds": _optional(_ints)})
 
@@ -257,7 +263,7 @@ class ExperimentConfig:
             _get(train, "train", key, lambda v: TrainConfig(**{key: v}))
         config = cls(
             seed=_get(d, "config", "seed", int),
-            out_dir=str(d["out_dir"]),
+            out_dir=_get(d, "config", "out_dir", _exactly(str)),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
             partition=PartitionSection.from_dict(d.get("partition", {})),
@@ -347,9 +353,7 @@ def _write_data(config: ExperimentConfig, profile: AmbiguityProfile,
                                "written to it")
         outputs.append(path)
     profile_path = out / "profile.json"
-    with open(profile_path, "w", encoding="utf-8") as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(profile_path, profile.to_dict())
     outputs.append(profile_path)
     return outputs
 
@@ -504,25 +508,21 @@ def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
                 config.ablation, sav=sav, saw=saw, loss_mode=None))
             if data_files:
                 for src in data_files:
-                    shutil.copyfile(src, arm_dir / src.name)
+                    copy_file(src, arm_dir / src.name)
             else:
                 data_files = _write_data(arm_config, profile, splits)
             save_partition(partition, arm_dir / "partition.json")
             _train(arm_config, train_data, val_data, partition)
             report, _ = _evaluate(arm_config, test_data)
             rows[arm].append((seed, report.mae, report.cs[min(report.cs)]))
+    table = [[arm, int(sav), int(saw), seed, repr(float(mae)), repr(float(cs))]
+             for arm, sav, saw in ABLATION_ARMS for seed, mae, cs in rows[arm]]
+    for arm, sav, saw in ABLATION_ARMS:  # then one mean row per arm
+        _, maes, css = zip(*rows[arm])
+        table.append([arm, int(sav), int(saw), "mean",
+                      repr(float(np.mean(maes))), repr(float(np.mean(css)))])
     path = out / "ablation.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["arm", "sav", "saw", "seed", "test_mae", "test_cs"])
-        for arm, sav, saw in ABLATION_ARMS:
-            for seed, mae, cs in rows[arm]:
-                writer.writerow([arm, int(sav), int(saw), seed,
-                                 repr(float(mae)), repr(float(cs))])
-        for arm, sav, saw in ABLATION_ARMS:
-            _, maes, css = zip(*rows[arm])
-            writer.writerow([arm, int(sav), int(saw), "mean",
-                             repr(float(np.mean(maes))), repr(float(np.mean(css)))])
+    write_csv(path, ["arm", "sav", "saw", "seed", "test_mae", "test_cs"], table)
     return [path]
 
 
@@ -550,9 +550,7 @@ def _write_run_meta(config: ExperimentConfig, command: str, status: str,
     }
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "run_meta.json", meta)
 
 
 def main(argv=None) -> int:

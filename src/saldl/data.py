@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .core import LabelSupport
 from .errors import (
     InvalidLabelError,
@@ -153,11 +154,8 @@ def save_csv(dataset: Dataset, path) -> None:
     round-trip precision (``repr`` of each Python float)."""
     header = [CSV_ID_COLUMN, CSV_LABEL_COLUMN] + [
         f"f{i}" for i in range(dataset.feature_dim)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(dataset.ids, dataset.labels.tolist(),
-                             *dataset.features.T.tolist()))
+    write_csv(path, header, zip(dataset.ids, dataset.labels.tolist(),
+                                *dataset.features.T.tolist()))
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:

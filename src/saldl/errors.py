@@ -4,9 +4,6 @@ Each class maps to one failure category so callers (and the CLI) can
 distinguish bad parameters from bad data without parsing messages.
 """
 
-import json
-from contextlib import contextmanager
-
 
 class SaldlError(Exception):
     """Base class for all package errors."""
@@ -38,17 +35,6 @@ class ParseError(SaldlError, ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-@contextmanager
-def parsing(path):
-    """Report a JSON document that does not parse or lacks a field as a ParseError."""
-    try:
-        yield
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from None
-    except KeyError as exc:
-        raise ParseError(f"{path} lacks the field {exc}") from None
 
 
 class StratificationError(SaldlError, ValueError):

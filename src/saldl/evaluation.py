@@ -3,12 +3,11 @@ cosine-similarity analysis over embeddings."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .core import LabelSupport
 from .errors import (
     DegenerateEmbeddingError,
@@ -72,21 +71,14 @@ class MetricsReport:
                 "per_stage_mae": self.per_stage_mae}
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "value"])
-            writer.writerow(["mae", repr(float(self.mae))])
-            writer.writerow(["n", self.n])
-            for t in sorted(self.cs):
-                writer.writerow([f"cs_{t:g}", repr(float(self.cs[t]))])
-            for s, v in enumerate(self.per_stage_mae):
-                writer.writerow([f"mae_stage_{s}",
-                                 "" if v is None else repr(float(v))])
+        write_csv(path, ["metric", "value"], [
+            ["mae", repr(float(self.mae))], ["n", self.n],
+            *([f"cs_{t:g}", repr(float(self.cs[t]))] for t in sorted(self.cs)),
+            *([f"mae_stage_{s}", "" if v is None else repr(float(v))]
+              for s, v in enumerate(self.per_stage_mae))])
 
 
 def compute_metrics(preds, labels, partition: StagePartition,
@@ -114,13 +106,10 @@ class SimilarityCurve:
         return self.values[self.support.index_of(label)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label", "mean_cos", "count"])
-            for label, value, count in zip(self.support.labels(), self.values,
-                                           self.counts):
-                if count > 0:
-                    writer.writerow([int(label), repr(float(value)), count])
+        write_csv(path, ["label", "mean_cos", "count"], (
+            [int(label), repr(float(value)), count]
+            for label, value, count in zip(self.support.labels(), self.values, self.counts)
+            if count > 0))
 
 
 def anchor_similarity_curve(embeddings, labels, anchor: int,

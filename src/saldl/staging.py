@@ -7,13 +7,13 @@ optimum and fully deterministic) or from fixed ten-year intervals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .core import LabelSupport
-from .errors import EmptyInputError, InvalidParameterError, parsing
+from .errors import EmptyInputError, InvalidParameterError
 
 PROVENANCES = ("kmeans", "decade", "manual")
 
@@ -77,14 +77,11 @@ class StagePartition:
 
 
 def save_partition(partition: StagePartition, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, partition.to_dict())
 
 
 def load_partition(path, support: LabelSupport) -> StagePartition:
-    with open(path, encoding="utf-8") as fh, parsing(path):
-        return StagePartition.from_dict(json.load(fh), support)
+    return read_json(path, lambda doc: StagePartition.from_dict(doc, support))
 
 
 def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:

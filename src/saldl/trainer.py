@@ -10,14 +10,13 @@ raw parameterizations); proposals only survive if validation improves.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import evaluation
+from .artifacts import read_json, write_csv, write_json
 from .core import LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
 from .data import Dataset
 from .errors import (
@@ -25,7 +24,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     TrainingDivergedError,
-    parsing,
 )
 from .model import (
     PREDICTION_RULES,
@@ -122,9 +120,6 @@ class StageParams:
             raise InvalidParameterError(f"sigmas must exceed {SIGMA_MIN}")
         return cls(raw_sigma=softplus_inv(sigmas - SIGMA_MIN), raw_alpha=logit(alphas))
 
-    def copy(self) -> "StageParams":
-        return StageParams(raw_sigma=self.raw_sigma, raw_alpha=self.raw_alpha)
-
     def with_sigma(self, stage: int, sigma: float) -> "StageParams":
         raw = self.raw_sigma.copy()
         raw[stage] = softplus_inv(sigma - SIGMA_MIN)
@@ -167,7 +162,6 @@ class TrainConfig:
     alpha_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     seed: int = 0
     prediction_rule: str = "expectation"
-    cs_threshold: float = 5.0
     sav: bool = True
     loss_mode: str = "saw"
     fixed_sigma: float = 2.0
@@ -183,8 +177,6 @@ class TrainConfig:
             raise InvalidParameterError(f"prediction_rule must be one of {PREDICTION_RULES}")
         if self.loss_mode not in LOSS_MODES:
             raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.cs_threshold < 0:
-            raise InvalidParameterError("cs_threshold must be >= 0")
         self.sigma_grid = tuple(float(v) for v in self.sigma_grid)
         self.alpha_grid = tuple(float(v) for v in self.alpha_grid)
         if not self.sigma_grid or any(v <= SIGMA_MIN for v in self.sigma_grid):
@@ -271,7 +263,7 @@ def propose_stage_update(params: StageParams, mode: str, *,
 
     st = grid_state
     if not (st.adapt_sigma or st.adapt_alpha):
-        return params.copy()
+        return params
     s = st.stage_ptr
     use_sigma = st.adapt_sigma and (st.next_is_sigma[s] or not st.adapt_alpha)
     if use_sigma:
@@ -320,22 +312,18 @@ class TrainHistory:
         return [asdict(r) for r in self.records]
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dicts(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dicts())
 
     def to_csv(self, path) -> None:
         k = len(self.records[0].sigmas) if self.records else 0
         scalars = [f.name for f in fields(EpochRecord)][:-2]  # all but sigmas, alphas
         header = scalars + [f"sigma_{s}" for s in range(k)] + [f"alpha_{s}" for s in range(k)]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for r in self.records:
-                values = [getattr(r, name) for name in scalars] + [*r.sigmas, *r.alphas]
-                # epoch and snapshot as integers, every other value as a round-trip float
-                writer.writerow([int(v) if isinstance(v, int) else repr(float(v))
-                                 for v in values])
+
+        def row(r: EpochRecord) -> list:
+            values = [getattr(r, name) for name in scalars] + [*r.sigmas, *r.alphas]
+            # epoch and snapshot as integers, every other value as a round-trip float
+            return [int(v) if isinstance(v, int) else repr(float(v)) for v in values]
+        write_csv(path, header, map(row, self.records))
 
 
 def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation") -> float:
@@ -343,7 +331,7 @@ def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation
     if len(data) == 0:
         raise EmptyInputError("cannot evaluate on an empty dataset")
     preds = predict_ages(model, data.features_matrix(), data.support, prediction_rule)
-    return float(np.mean(np.abs(preds - data.labels_array())))
+    return evaluation.mae(preds, data.labels_array())
 
 
 def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
@@ -366,13 +354,12 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     support = train.support
     history = TrainHistory()
     if config.epochs == 0:
-        return model0.copy(), params0.copy(), history
+        return model0.copy(), params0, history
 
     rng = np.random.default_rng(config.seed)
     model = model0.copy()
-    params_accepted = params0.copy()
+    params_accepted = best_params = params0
     best_model = model0.copy()
-    best_params = params0.copy()
     min_l1 = float("inf")
     # in gradient mode the grid cursor owns only the alpha coordinate
     grid_state = GridState(
@@ -458,8 +445,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         if improved:
             min_l1 = l1
             best_model = model.copy()
-            best_params = params_current.copy()
-            params_accepted = params_current
+            best_params = params_accepted = params_current
         history.records.append(EpochRecord(
             epoch=epoch,
             objective=sums["obj"] / n,
@@ -494,20 +480,16 @@ def save_checkpoint(path, model: Model, stage_params: StageParams,
         "stage_params": stage_params.to_dict(),
         "partition": partition.to_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def load_checkpoint(path) -> tuple[Model, StageParams, StagePartition, LabelSupport]:
-    with open(path, encoding="utf-8") as fh, parsing(path):
-        doc = json.load(fh)
+    def build(doc: dict):
         if doc["format"] != CHECKPOINT_FORMAT or doc["version"] != CHECKPOINT_VERSION:
             raise InvalidParameterError(
                 f"unsupported checkpoint format {doc['format']!r} v{doc['version']!r}")
         support = LabelSupport(int(doc["support"]["min_label"]),
                                int(doc["support"]["max_label"]))
-        model = model_from_dict(doc["model"])
-        params = StageParams.from_dict(doc["stage_params"])
-        partition = StagePartition.from_dict(doc["partition"], support)
-    return model, params, partition, support
+        return (model_from_dict(doc["model"]), StageParams.from_dict(doc["stage_params"]),
+                StagePartition.from_dict(doc["partition"], support), support)
+    return read_json(path, build)

@@ -1,0 +1,76 @@
+"""Artifact writer tests: a failed write leaves the old file and no
+temporary file behind, and a written file gets a plain open()'s mode."""
+
+import json
+import os
+import stat
+
+import pytest
+
+from saldl import artifacts
+from saldl.artifacts import copy_file, write_csv, write_json
+
+
+def _old_file(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"old bytes\n")
+    return path
+
+
+def test_csv_rows_failing_midway_keep_the_old_file(tmp_path):
+    path = _old_file(tmp_path, "rows.csv")
+
+    def rows():
+        yield [1, 2]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = _old_file(tmp_path, "doc.json")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(artifacts.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_json(path, {"a": 1})
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+def test_written_file_has_plain_open_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x")
+        write_json(tmp_path / "doc.json", [1])
+        write_csv(tmp_path / "rows.csv", ["a"], [[1]])
+        copy_file(tmp_path / "plain.txt", tmp_path / "copy.txt")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain.txt", "doc.json", "rows.csv", "copy.txt"],
+                                  0o666 & ~umask)
+
+
+def test_formats(tmp_path):
+    write_json(tmp_path / "a.json", {"k": [1.5, None]})
+    write_json(tmp_path / "b.json", {"k": [1.5, None]}, indent=None)
+    write_csv(tmp_path / "c.csv", ["x", "y"], [["a,b", 0.1], [1, ""]])
+    assert (tmp_path / "a.json").read_bytes() == (
+        json.dumps({"k": [1.5, None]}, indent=2) + "\n").encode()
+    assert (tmp_path / "b.json").read_bytes() == b'{"k": [1.5, null]}\n'
+    assert (tmp_path / "c.csv").read_bytes() == b'x,y\n"a,b",0.1\n1,\n'
+
+
+def test_copy_is_byte_exact(tmp_path):
+    src = tmp_path / "src.bin"
+    src.write_bytes(b"a\r\nb\xff\n")
+    copy_file(src, _old_file(tmp_path, "dst.bin"))
+    assert (tmp_path / "dst.bin").read_bytes() == b"a\r\nb\xff\n"

@@ -57,10 +57,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match="unexpected"):
             ExperimentConfig.from_dict(doc)
 
-    def test_unknown_nested_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["momentum", "cs_threshold"])
+    def test_unknown_nested_key_rejected(self, tmp_path, key):
         doc = base_config(tmp_path / "run")
-        doc["train"]["momentum"] = 0.9
-        with pytest.raises(InvalidParameterError, match="momentum"):
+        doc["train"][key] = 0.9
+        with pytest.raises(InvalidParameterError, match=key):
             ExperimentConfig.from_dict(doc)
 
     def test_missing_seed_rejected(self, tmp_path):
@@ -109,6 +110,8 @@ class TestConfigValidation:
         ("model", "activation", "sigmoid"),
         ("model", "activation", 5),
         ("eval", "similarity_aggregation", "median"),
+        ("ablation", "sav", "false"),  # a JSON string, not a boolean
+        ("ablation", "saw", "no"),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -123,6 +126,17 @@ class TestConfigValidation:
         assert main(["gen-data", "--config", str(path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    def test_non_string_out_dir_names_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = base_config(tmp_path / "run")
+        doc["out_dir"] = 5
+        with pytest.raises(InvalidParameterError, match=re.escape("config.out_dir")):
+            ExperimentConfig.from_dict(doc)
+        assert main(["gen-data", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config.out_dir" in err[0]
+        assert not (tmp_path / "5").exists()
 
 
 class TestGenData:
