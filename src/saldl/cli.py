@@ -14,6 +14,7 @@ the data and the partition once per seed and runs each arm on them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -575,8 +576,11 @@ def main(argv=None) -> int:
         if missing:
             raise CommandError(f"outputs missing: {missing}")
     except Exception as exc:  # every failure ends as one error line
+        # when out_dir itself is unusable there is nowhere to record the
+        # partial run; the error line below still names the first failure
         if config is not None:
-            _write_run_meta(config, args.command, "partial", outputs, started)
+            with contextlib.suppress(OSError):
+                _write_run_meta(config, args.command, "partial", outputs, started)
         reason = exc if isinstance(exc, SaldlError) else f"{type(exc).__name__}: {exc}"
         print(f"error: {reason}", file=sys.stderr)
         return 1

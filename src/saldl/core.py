@@ -108,6 +108,7 @@ class LossTerms:
     """Per-sample outputs of ``loss_terms`` for a batch of n samples."""
 
     preds: np.ndarray        # (n, support) predicted distributions
+    log_preds: np.ndarray    # (n, support) their floored logs
     pred_ages: np.ndarray    # (n,) expectation read-outs
     kl: np.ndarray           # (n,)
     ce: np.ndarray           # (n,)
@@ -145,8 +146,10 @@ def _check_logits(logits) -> np.ndarray:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Probabilities from logits, with max-subtraction for overflow safety."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _floored_log(p: np.ndarray) -> np.ndarray:
@@ -204,10 +207,11 @@ class TargetTable:
 
 
 def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.ndarray:
-    """KL(target || pred) with the 0 * log(0 / q) = 0 convention; the true
-    value is nonnegative, and flooring can leave a ~1e-9 residue."""
-    val = np.where(target > 0.0, target * (log_target - log_pred), 0.0).sum(axis=-1)
-    return np.maximum(val, 0.0)
+    """KL(target || pred) with the 0 * log(0 / q) = 0 convention, which the
+    floored logs give without a mask: a zero target entry adds 0 times a
+    finite log ratio. The true value is nonnegative, and flooring can leave
+    a ~1e-9 residue."""
+    return np.maximum((target * (log_target - log_pred)).sum(axis=-1), 0.0)
 
 
 def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
@@ -236,21 +240,27 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
     k = support.labels().astype(np.float64)
 
     preds = _softmax(z)
-    log_pred = _floored_log(preds)
-    kl = _kl(targets, log_targets, log_pred)
-    ce = -log_pred[rows, label_idx]
+    log_preds = _floored_log(preds)
+    kl = _kl(targets, log_targets, log_preds)
+    ce = -log_preds[rows, label_idx]
     pred_ages = _expectation(preds, support)
     err = pred_ages - k[label_idx]
     mse = err ** 2
 
-    onehot = np.zeros_like(preds)
-    onehot[rows, label_idx] = 1.0
-    g_kl = preds - targets
-    g_ce = preds - onehot
-    g_mse = 2.0 * err[:, None] * preds * (k - pred_ages[:, None])
-    return LossTerms(preds=preds, pred_ages=pred_ages, kl=kl, ce=ce, mse=mse,
-                     objective=_weigh(loss_mode, alphas, kl, ce, mse),
-                     dlogits=_weigh(loss_mode, alphas[:, None], g_kl, g_ce, g_mse))
+    # only the logit-gradient terms the objective weighs
+    if loss_mode == "kl":
+        dlogits = preds - targets
+    else:
+        g_ce = preds.copy()  # pred - onehot
+        g_ce[rows, label_idx] -= 1.0
+        if loss_mode == "ce":
+            dlogits = g_ce
+        else:
+            g_mse = 2.0 * err[:, None] * preds * (k - pred_ages[:, None])
+            dlogits = _weigh("saw", alphas[:, None], preds - targets, g_ce, g_mse)
+    return LossTerms(preds=preds, log_preds=log_preds, pred_ages=pred_ages, kl=kl, ce=ce,
+                     mse=mse, objective=_weigh(loss_mode, alphas, kl, ce, mse),
+                     dlogits=dlogits)
 
 
 def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,
@@ -340,25 +350,30 @@ def saw_gradient_logits(logits: np.ndarray, label: int, sigma: float, alpha: flo
     return _one_sample(logits, label, sigma, alpha, support).dlogits[0]
 
 
-def kl_gradient_sigma(labels, preds: np.ndarray, table: TargetTable) -> float:
+def kl_gradient_sigma(labels, counts, log_pred_sums, table: TargetTable) -> float:
     """Derivative of KL(target || pred) w.r.t. the target's spread, summed
-    over the samples; each target is its label's row in ``table``.
+    over samples given by per-label sufficient statistics; each target is
+    its label's row in ``table``.
 
-    ``labels`` is one label with a (support,) ``preds``, or n labels with
-    (n, support) ``preds``. The sum is a derivative w.r.t. one shared spread
-    when the labels share their table spread, as one stage's labels do.
-    Differentiates through the renormalized Gaussian target: with
-    a_k = (k - label)^2 / sigma^3 the target derivative is
-    d_k (a_k - mean_d(a)), the table's ``dsigma`` row, giving
-    dKL/dsigma = sum_k d_k (a_k - mean_d(a)) (log d_k - log pred_k).
+    ``labels[j]`` has ``counts[j]`` samples whose floored log predictions
+    sum to the (support,) row ``log_pred_sums[j]``; a single label takes a
+    scalar count and a (support,) row. One sample per label (counts 1, the
+    rows its floored log predictions) is the per-sample form. The sum is a
+    derivative w.r.t. one shared spread when the labels share their table
+    spread, as one stage's labels do. Differentiates through the
+    renormalized Gaussian target: with a_k = (k - label)^2 / sigma^3 the
+    target derivative is d_k (a_k - mean_d(a)), the table's ``dsigma`` row,
+    so a sample contributes sum_k dsigma_k (log d_k - log pred_k), and a
+    label's samples together sum_k dsigma_k (count log d_k - S_k). A zero
+    target entry has dsigma_k = 0 and adds nothing.
     """
     support = table.support
     idx = support.indices_of(labels)
-    preds = np.asarray(preds, dtype=np.float64)
-    if preds.shape != idx.shape + (support.size,):
-        raise ShapeError(f"predictions have shape {preds.shape} for "
-                         f"{idx.size} labels, support size {support.size}")
+    counts = np.asarray(counts, dtype=np.float64)
+    sums = np.asarray(log_pred_sums, dtype=np.float64)
+    if counts.shape != idx.shape or sums.shape != idx.shape + (support.size,):
+        raise ShapeError(f"counts {counts.shape} and log-prediction sums {sums.shape} "
+                         f"for {idx.size} labels, support size {support.size}")
     idx = idx.reshape(-1)
-    d = table.target[idx]
-    log_ratio = table.log_target[idx] - _floored_log(preds.reshape(d.shape))
-    return float(np.where(d > 0.0, table.dsigma[idx] * log_ratio, 0.0).sum())
+    log_ratio = counts.reshape(-1, 1) * table.log_target[idx] - sums.reshape(idx.size, -1)
+    return float((table.dsigma[idx] * log_ratio).sum())

@@ -372,6 +372,20 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     features = train.features_matrix()
     labels = train.labels_array()
     n = len(train)
+    table = table_sigmas = None
+    # Gradient-mode sigma arms reduce dKL/dsigma once per stage per epoch from
+    # per-label sums of floored log predictions (see kl_gradient_sigma). Every
+    # sample is visited once per epoch, so the per-label counts never change.
+    sigma_gradient = config.adaptation_mode == "gradient" and config.adapt_sigma
+    if sigma_gradient:
+        label_idx = labels - support.min_label
+        label_counts = np.bincount(label_idx, minlength=support.size).astype(np.float64)
+        # a stage's labels form one contiguous range of the table's rows
+        stage_of_label = partition.stages_of(support.labels())
+        bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
+        stage_counts = np.bincount(stage_of_label, weights=label_counts,
+                                   minlength=partition.k)
+        onehot = np.eye(support.size)
 
     for epoch in range(config.epochs):
         params_current = params_accepted
@@ -387,19 +401,18 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
 
         order = rng.permutation(n)
         sums = {"wkl": 0.0, "wce": 0.0, "mse": 0.0, "alpha": 0.0, "obj": 0.0}
-        sig_grad_sum = np.zeros(partition.k)
-        stage_counts = np.zeros(partition.k)
-        sig_sigmoid = sigmoid(params_current.raw_sigma)
-        stage_alphas = params_current.alphas
+        if sigma_gradient:
+            log_pred_sums = np.zeros((support.size, support.size))
         # every stage's sigma is fixed for the epoch, so is each label's target
-        table = stage_target_table(params_current, partition, support)
+        if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
+            table = stage_target_table(params_current, partition, support)
+            table_sigmas = params_current.sigmas
 
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_labels = labels[idx]
             try:
                 model, _, stats = backward_step(
-                    model, features[idx], batch_labels, params_current, partition,
+                    model, features[idx], labels[idx], params_current, partition,
                     config.learning_rate, support, loss_mode=config.loss_mode,
                     return_stats=True, table=table)
             except InvalidInputError as exc:
@@ -414,25 +427,24 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             sums["mse"] += float(stats.mse.sum())
             sums["alpha"] += float(stats.alphas.sum())
             sums["obj"] += float(stats.objective.sum())
-            batch_counts = np.bincount(stats.stage_idx, minlength=partition.k)
-            stage_counts += batch_counts
-            if config.adaptation_mode == "gradient" and config.adapt_sigma:
-                for s in np.flatnonzero(batch_counts):
-                    in_stage = stats.stage_idx == s
-                    g = kl_gradient_sigma(batch_labels[in_stage], stats.preds[in_stage],
-                                          table)
-                    if config.loss_mode == "saw":
-                        g *= stage_alphas[s]
-                    sig_grad_sum[s] += g * sig_sigmoid[s]
+            if sigma_gradient:
+                log_pred_sums += onehot[label_idx[idx]].T @ stats.log_preds
 
         epoch_breakdown = LossBreakdown.compose(
             kl=sums["wkl"] / sums["alpha"],
             ce=sums["wce"] / (n - sums["alpha"]),
             mse=sums["mse"] / n,
             alpha=sums["alpha"] / n)
-        if config.adaptation_mode == "gradient":
-            nz = stage_counts > 0
-            last_sigma_grads = np.where(nz, sig_grad_sum / np.maximum(stage_counts, 1), 0.0)
+        if sigma_gradient:
+            grads = np.array([
+                kl_gradient_sigma(support.labels()[lo:hi], label_counts[lo:hi],
+                                  log_pred_sums[lo:hi], table)
+                for lo, hi in zip(bounds[:-1], bounds[1:])])
+            if config.loss_mode == "saw":
+                grads *= params_current.alphas
+            grads *= sigmoid(params_current.raw_sigma)
+            last_sigma_grads = np.where(stage_counts > 0,
+                                        grads / np.maximum(stage_counts, 1), 0.0)
 
         val_preds = predict_ages(model, val.features_matrix(), support,
                                  config.prediction_rule)

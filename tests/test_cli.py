@@ -138,6 +138,15 @@ class TestConfigValidation:
         assert len(err) == 1 and "config.out_dir" in err[0]
         assert not (tmp_path / "5").exists()
 
+    def test_out_dir_naming_a_file_fails_cleanly(self, tmp_path, capsys):
+        blocker = tmp_path / "run"
+        blocker.write_text("not a directory")
+        path = write_config(tmp_path, base_config(blocker))
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileExistsError")
+        assert blocker.read_text() == "not a directory"
+
 
 class TestGenData:
     def test_outputs_and_reload(self, tmp_path):

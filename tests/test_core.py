@@ -137,6 +137,12 @@ def table_at(sigma, support=SUP):
     return TargetTable.build(np.full(support.size, sigma), support)
 
 
+def per_sample(labels, preds):
+    """``kl_gradient_sigma`` statistics with one sample per label: count 1,
+    and the sample's floored log predictions as the label's sum."""
+    return labels, np.ones(np.shape(labels)), core._floored_log(np.asarray(preds, float))
+
+
 class TestKlDivergence:
     def test_identical_is_zero(self):
         p = random_distribution(np.random.default_rng(0))
@@ -312,15 +318,15 @@ class TestKlGradientSigma:
 
     def test_matches_finite_differences_at_matching_spread(self):
         pred = gaussian_label_distribution(40, 1.5, SUP)
-        g = kl_gradient_sigma(40, pred, table_at(1.5))
+        g = kl_gradient_sigma(*per_sample(40, pred), table_at(1.5))
         h = 1e-5
         fd = (self.f(1.5 + h, 40, pred) - self.f(1.5 - h, 40, pred)) / (2 * h)
         assert abs(g - fd) < 1e-5
 
     def test_sign_flips_around_matching_spread(self):
         pred = gaussian_label_distribution(40, 1.5, SUP)
-        up = kl_gradient_sigma(40, pred, table_at(3.0))
-        down = kl_gradient_sigma(40, pred, table_at(0.8))
+        up = kl_gradient_sigma(*per_sample(40, pred), table_at(3.0))
+        down = kl_gradient_sigma(*per_sample(40, pred), table_at(0.8))
         assert up > 0 > down
         h = 1e-5
         fd_up = (self.f(3.0 + h, 40, pred) - self.f(3.0 - h, 40, pred)) / (2 * h)
@@ -332,7 +338,7 @@ class TestKlGradientSigma:
             y = int(rng.integers(5, 96))
             sigma = float(rng.uniform(0.6, 4.0))
             pred = random_distribution(rng)
-            g = kl_gradient_sigma(y, pred, table_at(sigma))
+            g = kl_gradient_sigma(*per_sample(y, pred), table_at(sigma))
             h = 1e-5
             fd = (self.f(sigma + h, y, pred) - self.f(sigma - h, y, pred)) / (2 * h)
             assert abs(g - fd) <= 1e-5 * max(abs(fd), 1.0)
@@ -344,7 +350,8 @@ class TestKlGradientSigma:
             with pytest.raises(InvalidParameterError):
                 TargetTable.build(sigmas, SUP)
         # SIGMA_MIN + softplus(raw) rounds to SIGMA_MIN itself for raw <= -38.5
-        assert np.isfinite(kl_gradient_sigma(40, np.full(101, 1 / 101), table_at(SIGMA_MIN)))
+        assert np.isfinite(kl_gradient_sigma(*per_sample(40, np.full(101, 1 / 101)),
+                                             table_at(SIGMA_MIN)))
 
     def test_nonpositive_sigma_rejected(self):
         for bad in (0.0, -1.0):
@@ -360,9 +367,9 @@ class TestBatchedSigmaGradient:
         rng = np.random.default_rng(seed)
         preds = np.stack([random_distribution(rng) for _ in labels])
         table = table_at(sigma)
-        g = kl_gradient_sigma(np.array(labels), preds, table)
+        g = kl_gradient_sigma(*per_sample(np.array(labels), preds), table)
         assert isinstance(g, float)
-        singles = [kl_gradient_sigma(y, p, table) for y, p in zip(labels, preds)]
+        singles = [kl_gradient_sigma(*per_sample(y, p), table) for y, p in zip(labels, preds)]
         assert g == pytest.approx(sum(singles), rel=1e-12, abs=1e-12)
 
         def summed_kl(s):
@@ -373,14 +380,36 @@ class TestBatchedSigmaGradient:
         fd = (summed_kl(sigma + h) - summed_kl(sigma - h)) / (2 * h)
         assert abs(g - fd) <= 1e-5 * max(abs(fd), 1.0)
 
+    @given(labels=st.lists(st.integers(0, 100), min_size=1, max_size=12),
+           sigma=st.floats(0.6, 4.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_label_sums_equal_sum_of_per_sample_calls(self, labels, sigma, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.array(labels + labels[:3])  # some labels hold several samples
+        preds = np.stack([random_distribution(rng) for _ in labels])
+        table = table_at(sigma)
+        distinct, inverse, counts = np.unique(labels, return_inverse=True,
+                                              return_counts=True)
+        sums = np.zeros((distinct.size, SUP.size))
+        np.add.at(sums, inverse, core._floored_log(preds))
+        g = kl_gradient_sigma(distinct, counts, sums, table)
+        assert isinstance(g, float)
+        singles = [kl_gradient_sigma(*per_sample(y, p), table) for y, p in zip(labels, preds)]
+        # relative to the magnitude of the summed terms, so cancellation cannot hide a bug
+        scale = sum(np.abs(table.dsigma[y] * (table.log_target[y] - core._floored_log(p))).sum()
+                    for y, p in zip(labels, preds))
+        assert abs(g - sum(singles)) <= 1e-12 * scale
+
     def test_shape_and_label_checked(self):
         preds = np.full((2, 101), 1 / 101)
         table = table_at(1.5)
         with pytest.raises(ShapeError):
-            kl_gradient_sigma(np.array([3, 4, 5]), preds, table)
+            kl_gradient_sigma(*per_sample(np.array([3, 4, 5]), preds), table)
         for bad in (-1, 101):
             with pytest.raises(InvalidLabelError):
-                kl_gradient_sigma(np.array([3, bad]), preds, table)
+                kl_gradient_sigma(*per_sample(np.array([3, bad]), preds), table)
+        with pytest.raises(ShapeError):  # one count per label
+            kl_gradient_sigma(np.array([3, 4]), np.ones(3), np.zeros((2, 101)), table)
 
 
 class TestLossTerms:
@@ -422,7 +451,8 @@ class TestLossTerms:
 
 def _bits(terms) -> list[bytes]:
     return [getattr(terms, name).tobytes() for name in
-            ("preds", "pred_ages", "kl", "ce", "mse", "objective", "dlogits")]
+            ("preds", "log_preds", "pred_ages", "kl", "ce", "mse", "objective",
+             "dlogits")]
 
 
 class TestTargetRowMemo:
@@ -452,7 +482,8 @@ class TestTargetRowMemo:
         preds = softmax(z)
 
         def results(t):
-            return (_bits(loss_terms(z, idx, alphas, t)), kl_gradient_sigma(idx, preds, t))
+            return (_bits(loss_terms(z, idx, alphas, t)),
+                    kl_gradient_sigma(*per_sample(idx, preds), t))
 
         first = results(table)
         results(table_at(other))  # rows filled at other spreads leave no trace
@@ -496,7 +527,7 @@ class TestTargetRowMemo:
             log_ratio = np.log(np.maximum(d, core.PROB_FLOOR)) - np.log(
                 np.maximum(preds, core.PROB_FLOOR))
             direct = float(np.where(d > 0.0, d * (a - a_bar) * log_ratio, 0.0).sum())
-            assert kl_gradient_sigma(idx, preds, table_at(sigma)) == direct
+            assert kl_gradient_sigma(*per_sample(idx, preds), table_at(sigma)) == direct
 
     def test_returned_arrays_do_not_alias_the_memo(self):
         table = table_at(1.5)
@@ -508,7 +539,7 @@ class TestTargetRowMemo:
         z = np.linspace(-1.0, 1.0, 3 * SUP.size).reshape(3, SUP.size)
         first = _bits(loss_terms(z, *args))
         t = loss_terms(z, *args)
-        for name in ("preds", "kl", "ce", "mse", "objective", "dlogits"):
+        for name in ("preds", "log_preds", "kl", "ce", "mse", "objective", "dlogits"):
             arr = getattr(t, name)
             assert not any(np.shares_memory(arr, row)
                            for row in (table.target, table.log_target, table.dsigma))

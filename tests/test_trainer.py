@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from saldl import evaluation
+from saldl import evaluation, trainer
+from saldl.core import PROB_FLOOR
 from saldl.core import SIGMA_MIN, LabelSupport
 from saldl.data import AmbiguityProfile, generate_synthetic, split
 from saldl.errors import (
@@ -316,19 +317,95 @@ class TestTrainSav:
                       TrainConfig())
 
 
+# (arm switches, adaptation mode, kl_gradient_sigma calls per epoch)
+SIGMA_GRADIENT_CALLS = {
+    "sav": (dict(sav=True, loss_mode="kl"), "gradient", PART.k),
+    "full": (dict(sav=True, loss_mode="saw"), "gradient", PART.k),
+    "sav-grid": (dict(sav=True, loss_mode="kl"), "grid", 0),
+    "full-grid": (dict(sav=True, loss_mode="saw"), "grid", 0),
+    "fixed": (dict(sav=False, loss_mode="kl"), "gradient", 0),
+    "ce": (dict(sav=False, loss_mode="ce"), "gradient", 0),
+    "saw": (dict(sav=False, loss_mode="saw"), "gradient", 0),
+}
+
+
+class TestSigmaGradientReduction:
+    """Gradient-mode sigma arms reduce dKL/dsigma once per stage per epoch."""
+
+    def run(self, monkeypatch, arm, epochs=4):
+        switches, mode, _ = SIGMA_GRADIENT_CALLS[arm]
+        events = []
+        step, grad = trainer.backward_step, trainer.kl_gradient_sigma
+
+        def spy_step(*args, **kwargs):
+            out = step(*args, **kwargs)
+            events.append(("step", np.array(args[2]), out[2].preds.copy()))
+            return out
+
+        def spy_grad(*args):
+            events.append(("grad", args, grad(*args)))
+            return events[-1][2]
+
+        monkeypatch.setattr(trainer, "backward_step", spy_step)
+        monkeypatch.setattr(trainer, "kl_gradient_sigma", spy_grad)
+        tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
+        cfg = TrainConfig(epochs=epochs, learning_rate=0.2, stage_lr=0.3, seed=0,
+                          adaptation_mode=mode, **switches)
+        train_sav(tr, va, PART, small_model(), initial_stage_params(PART.k, cfg), cfg)
+        return events
+
+    @pytest.mark.parametrize("arm", SIGMA_GRADIENT_CALLS)
+    def test_one_call_per_stage_per_epoch(self, monkeypatch, arm):
+        grads = [e for e in self.run(monkeypatch, arm) if e[0] == "grad"]
+        assert len(grads) == 4 * SIGMA_GRADIENT_CALLS[arm][2]
+        for i, (_, args, _) in enumerate(grads):  # each over its stage's labels
+            start, end = PART.stage_ranges()[i % PART.k]
+            np.testing.assert_array_equal(args[0], np.arange(start, end + 1))
+
+    @pytest.mark.parametrize("arm", ["sav", "full"])
+    def test_equals_sum_of_the_epochs_per_sample_gradients(self, monkeypatch, arm):
+        labels, preds = [], []
+        for kind, a, b in self.run(monkeypatch, arm):
+            if kind == "step":
+                labels.append(a)
+                preds.append(b)
+                continue
+            table = a[3]
+            y, p = np.concatenate(labels), np.concatenate(preds)
+            mine = (y >= a[0][0]) & (y <= a[0][-1])
+            log_p = np.log(np.maximum(p[mine], PROB_FLOOR))
+            terms = table.dsigma[y[mine]] * (table.log_target[y[mine]] - log_p)
+            assert abs(b - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+            if a[0][-1] == SUP.max_label:  # the epoch's last stage
+                labels, preds = [], []
+
+    # saw proposes alphas only; sav moves both sigmas every epoch
+    @pytest.mark.parametrize("arm, builds", [("fixed", 1), ("ce", 1), ("saw", 1), ("sav", 4)])
+    def test_target_table_rebuilt_only_when_sigmas_change(self, monkeypatch, arm, builds):
+        tables = []
+        build = trainer.stage_target_table
+        monkeypatch.setattr(trainer, "stage_target_table",
+                            lambda *a: tables.append(build(*a)) or tables[-1])
+        self.run(monkeypatch, arm)
+        assert len(tables) == builds
+
+
 # The acceptance arms on a tiny task, gradient mode, 8 epochs: SHA-256 of the
 # history (``to_dicts`` as JSON) and of the final raw_sigma, raw_alpha,
-# weight and bias bytes. Recorded under the per-support row memo that the
-# per-epoch target table replaced, so they pin that the two agree bit for
-# bit, and any later change in the last bit of training shows here. The
-# values hold for one NumPy / BLAS build (NumPy 2.4.6, OpenBLAS, x86-64).
+# weight and bias bytes. The arms without a sigma gradient (fixed, ce, saw)
+# were recorded under the per-support row memo that the per-epoch target
+# table replaced, so they pin that the two agree bit for bit; sav and full
+# were re-recorded when their sigma gradient became one reduction per stage
+# per epoch, which sums in another order. Any later change in the last bit
+# of training shows here. The values hold for one NumPy / BLAS build
+# (NumPy 2.4.6, OpenBLAS, x86-64).
 GOLDEN_ARMS = {
     "fixed": (dict(sav=False, loss_mode="kl"),
               "54b757f188e9e52db108712cbf9e89885ae914b34a4dba3d9c4499352c3b696a",
               "35f2884e366e4caecfe805838ba26bb2e7a47c9d3e70b300cecc3447c2307a8a"),
     "sav": (dict(sav=True, loss_mode="kl"),
-            "f46d2083a997ae3e6cd1f3e1ef4609b1298c153a22f66b53a698cc2ff6ba7c58",
-            "513c83429ae249f004f84b0a64bf91189cfaa302d5e3f4fc6ac72062cb09ebb9"),
+            "5145077703a32a8feae5516385e9c657a629ba2f25ba7eaef46ff869afa2e807",
+            "8e24c7f2659db441ad0c22f45e036756b695bd64198da14a1964a8e4cf2e1a21"),
     "ce": (dict(sav=False, loss_mode="ce"),
            "9e573d9b4b7b0a35d02c914c152a25e0bb57dc56352261e5d108e84763cf2a2b",
            "b91841fac18577537ee5d2a5fed64cbc4e7e9ebec995ca3fd90e623fde429fc1"),
@@ -337,7 +414,7 @@ GOLDEN_ARMS = {
             "125d1ebeb390f5f64bb37b505990e26ebb334bb4cdfcfc692574aa87d430d12e"),
     "full": (dict(sav=True, loss_mode="saw"),
              "6ab94dcecf4103494933b931b237eb34cf9811b428521d76dd33498c19f40924",
-             "4edf3b12ea852a33cf5fff1f6af285e6a87795e5d952a1ab1ba3b2dba7ee84a6"),
+             "73da76f6eff7717a8cc949f90b12fce031f64d4fa4115cd4f09df97132de399f"),
 }
 
 
