@@ -150,10 +150,9 @@ def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
 
 @dataclass(frozen=True)
 class BatchStats(LossTerms):
-    """Kernel terms of one training step (pre-update), with stages and alphas."""
+    """Kernel terms of one training step (pre-update), with each sample's alpha."""
 
     alphas: np.ndarray       # (n,)
-    stage_idx: np.ndarray    # (n,)
 
 
 def batch_breakdown(kl, ce, mse, alphas) -> LossBreakdown:
@@ -221,7 +220,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         model.biases[layer] -= learning_rate * grad_b
 
     if return_stats:
-        return model, None, BatchStats(**vars(terms), alphas=alphas, stage_idx=stage_idx)
+        return model, None, BatchStats(**vars(terms), alphas=alphas)
     return model, batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
 
 

@@ -403,7 +403,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         sums = {"wkl": 0.0, "wce": 0.0, "mse": 0.0, "alpha": 0.0, "obj": 0.0}
         if sigma_gradient:
             log_pred_sums = np.zeros((support.size, support.size))
-        # every stage's sigma is fixed for the epoch, so is each label's target
+        # every stage's sigma is fixed for the epoch, so is each label's target;
+        # the table changes only when a stage sigma does
         if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
             table = stage_target_table(params_current, partition, support)
             table_sigmas = params_current.sigmas

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from saldl.core import (
+    PROB_FLOOR,
     LabelSupport,
     cross_entropy,
     gaussian_label_distribution,
@@ -188,7 +189,8 @@ class TestBackwardStep:
     def test_stats_objective_is_per_sample_objective(self, mode):
         _, _, stats = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
                                     0.1, SUP, loss_mode=mode, return_stats=True)
-        np.testing.assert_array_equal(stats.stage_idx, [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(stats.log_preds,
+                                      np.log(np.maximum(stats.preds, PROB_FLOOR)))
         for i, y in enumerate(self.y):
             s = PART.stage_of(int(y))
             logits = forward(self.model, self.X[i]).logits

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from saldl import evaluation, trainer
-from saldl.core import PROB_FLOOR
-from saldl.core import SIGMA_MIN, LabelSupport
+from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport
 from saldl.data import AmbiguityProfile, generate_synthetic, split
 from saldl.errors import (
     EmptyInputError,
