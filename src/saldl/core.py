@@ -14,6 +14,7 @@ test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class LabelSupport:
 
     def labels(self) -> np.ndarray:
         return np.arange(self.min_label, self.max_label + 1)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """The labels as a read-only float64 array."""
+        grid = self.labels().astype(np.float64)
+        grid.flags.writeable = False
+        return grid
 
     def contains(self, label: int) -> bool:
         return self.min_label <= label <= self.max_label
@@ -159,7 +167,7 @@ def _floored_log(p: np.ndarray) -> np.ndarray:
 def _gaussian_targets(label_idx, sigmas, support: LabelSupport):
     """Targets exp(-d^2 / (2 sigma^2)) renormalized over the support, and the
     squared distances d^2 from the label to each grid label."""
-    k = support.labels().astype(np.float64)
+    k = support.grid
     sq_dist = (k - k[np.asarray(label_idx)[..., None]]) ** 2
     w = np.exp(-sq_dist / (2.0 * np.asarray(sigmas, dtype=np.float64)[..., None] ** 2))
     return w / w.sum(axis=-1, keepdims=True), sq_dist
@@ -216,7 +224,7 @@ def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.
 
 def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
     """Expectation read-out: sum of label * probability."""
-    return probs @ support.labels().astype(np.float64)
+    return probs @ support.grid
 
 
 def _weigh(loss_mode: str, alpha, kl, ce, mse):
@@ -237,7 +245,7 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
     z = _check_logits(logits)
     alphas = np.asarray(alphas, dtype=np.float64)
     rows = np.arange(z.shape[0])
-    k = support.labels().astype(np.float64)
+    k = support.grid
 
     preds = _softmax(z)
     log_preds = _floored_log(preds)

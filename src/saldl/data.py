@@ -11,6 +11,7 @@ stage spreads them far apart. Samples are prototypes plus isotropic noise.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,32 +173,42 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},f0,...', "
                 f"got {header[:3]}", line=1)
         feature_dim = len(header) - 2
-        ids, labels, rows = [], [], []
+        ids, labels, line_nos = [], [], []
+        cells = array("d")  # every feature cell, row after row
+        error = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != feature_dim + 2:
-                raise ParseError(
+                error = ParseError(
                     f"expected {feature_dim + 2} cells, got {len(row)}", line=line_no)
+                break
             try:
                 label = int(row[1])
             except ValueError:
-                raise ParseError(f"age {row[1]!r} is not an integer",
-                                 line=line_no) from None
+                error = ParseError(f"age {row[1]!r} is not an integer", line=line_no)
+                break
             if not support.contains(label):
-                raise InvalidLabelError(
+                error = InvalidLabelError(
                     f"line {line_no}: label {label} outside support "
                     f"[{support.min_label}, {support.max_label}]")
+                break
             try:
-                feats = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                cells.extend(map(float, row[2:]))
             except ValueError:
-                raise ParseError("non-numeric feature cell", line=line_no) from None
-            if not np.all(np.isfinite(feats)):
-                raise ParseError("non-finite feature cell", line=line_no)
+                error = ParseError("non-numeric feature cell", line=line_no)
+                break
             ids.append(row[0])
             labels.append(label)
-            rows.append(feats)
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), feature_dim)
+            line_nos.append(line_no)
+    # whole rows only: a failing row may have added some of its cells. A
+    # non-finite cell before the failing row is the first bad line.
+    features = np.frombuffer(cells, count=len(ids) * feature_dim).reshape(-1, feature_dim)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite feature cell", line=line_nos[np.argmin(finite)])
+    if error is not None:
+        raise error
     return Dataset(ids=tuple(ids), labels=labels, features=features, support=support)
 
 

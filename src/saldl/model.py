@@ -19,8 +19,8 @@ from .core import (
     LossTerms,
     TargetTable,
     _expectation,
+    _loss_terms,
     _softmax,
-    loss_terms,
 )
 from .errors import (
     EmptyInputError,
@@ -98,7 +98,7 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -144,7 +144,7 @@ def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
         raise InvalidParameterError(f"unknown prediction rule {prediction_rule!r}")
     logits, _, _, _ = forward_batch(model, features)
     if prediction_rule == "argmax":
-        return support.labels().astype(np.float64)[np.argmax(logits, axis=1)]
+        return support.grid[np.argmax(logits, axis=1)]
     return _expectation(_softmax(logits), support)
 
 
@@ -199,25 +199,30 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     if n == 0:
         raise EmptyInputError("batch is empty")
 
-    stage_idx = partition.stages_of(y)
-    alphas = np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
     if table is None:
         table = stage_target_table(stage_params, partition, support)
+    # the labels are checked once, against the table's support
+    idx = table.support.checked_indices(y - table.support.min_label)
+    stage_idx = (partition.stage_index[idx] if table.support == partition.support
+                 else partition.stages_of(y))
+    alphas = np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
 
     with np.errstate(invalid="ignore", over="ignore"):
         logits, _, pre, acts = forward_batch(model, x)
-    terms = loss_terms(logits, y - table.support.min_label, alphas, table, loss_mode)
+    terms = _loss_terms(logits, idx, table.target[idx], table.log_target[idx], alphas,
+                        table.support, loss_mode)
 
     delta = terms.dlogits / n  # batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):
-        h_in = acts[layer]
-        grad_w = h_in.T @ delta
+        grad_w = acts[layer].T @ delta
         grad_b = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * _act_grad(
-                pre[layer - 1], model.activation)
-        model.weights[layer] -= learning_rate * grad_w
-        model.biases[layer] -= learning_rate * grad_b
+            delta = delta @ model.weights[layer].T
+            delta *= _act_grad(pre[layer - 1], model.activation)
+        grad_w *= learning_rate
+        grad_b *= learning_rate
+        model.weights[layer] -= grad_w
+        model.biases[layer] -= grad_b
 
     if return_stats:
         return model, None, BatchStats(**vars(terms), alphas=alphas)

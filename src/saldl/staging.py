@@ -7,6 +7,7 @@ optimum and fully deterministic) or from fixed ten-year intervals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,16 @@ class StagePartition:
     def k(self) -> int:
         return len(self.boundaries)
 
+    @functools.cached_property
+    def stage_index(self) -> np.ndarray:
+        """Read-only stage of each support grid index."""
+        index = np.searchsorted(self.boundaries, self.support.labels(), side="right") - 1
+        index.flags.writeable = False
+        return index
+
     def stages_of(self, labels) -> np.ndarray:
         """Index of the unique stage containing each label."""
-        labels = self.support.indices_of(labels) + self.support.min_label
-        return np.searchsorted(self.boundaries, labels, side="right") - 1
+        return self.stage_index[self.support.indices_of(labels)]
 
     def stage_of(self, label: int) -> int:
         """Index of the unique stage containing ``label``."""
@@ -110,27 +117,24 @@ def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
     cv = np.concatenate(([0.0], np.cumsum(c * v)))
     cv2 = np.concatenate(([0.0], np.cumsum(c * v * v)))
 
-    def cost(i: int, j: int) -> float:
-        # weighted SSE of values[i..j] inclusive
-        n = cw[j + 1] - cw[i]
-        s = cv[j + 1] - cv[i]
-        s2 = cv2[j + 1] - cv2[i]
-        return s2 - s * s / n
+    # cost[i, j]: weighted SSE of values[i..j] inclusive; inf where i > j
+    n = cw[None, 1:] - cw[:-1, None]
+    s = cv[None, 1:] - cv[:-1, None]
+    s2 = cv2[None, 1:] - cv2[:-1, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = s2 - s * s / n
+    cost[np.tril_indices(m, -1)] = np.inf
 
-    inf = float("inf")
-    dp = np.full((k + 1, m), inf)
+    # best[j]: least cost of values[0..j] in kk clusters; back[kk, j]: where
+    # the last of them starts. Split i adds the best cost of values[0..i-1]
+    # in kk - 1 clusters, inf when too few values precede it, and argmin keeps
+    # the first minimum: ties go to the earliest split.
+    best = cost[0]
     back = np.zeros((k + 1, m), dtype=np.int64)
-    for j in range(m):
-        dp[1, j] = cost(0, j)
     for kk in range(2, k + 1):
-        for j in range(kk - 1, m):
-            best, best_i = inf, kk - 1
-            for i in range(kk - 1, j + 1):
-                val = dp[kk - 1, i - 1] + cost(i, j)
-                if val < best:  # strict: earliest split wins ties
-                    best, best_i = val, i
-            dp[kk, j] = best
-            back[kk, j] = best_i
+        total = np.concatenate(([np.inf], best[:-1]))[:, None] + cost
+        back[kk] = np.argmin(total, axis=0)
+        best = total.min(axis=0)
 
     # recover cluster start indices into the distinct-value array
     starts = []

@@ -209,6 +209,47 @@ class TestCsvRoundTrip:
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read() == want.getvalue()
 
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.16e}".format),
+        st.sampled_from(["-0.0", "0", "5e-324", "-2.2250738585072014e-308", "1e300",
+                         "-1e-300", "1e-300", "1.7976931348623157e308", "0.1",
+                         " 2.5", "2.5 ", "1_0", "+3", ".5", "1E5", "-0"])),
+        min_size=3, max_size=3), min_size=1, max_size=6))
+    @example([["-0.0", "5e-324", "1e300"], ["-1e-300", " 2.5", "1_0"]])
+    @settings(max_examples=100)
+    def test_cells_parse_like_python_float(self, rows):
+        """Each cell parses bit for bit to what Python's ``float`` gives it."""
+        text = "id,age,f0,f1,f2\n" + "".join(f"s{i},{i}," + ",".join(cells) + "\n"
+                                             for i, cells in enumerate(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cells.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            ds = load_csv(path, SUP)
+        want = np.array([[float(c) for c in cells] for cells in rows])
+        assert ds.features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf"])
+    @pytest.mark.parametrize("later", ["row3,500,0.5", "row3,5.5,0.5", "row3,5",
+                                       "row3,5,bad"])
+    def test_first_bad_line_in_file_order_wins(self, tmp_path, cell, later):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,age,f0\nrow1,5,0.25\nrow2,6,{cell}\nrow2b,7,1.0\n{later}\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, SUP)
+        assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize("cell, message", [("oops", "non-numeric"),
+                                               ("-inf", "non-finite")])
+    def test_blank_lines_keep_line_numbers(self, tmp_path, cell, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,age,f0\nrow1,5,0.25\n\n\nrow2,6,0.5\n\nrow3,7,{cell}\n")
+        with pytest.raises(ParseError, match=message) as exc_info:
+            load_csv(path, SUP)
+        assert exc_info.value.line == 7
+
     def test_header_only_loads_empty_then_training_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,age,f0,f1\n")

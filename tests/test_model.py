@@ -204,6 +204,17 @@ class TestBackwardStep:
                 want = saw_loss(logits, int(y), sigma, alpha, SUP).total
             assert stats.objective[i] == pytest.approx(want, rel=1e-12)
 
+    def test_stages_read_on_a_wider_partition_support(self):
+        wide = StagePartition(boundaries=(-30, 50), support=LabelSupport(-30, 100),
+                              provenance="manual")
+        m_wide, m = self.model.copy(), self.model.copy()
+        _, _, got = backward_step(m_wide, self.X, self.y, PARAMS, wide, 0.1, SUP,
+                                  return_stats=True)
+        _, _, want = backward_step(m, self.X, self.y, PARAMS, PART, 0.1, SUP,
+                                   return_stats=True)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        assert m_wide.equals(m)
+
     def test_breakdown_identity_with_mixed_stages(self):
         _, bd = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
                               0.1, SUP)

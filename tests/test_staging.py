@@ -41,6 +41,57 @@ def brute_force_cost(labels, k):
     return best
 
 
+def triple_loop_boundaries(labels, k, support):
+    """Stage boundaries from the scalar dynamic program kmeans_1d once ran:
+    a Python scan over every split point, keeping the earliest on ties."""
+    values, counts = np.unique(np.asarray(labels, dtype=np.int64), return_counts=True)
+    m = len(values)
+    v = values.astype(np.float64)
+    c = counts.astype(np.float64)
+    cw = np.concatenate(([0.0], np.cumsum(c)))
+    cv = np.concatenate(([0.0], np.cumsum(c * v)))
+    cv2 = np.concatenate(([0.0], np.cumsum(c * v * v)))
+
+    def cost(i, j):
+        n = cw[j + 1] - cw[i]
+        s = cv[j + 1] - cv[i]
+        s2 = cv2[j + 1] - cv2[i]
+        return s2 - s * s / n
+
+    inf = float("inf")
+    dp = np.full((k + 1, m), inf)
+    back = np.zeros((k + 1, m), dtype=np.int64)
+    for j in range(m):
+        dp[1, j] = cost(0, j)
+    for kk in range(2, k + 1):
+        for j in range(kk - 1, m):
+            best, best_i = inf, kk - 1
+            for i in range(kk - 1, j + 1):
+                val = dp[kk - 1, i - 1] + cost(i, j)
+                if val < best:
+                    best, best_i = val, i
+            dp[kk, j] = best
+            back[kk, j] = best_i
+
+    starts = []
+    j = m - 1
+    for kk in range(k, 0, -1):
+        i = int(back[kk, j]) if kk > 1 else 0
+        starts.append(i)
+        j = i - 1
+    starts.reverse()
+    return (support.min_label, *((int(values[starts[t] - 1]) + int(values[starts[t]])) // 2 + 1
+                                 for t in range(1, k)))
+
+
+# label multisets with many equal-cost splits: evenly spaced values, each
+# repeated equally often
+_EVEN_LABELS = st.builds(lambda start, step, n, reps: [start + step * i for i in range(n)
+                                                       for _ in range(reps)],
+                         st.integers(0, 10), st.integers(1, 10), st.integers(1, 10),
+                         st.integers(1, 3))
+
+
 def partition_cost(partition, labels):
     groups = {}
     for x in labels:
@@ -100,6 +151,20 @@ class TestKmeans1d:
         assert partition_cost(p, labels) == pytest.approx(
             brute_force_cost(labels, k), abs=1e-9)
 
+    def test_equal_cost_splits_keep_the_earliest(self):
+        # {0} | {10, 20} and {0, 10} | {20} both cost 100
+        labels = [0, 0, 10, 10, 20, 20]
+        assert kmeans_1d(labels, 2, SUP).boundaries == (0, 6)
+        assert triple_loop_boundaries(labels, 2, SUP) == (0, 6)
+
+    @given(labels=st.one_of(_EVEN_LABELS, st.lists(st.integers(0, 100), min_size=1,
+                                                     max_size=60)),
+           k=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_boundaries_match_triple_loop_program(self, labels, k):
+        k = min(k, len(set(labels)))
+        assert kmeans_1d(labels, k, SUP).boundaries == triple_loop_boundaries(labels, k, SUP)
+
 
 class TestDecadePartition:
     def test_default_support(self):
@@ -153,6 +218,12 @@ class TestStageOf:
         assert stages.tolist() == [p.stage_of(int(x)) for x in labels]
         for s, (start, end) in enumerate(p.stage_ranges()):
             assert np.all(stages[start:end + 1] == s)
+
+    def test_stage_index_is_read_only(self):
+        p = StagePartition(boundaries=(0, 7, 30, 88), support=SUP, provenance="manual")
+        assert p.stage_index.tolist() == p.stages_of(SUP.labels()).tolist()
+        with pytest.raises(ValueError):
+            p.stage_index[0] = 3
 
     def test_stages_of_outside_support_rejected(self):
         p = StagePartition(boundaries=(0, 50), support=SUP, provenance="manual")

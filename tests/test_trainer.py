@@ -389,6 +389,52 @@ class TestSigmaGradientReduction:
         assert len(tables) == builds
 
 
+def test_rejected_proposal_gradient_moves_the_next_proposal(monkeypatch):
+    """Pins today's rule: the sigma gradient measured in an epoch whose
+    proposal validation rejects still steps the accepted parameters next."""
+    grads, steps = [], []
+    grad, propose = trainer.kl_gradient_sigma, trainer.propose_stage_update
+
+    def spy_grad(*args):
+        grads.append(grad(*args))
+        return grads[-1]
+
+    def spy_propose(params, mode, **kwargs):
+        out = propose(params, mode, **kwargs)
+        if mode == "gradient":
+            steps.append((params, kwargs["sigma_grads"], out))
+        return out
+
+    monkeypatch.setattr(trainer, "kl_gradient_sigma", spy_grad)
+    monkeypatch.setattr(trainer, "propose_stage_update", spy_propose)
+    tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
+    # a step size at which validation rejects the proposals of epochs 8 and 9
+    cfg = TrainConfig(epochs=12, learning_rate=1.0, stage_lr=1.0, seed=0,
+                      adaptation_mode="gradient", sav=True, loss_mode="kl")
+    params0 = initial_stage_params(PART.k, cfg)
+    _, _, hist = train_sav(tr, va, PART, small_model(), params0, cfg)
+
+    counts = np.bincount(PART.stages_of(tr.labels), minlength=PART.k)
+    used = [params0] + [out for _, _, out in steps]  # each epoch's stage params
+    accepted = params0
+    rejected = 0
+    for epoch, record in enumerate(hist.records[:-1]):
+        if record.snapshot:
+            accepted = used[epoch]
+            continue
+        rejected += 1
+        base, sigma_grads, out = steps[epoch]  # the proposal of epoch + 1
+        measured = np.array(grads[epoch * PART.k:(epoch + 1) * PART.k])
+        want = measured * trainer.sigmoid(used[epoch].raw_sigma) / counts
+        assert not used[epoch].equals(accepted)
+        assert base.equals(accepted)
+        np.testing.assert_array_equal(sigma_grads, want)
+        np.testing.assert_array_equal(out.raw_sigma,
+                                      accepted.raw_sigma - cfg.stage_lr * want)
+        assert not out.equals(accepted)
+    assert rejected >= 2
+
+
 # The acceptance arms on a tiny task, gradient mode, 8 epochs: SHA-256 of the
 # history (``to_dicts`` as JSON) and of the final raw_sigma, raw_alpha,
 # weight and bias bytes. The arms without a sigma gradient (fixed, ce, saw)
