@@ -2,9 +2,9 @@
 
 Targets are Gaussians evaluated on the integer label grid and renormalized,
 so boundary-truncated targets stay valid distributions. ``loss_terms`` is
-the one batched kernel: per-sample loss terms and the logit gradient of
-the optimized objective. The single-sample functions are n = 1 views of
-the same helpers; batch reductions (means) live with the callers.
+the one batched kernel: the objective's logit gradient, and per-sample loss
+terms computed when read; the single-sample functions are its n = 1 views.
+``loss_sums`` and ``kl_gradient_sigma`` reduce many samples' per-label sums.
 Batched callers read each label's target row from a ``TargetTable``, a
 read-only value built once for a fixed spread per label; the module holds
 no mutable state.
@@ -113,16 +113,33 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class LossTerms:
-    """Per-sample outputs of ``loss_terms`` for a batch of n samples."""
+    """``loss_terms`` for n samples; the loss values are computed when read."""
 
     preds: np.ndarray        # (n, support) predicted distributions
     log_preds: np.ndarray    # (n, support) their floored logs
     pred_ages: np.ndarray    # (n,) expectation read-outs
-    kl: np.ndarray           # (n,)
-    ce: np.ndarray           # (n,)
-    mse: np.ndarray          # (n,)
-    objective: np.ndarray    # (n,) the loss_mode objective
-    dlogits: np.ndarray      # (n, support) its gradient w.r.t. the logits
+    dlogits: np.ndarray      # (n, support) gradient of the objective w.r.t. the logits
+    alphas: np.ndarray       # (n,) composite weights
+    label_idx: np.ndarray    # (n,) grid indices of the true labels
+    targets: np.ndarray      # (n, support) Gaussian targets
+    support: LabelSupport
+    loss_mode: str
+
+    @functools.cached_property
+    def kl(self) -> np.ndarray:
+        return _kl(self.targets, _floored_log(self.targets), self.log_preds)
+
+    @functools.cached_property
+    def ce(self) -> np.ndarray:
+        return -self.log_preds[np.arange(self.label_idx.size), self.label_idx]
+
+    @functools.cached_property
+    def mse(self) -> np.ndarray:
+        return (self.pred_ages - self.support.grid[self.label_idx]) ** 2
+
+    @functools.cached_property
+    def objective(self) -> np.ndarray:
+        return _weigh(self.loss_mode, self.alphas, self.kl, self.ce, self.mse)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -214,12 +231,14 @@ class TargetTable:
         return cls(support, *rows)
 
 
-def _kl(target: np.ndarray, log_target: np.ndarray, log_pred: np.ndarray) -> np.ndarray:
-    """KL(target || pred) with the 0 * log(0 / q) = 0 convention, which the
-    floored logs give without a mask: a zero target entry adds 0 times a
-    finite log ratio. The true value is nonnegative, and flooring can leave
-    a ~1e-9 residue."""
-    return np.maximum((target * (log_target - log_pred)).sum(axis=-1), 0.0)
+def _kl(target: np.ndarray, log_target: np.ndarray, log_pred_sums: np.ndarray,
+        counts=1.0) -> np.ndarray:
+    """KL(target || pred) summed over ``counts`` samples whose floored log
+    predictions sum to S: count sum_k t_k log t_k - sum_k t_k S_k; count 1 is
+    one sample's KL. A zero target entry adds 0 times a finite log (0 log 0 =
+    0). The true value is nonnegative; flooring can leave a ~1e-9 residue."""
+    return np.maximum(counts * (target * log_target).sum(axis=-1)
+                      - (target * log_pred_sums).sum(axis=-1), 0.0)
 
 
 def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
@@ -237,9 +256,8 @@ def _weigh(loss_mode: str, alpha, kl, ce, mse):
     return alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse
 
 
-def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
-                log_targets: np.ndarray, alphas, support: LabelSupport,
-                loss_mode: str) -> LossTerms:
+def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
+                support: LabelSupport, loss_mode: str) -> LossTerms:
     if loss_mode not in LOSS_MODES:
         raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
     z = _check_logits(logits)
@@ -248,13 +266,7 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
     k = support.grid
 
     preds = _softmax(z)
-    log_preds = _floored_log(preds)
-    kl = _kl(targets, log_targets, log_preds)
-    ce = -log_preds[rows, label_idx]
     pred_ages = _expectation(preds, support)
-    err = pred_ages - k[label_idx]
-    mse = err ** 2
-
     # only the logit-gradient terms the objective weighs
     if loss_mode == "kl":
         dlogits = preds - targets
@@ -264,11 +276,12 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray,
         if loss_mode == "ce":
             dlogits = g_ce
         else:
+            err = pred_ages - k[label_idx]
             g_mse = 2.0 * err[:, None] * preds * (k - pred_ages[:, None])
             dlogits = _weigh("saw", alphas[:, None], preds - targets, g_ce, g_mse)
-    return LossTerms(preds=preds, log_preds=log_preds, pred_ages=pred_ages, kl=kl, ce=ce,
-                     mse=mse, objective=_weigh(loss_mode, alphas, kl, ce, mse),
-                     dlogits=dlogits)
+    return LossTerms(preds=preds, log_preds=_floored_log(preds), pred_ages=pred_ages,
+                     dlogits=dlogits, alphas=alphas, label_idx=label_idx, targets=targets,
+                     support=support, loss_mode=loss_mode)
 
 
 def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,
@@ -283,8 +296,7 @@ def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,
     read-out.
     """
     idx = table.support.checked_indices(label_idx)
-    return _loss_terms(logits, idx, table.target[idx], table.log_target[idx], alphas,
-                       table.support, loss_mode)
+    return _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
 
 
 def gaussian_label_distribution(label: int, sigma: float,
@@ -336,8 +348,8 @@ def _one_sample(logits, label: int, sigma: float, alpha: float,
     _check_alpha(alpha)
     idx = np.array([support.index_of(label)])
     z = _check_width(logits, support, "logits")
-    d, log_d, _ = _build_rows(idx, np.array([sigma], dtype=np.float64), support)
-    return _loss_terms(z[None, :], idx, d, log_d, np.array([alpha]), support, "saw")
+    d, _ = _gaussian_targets(idx, np.array([sigma], dtype=np.float64), support)
+    return _loss_terms(z[None, :], idx, d, np.array([alpha]), support, "saw")
 
 
 def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
@@ -385,3 +397,18 @@ def kl_gradient_sigma(labels, counts, log_pred_sums, table: TargetTable) -> floa
     idx = idx.reshape(-1)
     log_ratio = counts.reshape(-1, 1) * table.log_target[idx] - sums.reshape(idx.size, -1)
     return float((table.dsigma[idx] * log_ratio).sum())
+
+
+def loss_sums(counts, log_pred_sums, table: TargetTable, alphas, sq_err_sum: float,
+              loss_mode: str) -> tuple[float, float, float, float, float]:
+    """Sums of alpha * KL, (1 - alpha) * CE, squared error, alpha and the
+    ``loss_mode`` objective over samples given by per-label statistics: label
+    l has ``counts[l]`` samples of weight ``alphas[l]`` whose floored log
+    predictions sum to the row S_l = ``log_pred_sums[l]``, and ``sq_err_sum``
+    is their summed squared error. The label's KL sum is ``_kl`` at count
+    n_l, and its CE sum is -S_l[l]."""
+    kl = _kl(table.target, table.log_target, log_pred_sums, counts)
+    ce = -np.diagonal(log_pred_sums)
+    wkl, wce = float(alphas @ kl), float((1.0 - alphas) @ ce)
+    objective = {"kl": kl.sum(), "ce": ce.sum()}.get(loss_mode, wkl + wce + MSE_WEIGHT * sq_err_sum)
+    return wkl, wce, float(sq_err_sum), float(counts @ alphas), float(objective)

@@ -176,7 +176,8 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
         ids, labels, line_nos = [], [], []
         cells = array("d")  # every feature cell, row after row
         error = None
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # the row's last physical line
             if not row:
                 continue
             if len(row) != feature_dim + 2:

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     LabelSupport,
     LossBreakdown,
-    LossTerms,
     TargetTable,
     _expectation,
     _loss_terms,
@@ -148,13 +147,6 @@ def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
     return _expectation(_softmax(logits), support)
 
 
-@dataclass(frozen=True)
-class BatchStats(LossTerms):
-    """Kernel terms of one training step (pre-update), with each sample's alpha."""
-
-    alphas: np.ndarray       # (n,)
-
-
 def batch_breakdown(kl, ce, mse, alphas) -> LossBreakdown:
     """Batch-mean loss record with weight-normalized components.
 
@@ -187,7 +179,8 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     loss, or its KL or CE term alone). Returns (model, breakdown): the
     pre-step batch loss with the full composite decomposition, so arms stay
     comparable. With ``return_stats`` it returns (model, None, stats)
-    instead, the per-sample terms from which a caller reduces its own sums.
+    instead: the pre-step ``LossTerms``, whose loss values cost nothing
+    unless read, for a caller that reduces its own sums.
     """
     if learning_rate < 0:
         raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
@@ -209,8 +202,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
 
     with np.errstate(invalid="ignore", over="ignore"):
         logits, _, pre, acts = forward_batch(model, x)
-    terms = _loss_terms(logits, idx, table.target[idx], table.log_target[idx], alphas,
-                        table.support, loss_mode)
+    terms = _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
 
     delta = terms.dlogits / n  # batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):
@@ -225,7 +217,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         model.biases[layer] -= grad_b
 
     if return_stats:
-        return model, None, BatchStats(**vars(terms), alphas=alphas)
+        return model, None, terms
     return model, batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
 
 

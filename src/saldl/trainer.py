@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation
 from .artifacts import read_json, write_csv, write_json
-from .core import LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma
+from .core import LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma, loss_sums
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -343,7 +343,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     later epochs first apply one proposal on top of the accepted parameters,
     then train, then keep the proposal only if validation L1 reaches a new
     minimum. The model itself always keeps training forward (only snapshots
-    are gated), mirroring a single continuous SGD trajectory.
+    are gated), mirroring a single continuous SGD trajectory. The epoch's
+    loss record reduces once from per-label sums (``loss_sums``).
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyInputError("train and validation splits must be non-empty")
@@ -373,19 +374,19 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     labels = train.labels_array()
     n = len(train)
     table = table_sigmas = None
-    # Gradient-mode sigma arms reduce dKL/dsigma once per stage per epoch from
-    # per-label sums of floored log predictions (see kl_gradient_sigma). Every
-    # sample is visited once per epoch, so the per-label counts never change.
+    # The loss record and (gradient-mode sigma arms) dKL/dsigma reduce once
+    # per epoch from per-label sums of floored log predictions. Every sample
+    # is visited once per epoch, so the per-label counts never change.
     sigma_gradient = config.adaptation_mode == "gradient" and config.adapt_sigma
+    label_idx = labels - support.min_label
+    label_counts = np.bincount(label_idx, minlength=support.size).astype(np.float64)
+    stage_of_label = partition.stages_of(support.labels())
+    onehot = np.eye(support.size)
     if sigma_gradient:
-        label_idx = labels - support.min_label
-        label_counts = np.bincount(label_idx, minlength=support.size).astype(np.float64)
         # a stage's labels form one contiguous range of the table's rows
-        stage_of_label = partition.stages_of(support.labels())
         bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
         stage_counts = np.bincount(stage_of_label, weights=label_counts,
                                    minlength=partition.k)
-        onehot = np.eye(support.size)
 
     for epoch in range(config.epochs):
         params_current = params_accepted
@@ -400,9 +401,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                     stage_lr=config.stage_lr)
 
         order = rng.permutation(n)
-        sums = {"wkl": 0.0, "wce": 0.0, "mse": 0.0, "alpha": 0.0, "obj": 0.0}
-        if sigma_gradient:
-            log_pred_sums = np.zeros((support.size, support.size))
+        log_pred_sums = np.zeros((support.size, support.size))
+        sq_err = 0.0
         # every stage's sigma is fixed for the epoch, so is each label's target;
         # the table changes only when a stage sigma does
         if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
@@ -420,22 +420,16 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
                 ) from exc
-            if not np.all(np.isfinite(stats.objective)):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}", history=history)
-            sums["wkl"] += float(np.dot(stats.alphas, stats.kl))
-            sums["wce"] += float(np.dot(1.0 - stats.alphas, stats.ce))
-            sums["mse"] += float(stats.mse.sum())
-            sums["alpha"] += float(stats.alphas.sum())
-            sums["obj"] += float(stats.objective.sum())
-            if sigma_gradient:
-                log_pred_sums += onehot[label_idx[idx]].T @ stats.log_preds
+            log_pred_sums += onehot[label_idx[idx]].T @ stats.log_preds
+            sq_err += stats.mse.sum()
 
+        sums = loss_sums(label_counts, log_pred_sums, table,
+                         params_current.alphas[stage_of_label], sq_err, config.loss_mode)
+        if not np.all(np.isfinite(sums)):
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", history=history)
+        wkl, wce, sq_err, alpha_sum, objective = sums
         epoch_breakdown = LossBreakdown.compose(
-            kl=sums["wkl"] / sums["alpha"],
-            ce=sums["wce"] / (n - sums["alpha"]),
-            mse=sums["mse"] / n,
-            alpha=sums["alpha"] / n)
+            kl=wkl / alpha_sum, ce=wce / (n - alpha_sum), mse=sq_err / n, alpha=alpha_sum / n)
         if sigma_gradient:
             grads = np.array([
                 kl_gradient_sigma(support.labels()[lo:hi], label_counts[lo:hi],
@@ -461,7 +455,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             best_params = params_accepted = params_current
         history.records.append(EpochRecord(
             epoch=epoch,
-            objective=sums["obj"] / n,
+            objective=objective / n,
             total=epoch_breakdown.total,
             kl=epoch_breakdown.kl,
             ce=epoch_breakdown.ce,

@@ -250,6 +250,16 @@ class TestCsvRoundTrip:
             load_csv(path, SUP)
         assert exc_info.value.line == 7
 
+    @pytest.mark.parametrize("cell, message", [("oops", "non-numeric"),
+                                               ("nan", "non-finite")])
+    def test_quoted_newline_keeps_line_numbers(self, tmp_path, cell, message):
+        # the id cell "a\nb" spans lines 2-3, so the next row is line 4
+        path = tmp_path / "bad.csv"
+        path.write_text(f'id,age,f0\n"a\nb",5,0.25\nrow2,6,{cell}\n')
+        with pytest.raises(ParseError, match=message) as exc_info:
+            load_csv(path, SUP)
+        assert exc_info.value.line == 4
+
     def test_header_only_loads_empty_then_training_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,age,f0,f1\n")

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from saldl import evaluation, trainer
-from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport
+from saldl import core, evaluation, trainer
+from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport, loss_terms
 from saldl.data import AmbiguityProfile, generate_synthetic, split
 from saldl.errors import (
     EmptyInputError,
@@ -18,7 +18,7 @@ from saldl.errors import (
     ParseError,
     TrainingDivergedError,
 )
-from saldl.model import backward_step, init_model
+from saldl.model import backward_step, forward_batch, init_model
 from saldl.staging import StagePartition
 from saldl.trainer import (
     GridState,
@@ -441,24 +441,26 @@ def test_rejected_proposal_gradient_moves_the_next_proposal(monkeypatch):
 # were recorded under the per-support row memo that the per-epoch target
 # table replaced, so they pin that the two agree bit for bit; sav and full
 # were re-recorded when their sigma gradient became one reduction per stage
-# per epoch, which sums in another order. Any later change in the last bit
-# of training shows here. The values hold for one NumPy / BLAS build
+# per epoch, which sums in another order. The history digests alone were
+# re-recorded when the loss record became one reduction per epoch from
+# per-label sums (its loss columns moved by rounding only); the state
+# digests held. Any later change in the last bit of training shows here. The values hold for one NumPy / BLAS build
 # (NumPy 2.4.6, OpenBLAS, x86-64).
 GOLDEN_ARMS = {
     "fixed": (dict(sav=False, loss_mode="kl"),
-              "54b757f188e9e52db108712cbf9e89885ae914b34a4dba3d9c4499352c3b696a",
+              "1d4abe5e691943889865925204b90d47a776da95caae8ed90fe634aa8e0472fb",
               "35f2884e366e4caecfe805838ba26bb2e7a47c9d3e70b300cecc3447c2307a8a"),
     "sav": (dict(sav=True, loss_mode="kl"),
-            "5145077703a32a8feae5516385e9c657a629ba2f25ba7eaef46ff869afa2e807",
+            "b4708a0d2086eb961e2802ede3f024dfcab45caf6b87f5e81690323af2d57221",
             "8e24c7f2659db441ad0c22f45e036756b695bd64198da14a1964a8e4cf2e1a21"),
     "ce": (dict(sav=False, loss_mode="ce"),
-           "9e573d9b4b7b0a35d02c914c152a25e0bb57dc56352261e5d108e84763cf2a2b",
+           "b64279ad767e0b81e9111651b1db3d5d13e3211ba7faeef7cf6902f7e69fec9a",
            "b91841fac18577537ee5d2a5fed64cbc4e7e9ebec995ca3fd90e623fde429fc1"),
     "saw": (dict(sav=False, loss_mode="saw"),
-            "a25d44e9d102ce7f87257db0e287191e3e7011194cad18423038095fbbc41d7a",
+            "89e95b5fe26725037b53898b10f8518700c16bbc93720f81a89f818335f7f54f",
             "125d1ebeb390f5f64bb37b505990e26ebb334bb4cdfcfc692574aa87d430d12e"),
     "full": (dict(sav=True, loss_mode="saw"),
-             "6ab94dcecf4103494933b931b237eb34cf9811b428521d76dd33498c19f40924",
+             "59b9bfc1c5de1eac889781fe20597a3162742ff1835e756757be226e5d34cbc9",
              "73da76f6eff7717a8cc949f90b12fce031f64d4fa4115cd4f09df97132de399f"),
 }
 
@@ -475,6 +477,62 @@ def test_acceptance_arm_bytes_pinned(arm):
                                            *model.weights, *model.biases))
     assert hashlib.sha256(json.dumps(hist.to_dicts()).encode()).hexdigest() == history_sha
     assert hashlib.sha256(state).hexdigest() == state_sha
+
+
+def run_golden_arm(arm, monkeypatch, on_step):
+    """The pinned arm's run, with ``on_step`` called before each SGD step on
+    that step's arguments; returns the train split and the history."""
+    step = trainer.backward_step
+
+    def spy(*args, **kwargs):
+        on_step(*args, **kwargs)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "backward_step", spy)
+    tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
+    cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=0.2, stage_lr=0.3,
+                      adaptation_mode="gradient", fixed_sigma=2.0, seed=0,
+                      **GOLDEN_ARMS[arm][0])
+    _, _, hist = train_sav(tr, va, PART, small_model(),
+                           initial_stage_params(PART.k, cfg), cfg)
+    return tr, hist
+
+
+@pytest.mark.parametrize("arm", GOLDEN_ARMS)
+def test_loss_record_equals_per_sample_sums(arm, monkeypatch):
+    """Each epoch's recorded losses equal its batches' per-sample loss terms,
+    replayed through ``loss_terms`` on the pre-step logits and reduced as
+    the record defines them."""
+    batches = []
+
+    def replay(model, X, y, params, part, *args, loss_mode, table, **kwargs):
+        batches.append(loss_terms(forward_batch(model, X)[0], y - SUP.min_label,
+                                  params.alphas[part.stages_of(y)], table, loss_mode))
+
+    tr, hist = run_golden_arm(arm, monkeypatch, replay)
+    per_epoch = -(-len(tr) // 32)
+    assert len(batches) == per_epoch * len(hist)
+    for record, start in zip(hist.records, range(0, len(batches), per_epoch)):
+        kl, ce, mse, objective, a = (np.concatenate([getattr(t, name) for t in
+                                                     batches[start:start + per_epoch]])
+                                     for name in ("kl", "ce", "mse", "objective", "alphas"))
+        want = dict(kl=a @ kl / a.sum(), ce=(1 - a) @ ce / (1 - a).sum(), mse=mse.mean(),
+                    objective=objective.mean(), alpha_mean=a.mean())
+        want["total"] = (want["alpha_mean"] * want["kl"] + (1 - want["alpha_mean"]) * want["ce"]
+                         + core.MSE_WEIGHT * want["mse"])
+        for name, value in want.items():
+            assert getattr(record, name) == pytest.approx(value, rel=1e-12), name
+
+
+@pytest.mark.parametrize("arm", GOLDEN_ARMS)
+def test_kl_reduced_once_per_epoch_not_per_step(arm, monkeypatch):
+    """Training computes no per-sample KL: the epoch's KL sums come from one
+    ``_kl`` call on per-label sums after the epoch's last step."""
+    events = []
+    kl = core._kl
+    monkeypatch.setattr(core, "_kl", lambda *a, **kw: events.append("kl") or kl(*a, **kw))
+    tr, hist = run_golden_arm(arm, monkeypatch, lambda *a, **kw: events.append("step"))
+    assert events == (["step"] * -(-len(tr) // 32) + ["kl"]) * len(hist)
 
 
 class TestEvaluateL1:
