@@ -2,9 +2,10 @@
 
 Targets are Gaussians evaluated on the integer label grid and renormalized,
 so boundary-truncated targets stay valid distributions. ``loss_terms`` is
-the one batched kernel: the objective's logit gradient, and per-sample loss
-terms computed when read; the single-sample functions are its n = 1 views.
-``loss_sums`` and ``kl_gradient_sigma`` reduce many samples' per-label sums.
+the one batched kernel: the objective's fused logit gradient, and per-sample
+loss values computed when read (``_weigh`` weighs only these); the
+single-sample functions are its n = 1 views. ``loss_sums`` and
+``kl_gradient_sigma`` reduce many samples' per-label sums.
 Batched callers read each label's target row from a ``TargetTable``, a
 read-only value built once for a fixed spread per label; the module holds
 no mutable state.
@@ -79,8 +80,8 @@ class LabelSupport:
     def checked_indices(self, idx) -> np.ndarray:
         """Grid indices as an int array; any outside the support raises."""
         idx = np.asarray(idx, dtype=np.int64)
-        outside = (idx < 0) | (idx >= self.size)
-        if outside.any():
+        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
+            outside = (idx < 0) | (idx >= self.size)
             raise InvalidLabelError(f"label {self.min_label + idx[outside].flat[0]} outside "
                                     f"support [{self.min_label}, {self.max_label}]")
         return idx
@@ -111,7 +112,7 @@ class LossBreakdown:
                    total=float(_weigh("saw", alpha, kl, ce, mse)), alpha_used=float(alpha))
 
 
-@dataclass(frozen=True)
+@dataclass
 class LossTerms:
     """``loss_terms`` for n samples; the loss values are computed when read."""
 
@@ -247,8 +248,8 @@ def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
 
 
 def _weigh(loss_mode: str, alpha, kl, ce, mse):
-    """The optimized objective from its terms. Linear in the terms, so it
-    weighs the per-sample losses and their logit gradients alike."""
+    """The optimized objective from its loss values; ``_loss_terms`` fuses
+    the same weighting into one composite logit gradient."""
     if loss_mode == "kl":
         return kl
     if loss_mode == "ce":
@@ -270,15 +271,16 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
     # only the logit-gradient terms the objective weighs
     if loss_mode == "kl":
         dlogits = preds - targets
+    elif loss_mode == "ce":
+        dlogits = preds.copy()  # pred - onehot
+        dlogits[rows, label_idx] -= 1.0
     else:
-        g_ce = preds.copy()  # pred - onehot
-        g_ce[rows, label_idx] -= 1.0
-        if loss_mode == "ce":
-            dlogits = g_ce
-        else:
-            err = pred_ages - k[label_idx]
-            g_mse = 2.0 * err[:, None] * preds * (k - pred_ages[:, None])
-            dlogits = _weigh("saw", alphas[:, None], preds - targets, g_ce, g_mse)
+        # alpha (p - t) + (1 - alpha) (p - onehot) + MSE_WEIGHT 2 err p (k - age),
+        # gathered as p (1 + 2 MSE_WEIGHT err (k - age)) - alpha t - (1 - alpha) onehot
+        err = pred_ages - k[label_idx]
+        dlogits = (preds * (1.0 + (2.0 * MSE_WEIGHT) * err[:, None] * (k - pred_ages[:, None]))
+                   - alphas[:, None] * targets)
+        dlogits[rows, label_idx] -= 1.0 - alphas
     return LossTerms(preds=preds, log_preds=_floored_log(preds), pred_ages=pred_ages,
                      dlogits=dlogits, alphas=alphas, label_idx=label_idx, targets=targets,
                      support=support, loss_mode=loss_mode)

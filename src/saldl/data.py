@@ -45,16 +45,23 @@ class Dataset:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         features = np.array(self.features, dtype=np.float64)
         if labels.shape != (len(ids),) or features.ndim != 2 or len(features) != len(ids):
             raise ShapeError(f"{len(ids)} ids need ({len(ids)},) labels and ({len(ids)}, d) "
                              f"features, got {labels.shape} and {features.shape}")
+        if labels.dtype.kind not in "iu":  # an int64 cast would truncate 3.7 and wrap nan
+            labels = labels.astype(np.float64)
+            fraction = np.flatnonzero(labels != np.trunc(labels))  # nan too; inf is outside
+            if fraction.size:
+                i = fraction[0]
+                raise InvalidLabelError(f"sample {ids[i]} label {labels[i]} is not a whole number")
         outside = np.flatnonzero((labels < self.support.min_label)
                                  | (labels > self.support.max_label))
         if outside.size:
             i = outside[0]
             raise InvalidLabelError(f"sample {ids[i]} label {labels[i]} outside support")
+        labels = labels.astype(np.int64)
         labels.flags.writeable = False
         features.flags.writeable = False
         object.__setattr__(self, "ids", ids)

@@ -139,31 +139,27 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
     if not anchor_mask.any():
         raise InvalidLabelError(f"anchor label {anchor} has no samples")
     a = unit[anchor_mask]
+    a_sum = a.sum(axis=0)
 
-    values: list[float | None] = []
-    counts: list[int] = []
-    for label in support.labels():
-        mask = lab == label
-        m = int(mask.sum())
-        counts.append(m)
-        if m == 0:
-            values.append(None)
-            continue
-        b = unit[mask]
-        if aggregation == "mean_embedding":
-            ma, mb = a.mean(axis=0), b.mean(axis=0)
-            na, nb = np.linalg.norm(ma), np.linalg.norm(mb)
-            if na == 0.0 or nb == 0.0:
-                raise DegenerateEmbeddingError(
-                    f"mean embedding for label {int(label)} has zero norm")
-            values.append(float(np.clip(np.dot(ma, mb) / (na * nb), -1.0, 1.0)))
-            continue
-        gram = a @ b.T
-        if int(label) - support.min_label == anchor_idx and m > 1:
-            val = (gram.sum() - np.trace(gram)) / (m * (m - 1))
-        else:
-            val = gram.mean()
-        values.append(float(np.clip(val, -1.0, 1.0)))
-
-    return SimilarityCurve(anchor=int(anchor), values=tuple(values),
-                           counts=tuple(counts), support=support)
+    # per label: its sample count and the sum of its samples' dots with the anchor sum
+    keep = (lab >= support.min_label) & (lab <= support.max_label)
+    idx, kept = lab[keep] - support.min_label, unit[keep]
+    counts = np.bincount(idx, minlength=support.size)
+    dots = np.bincount(idx, weights=kept @ a_sum, minlength=support.size)
+    if aggregation == "mean_embedding":
+        # the cosine of two mean vectors is the cosine of the two sums
+        sums = np.zeros((support.size, unit.shape[1]))
+        np.add.at(sums, idx, kept)
+        norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(a_sum)
+        zero = np.flatnonzero((counts > 0) & (norms == 0.0))
+        if zero.size:
+            raise DegenerateEmbeddingError(
+                f"mean embedding for label {support.min_label + zero[0]} has zero norm")
+    else:
+        norms = counts * float(len(a))
+        if len(a) > 1:  # anchor-vs-anchor drops the self pairs
+            dots[anchor_idx] -= (a * a).sum()
+            norms[anchor_idx] = len(a) * (len(a) - 1)
+    values = np.clip(dots / np.where(counts > 0, norms, 1.0), -1.0, 1.0)
+    return SimilarityCurve(anchor=int(anchor), counts=tuple(counts.tolist()), support=support,
+                           values=tuple(float(v) if m else None for v, m in zip(values, counts)))

@@ -176,7 +176,8 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     Each sample uses the alpha of its label's stage and its label's row of
     ``table``, which defaults to the targets at ``stage_params``' stage
     sigmas. ``loss_mode`` selects the optimized objective (the composite
-    loss, or its KL or CE term alone). Returns (model, breakdown): the
+    loss, or its KL or CE term alone). The output delta is scaled once, by
+    ``learning_rate / n``. Returns (model, breakdown): the
     pre-step batch loss with the full composite decomposition, so arms stay
     comparable. With ``return_stats`` it returns (model, None, stats)
     instead: the pre-step ``LossTerms``, whose loss values cost nothing
@@ -204,17 +205,15 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         logits, _, pre, acts = forward_batch(model, x)
     terms = _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
 
-    delta = terms.dlogits / n  # batch-mean objective
+    delta = terms.dlogits * (learning_rate / n)  # a step on the batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w = acts[layer].T @ delta
-        grad_b = delta.sum(axis=0)
+        step_w = acts[layer].T @ delta
+        step_b = delta.sum(axis=0)
         if layer > 0:
             delta = delta @ model.weights[layer].T
             delta *= _act_grad(pre[layer - 1], model.activation)
-        grad_w *= learning_rate
-        grad_b *= learning_rate
-        model.weights[layer] -= grad_w
-        model.biases[layer] -= grad_b
+        model.weights[layer] -= step_w
+        model.biases[layer] -= step_b
 
     if return_stats:
         return model, None, terms

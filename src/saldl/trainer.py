@@ -343,8 +343,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     later epochs first apply one proposal on top of the accepted parameters,
     then train, then keep the proposal only if validation L1 reaches a new
     minimum. The model itself always keeps training forward (only snapshots
-    are gated), mirroring a single continuous SGD trajectory. The epoch's
-    loss record reduces once from per-label sums (``loss_sums``).
+    are gated), mirroring a single continuous SGD trajectory. Batches are
+    slices of the epoch's shuffled columns, gathered once; the epoch's loss
+    record reduces once from per-label sums (``loss_sums``).
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyInputError("train and validation splits must be non-empty")
@@ -382,6 +383,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     label_counts = np.bincount(label_idx, minlength=support.size).astype(np.float64)
     stage_of_label = partition.stages_of(support.labels())
     onehot = np.eye(support.size)
+    epoch_features, epoch_labels = np.empty_like(features), np.empty_like(labels)
+    epoch_idx, pred_ages = np.empty_like(label_idx), np.empty(n)
     if sigma_gradient:
         # a stage's labels form one contiguous range of the table's rows
         bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
@@ -401,8 +404,10 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                     stage_lr=config.stage_lr)
 
         order = rng.permutation(n)
+        np.take(features, order, axis=0, out=epoch_features)
+        np.take(labels, order, out=epoch_labels)
+        np.take(label_idx, order, out=epoch_idx)
         log_pred_sums = np.zeros((support.size, support.size))
-        sq_err = 0.0
         # every stage's sigma is fixed for the epoch, so is each label's target;
         # the table changes only when a stage sigma does
         if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
@@ -410,19 +415,20 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             table_sigmas = params_current.sigmas
 
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+            batch = slice(start, start + config.batch_size)
             try:
                 model, _, stats = backward_step(
-                    model, features[idx], labels[idx], params_current, partition,
-                    config.learning_rate, support, loss_mode=config.loss_mode,
+                    model, epoch_features[batch], epoch_labels[batch], params_current,
+                    partition, config.learning_rate, support, loss_mode=config.loss_mode,
                     return_stats=True, table=table)
             except InvalidInputError as exc:
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
                 ) from exc
-            log_pred_sums += onehot[label_idx[idx]].T @ stats.log_preds
-            sq_err += stats.mse.sum()
+            log_pred_sums += onehot[epoch_idx[batch]].T @ stats.log_preds
+            pred_ages[batch] = stats.pred_ages
 
+        sq_err = ((pred_ages - support.grid[epoch_idx]) ** 2).sum()
         sums = loss_sums(label_counts, log_pred_sums, table,
                          params_current.alphas[stage_of_label], sq_err, config.loss_mode)
         if not np.all(np.isfinite(sums)):

@@ -50,6 +50,18 @@ class TestLabelSupport:
         with pytest.raises(InvalidLabelError):
             SUP.index_of(101)
 
+    def test_checked_indices_names_the_first_outside_index(self):
+        for idx in ([5, 101, -1], [5, 101]):
+            with pytest.raises(InvalidLabelError, match="label 101 outside"):
+                SUP.checked_indices(idx)
+        with pytest.raises(InvalidLabelError, match="label -1 outside"):
+            SUP.checked_indices([-1, 101])
+
+    def test_checked_indices_passes_an_empty_array(self):
+        # .min() of an empty array raises, so this passing shows the range test skips it
+        assert SUP.checked_indices(np.array([], dtype=np.int64)).shape == (0,)
+        assert SUP.checked_indices([]).dtype == np.int64
+
 
 def gaussian_oracle(y, sigma, support=SUP):
     """Direct pure-python evaluation of the target density, renormalized."""
@@ -447,6 +459,29 @@ class TestLossTerms:
     def test_label_index_above_support_rejected(self):
         with pytest.raises(InvalidLabelError, match="label 101 outside"):
             loss_terms(np.zeros((2, 101)), np.array([101, 3]), np.full(2, 0.5), table_at(2.0))
+
+
+def _unfused_saw_gradient(terms, table):
+    """The composite logit gradient as the weighted sum of its three terms."""
+    p, idx, k = terms.preds, terms.label_idx, SUP.grid
+    g_ce = p.copy()
+    g_ce[np.arange(idx.size), idx] -= 1.0
+    g_mse = 2.0 * (terms.pred_ages - k[idx])[:, None] * p * (k - terms.pred_ages[:, None])
+    return core._weigh("saw", terms.alphas[:, None], p - table.target[idx], g_ce, g_mse)
+
+
+@given(labels=st.lists(st.integers(0, 100), min_size=0, max_size=6),
+       spread=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fused_saw_gradient_equals_weighted_terms(labels, spread, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.array([0, 100] + labels)  # both support edges, every time
+    z = spread * rng.uniform(-1.0, 1.0, size=(idx.size, SUP.size))
+    alphas = rng.uniform(1e-3, 1.0 - 1e-3, size=idx.size)
+    table = TargetTable.build(rng.uniform(SIGMA_MIN, 6.0, size=SUP.size), SUP)
+    terms = loss_terms(z, idx, alphas, table, "saw")
+    np.testing.assert_allclose(terms.dlogits, _unfused_saw_gradient(terms, table),
+                               rtol=1e-12, atol=1e-15)
 
 
 def _bits(terms) -> list[bytes]:

@@ -69,6 +69,20 @@ class TestDatasetColumns:
             Dataset(ids=("a", "b"), labels=[100, 101], features=np.zeros((2, 2)),
                     support=SUP)
 
+    # an int64 cast would accept 3.7 as 3 and turn nan into the label -2**63
+    @pytest.mark.parametrize("bad, why", [(3.7, "is not a whole number"),
+                                          (np.nan, "is not a whole number"),
+                                          (np.inf, "outside support")])
+    def test_label_that_is_not_a_finite_whole_number_names_sample(self, bad, why):
+        with pytest.raises(InvalidLabelError, match=f"^sample b label {bad} {why}$"):
+            Dataset(ids=("a", "b"), labels=[3.0, bad], features=np.zeros((2, 2)),
+                    support=SUP)
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset(ids=("a", "b"), labels=[3.0, 10.0], features=np.zeros((2, 2)),
+                     support=SUP)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [3, 10]
+
     def test_columns_read_only_and_not_copied(self):
         features = np.ones((2, 3))
         ds = Dataset(ids=("a", "b"), labels=[1, 2], features=features, support=SUP)

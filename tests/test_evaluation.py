@@ -113,6 +113,32 @@ class TestPerStageMae:
         assert total / n == pytest.approx(mae(preds, labels), abs=1e-12)
 
 
+def similarity_loop(embeddings, labels, anchor, support, aggregation):
+    """Per-label oracle: one mask and one anchor-by-label Gram block per label."""
+    unit = embeddings / np.linalg.norm(embeddings, axis=1)[:, None]
+    a = unit[labels == anchor]
+    values, counts = [], []
+    for label in support.labels():
+        mask = labels == label
+        m = int(mask.sum())
+        counts.append(m)
+        if m == 0:
+            values.append(None)
+            continue
+        b = unit[mask]
+        if aggregation == "mean_embedding":
+            ma, mb = a.mean(axis=0), b.mean(axis=0)
+            val = np.dot(ma, mb) / (np.linalg.norm(ma) * np.linalg.norm(mb))
+        else:
+            gram = a @ b.T
+            if label == anchor and m > 1:
+                val = (gram.sum() - np.trace(gram)) / (m * (m - 1))
+            else:
+                val = gram.mean()
+        values.append(float(np.clip(val, -1.0, 1.0)))
+    return tuple(values), tuple(counts)
+
+
 class TestAnchorSimilarityCurve:
     def test_identical_embeddings_constant_one(self):
         emb = np.tile(np.array([1.0, 2.0, 2.0]), (6, 1))
@@ -172,6 +198,23 @@ class TestAnchorSimilarityCurve:
     def test_absent_anchor_rejected(self):
         with pytest.raises(InvalidLabelError):
             anchor_similarity_curve(np.ones((2, 3)), np.array([5, 6]), 50, SUP)
+
+    @given(n=st.integers(1, 40), dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           aggregation=st.sampled_from(["pairwise", "mean_embedding"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_label_loop(self, n, dim, seed, aggregation):
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(n, dim))
+        # few distinct labels, so most hold several samples; some lie off the support
+        labels = rng.choice(np.array([-2, 0, 3, 50, 51, 100, 103]), size=n)
+        anchor = labels[0] = rng.choice([0, 3, 50, 51, 100])
+        curve = anchor_similarity_curve(emb, labels, anchor, SUP, aggregation)
+        want_values, want_counts = similarity_loop(emb, labels, anchor, SUP, aggregation)
+        assert curve.counts == want_counts
+        for got, want in zip(curve.values, want_values):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= 1e-12
 
     def test_zero_norm_embedding_rejected(self):
         emb = np.array([[1.0, 0.0], [0.0, 0.0]])

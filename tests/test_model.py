@@ -12,6 +12,7 @@ from saldl.core import (
     cross_entropy,
     gaussian_label_distribution,
     kl_divergence,
+    loss_terms,
     saw_loss,
     softmax,
 )
@@ -24,6 +25,7 @@ from saldl.model import (
     model_from_dict,
     model_to_dict,
     predict_ages,
+    stage_target_table,
 )
 from saldl.staging import StagePartition
 from saldl.trainer import StageParams
@@ -158,6 +160,29 @@ class TestBackwardStep:
             mm.weights[layer][i, j] -= h
             fd = (batch_saw_loss(mp, X1, y1) - batch_saw_loss(mm, X1, y1)) / (2 * h)
             assert abs(analytic - fd) <= 1e-4 * max(abs(fd), abs(analytic)) + 1e-6
+
+    @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
+    @pytest.mark.parametrize("lr", [0.0, 0.3])
+    def test_equals_step_scaled_after_the_matmuls(self, mode, lr):
+        # the reference backpropagates dlogits / n and scales each layer's
+        # gradient by the learning rate afterwards
+        ref = self.model.copy()
+        logits, _, pre, acts = forward_batch(ref, self.X)
+        table = stage_target_table(PARAMS, PART, SUP)
+        delta = loss_terms(logits, self.y - SUP.min_label, PARAMS.alphas[PART.stages_of(self.y)],
+                           table, mode).dlogits / len(self.y)
+        for layer in range(len(ref.weights) - 1, -1, -1):
+            grad_w, grad_b = acts[layer].T @ delta, delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ ref.weights[layer].T) * (1.0 - np.tanh(pre[layer - 1]) ** 2)
+            ref.weights[layer] -= lr * grad_w
+            ref.biases[layer] -= lr * grad_b
+        got = self.model.copy()
+        backward_step(got, self.X, self.y, PARAMS, PART, lr, SUP, loss_mode=mode)
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        if lr == 0.0:
+            assert got.equals(self.model)
 
     def test_loss_decreases_over_fifty_steps(self):
         m = init_model((8, 16, 8, 101), "relu", 0, SUP)

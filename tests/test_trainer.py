@@ -437,31 +437,29 @@ def test_rejected_proposal_gradient_moves_the_next_proposal(monkeypatch):
 
 # The acceptance arms on a tiny task, gradient mode, 8 epochs: SHA-256 of the
 # history (``to_dicts`` as JSON) and of the final raw_sigma, raw_alpha,
-# weight and bias bytes. The arms without a sigma gradient (fixed, ce, saw)
-# were recorded under the per-support row memo that the per-epoch target
-# table replaced, so they pin that the two agree bit for bit; sav and full
-# were re-recorded when their sigma gradient became one reduction per stage
-# per epoch, which sums in another order. The history digests alone were
-# re-recorded when the loss record became one reduction per epoch from
-# per-label sums (its loss columns moved by rounding only); the state
-# digests held. Any later change in the last bit of training shows here. The values hold for one NumPy / BLAS build
+# weight and bias bytes. All ten were last re-recorded when the SGD step
+# folded the learning rate into the backward delta, the composite logit
+# gradient became one fused expression and the epoch's squared error one
+# sum: weights and losses moved by rounding only (below 1e-12 relative) and
+# every arm kept its snapshot epochs. Any later change in the last bit of
+# training shows here. The values hold for one NumPy / BLAS build
 # (NumPy 2.4.6, OpenBLAS, x86-64).
 GOLDEN_ARMS = {
     "fixed": (dict(sav=False, loss_mode="kl"),
-              "1d4abe5e691943889865925204b90d47a776da95caae8ed90fe634aa8e0472fb",
-              "35f2884e366e4caecfe805838ba26bb2e7a47c9d3e70b300cecc3447c2307a8a"),
+              "33d5538ef22b0b22392fb9b70f552facea2a83a61360a200f807d8aa14da1f8d",
+              "ce2ec42d52e8d22af636f509ca393c7bc0c1c785aa99dbb8081b6127e43e889c"),
     "sav": (dict(sav=True, loss_mode="kl"),
-            "b4708a0d2086eb961e2802ede3f024dfcab45caf6b87f5e81690323af2d57221",
-            "8e24c7f2659db441ad0c22f45e036756b695bd64198da14a1964a8e4cf2e1a21"),
+            "716df6ed067f8452bebe68e2570338314561ba47d60e4addfb278bd5d97c092a",
+            "a91fc4ba2b883cfdc7856c70ec770e6844c3bc3ca58402ab104dd5d66260fd4d"),
     "ce": (dict(sav=False, loss_mode="ce"),
-           "b64279ad767e0b81e9111651b1db3d5d13e3211ba7faeef7cf6902f7e69fec9a",
-           "b91841fac18577537ee5d2a5fed64cbc4e7e9ebec995ca3fd90e623fde429fc1"),
+           "9e240efdddaca3e239035cc5f04672ab398e395d399be5eb202a5e601193e580",
+           "72cfa0cbe96a9f826a6cb2c81d11acfabb4399f6dbe966e935f5fc910174aae1"),
     "saw": (dict(sav=False, loss_mode="saw"),
-            "89e95b5fe26725037b53898b10f8518700c16bbc93720f81a89f818335f7f54f",
-            "125d1ebeb390f5f64bb37b505990e26ebb334bb4cdfcfc692574aa87d430d12e"),
+            "9b379efdd07ea2f062a54082dc597cb7bb48b3ec12df6fb28abb0736b8536848",
+            "bc2825a8d3a4e0c05bb3af024a33258cb5773cd2c79551dc78b60e124047c7b4"),
     "full": (dict(sav=True, loss_mode="saw"),
-             "59b9bfc1c5de1eac889781fe20597a3162742ff1835e756757be226e5d34cbc9",
-             "73da76f6eff7717a8cc949f90b12fce031f64d4fa4115cd4f09df97132de399f"),
+             "e719483ac4c9306a438c28faca64d9134d9e510a3d057c15fe58ce7746c3fd65",
+             "30f6bdced3aa03fc0215a464c6277526dec865baef4c265479e36acdcf516b8c"),
 }
 
 
