@@ -32,6 +32,11 @@ def write_json(path, doc, indent: int | None = 2) -> None:
     _replace(path, lambda fh: fh.write(json.dumps(doc, indent=indent) + "\n"))
 
 
+def write_text(path, parts) -> None:
+    """Each string of ``parts`` in turn."""
+    _replace(path, lambda fh: fh.writelines(parts))
+
+
 def write_csv(path, header, rows) -> None:
     def fill(fh):
         writer = csv.writer(fh, lineterminator="\n")

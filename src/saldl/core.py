@@ -5,7 +5,10 @@ so boundary-truncated targets stay valid distributions. ``loss_terms`` is
 the one batched kernel: the objective's fused logit gradient, and per-sample
 loss values computed when read (``_weigh`` weighs only these); the
 single-sample functions are its n = 1 views. ``loss_sums`` and
-``kl_gradient_sigma`` reduce many samples' per-label sums.
+``kl_gradient_sigma`` reduce many samples' per-label sums, which callers
+accumulate in any order (``train_sav`` adds rows in row order).
+Labels are whole numbers inside a ``LabelSupport``: a fractional, nan or
+infinite label raises ``InvalidLabelError`` rather than being cast.
 Batched callers read each label's target row from a ``TargetTable``, a
 read-only value built once for a fixed spread per label; the module holds
 no mutable state.
@@ -42,6 +45,25 @@ MSE_WEIGHT = 0.01
 LOSS_MODES = ("kl", "ce", "saw")
 
 
+def whole_labels(labels, ids=None) -> np.ndarray:
+    """``labels`` as an array that holds no fraction and no nan, so an int64
+    cast can neither truncate 3.7 to 3 nor turn nan into a label. Integer
+    arrays pass unscanned; other labels become float64, so 3.0 passes. An
+    infinite label is left to the caller's support check, which rejects it.
+    The error names the first bad label, and its sample id when ``ids`` is
+    given."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "iu":
+        return labels
+    labels = labels.astype(np.float64)
+    fraction = np.flatnonzero(labels != np.trunc(labels))  # nan too
+    if fraction.size:
+        i = fraction[0]
+        sample = "" if ids is None else f"sample {ids[i]} "
+        raise InvalidLabelError(f"{sample}label {labels.flat[i]} is not a whole number")
+    return labels
+
+
 @dataclass(frozen=True)
 class LabelSupport:
     """Consecutive integer labels from ``min_label`` to ``max_label`` inclusive."""
@@ -74,17 +96,18 @@ class LabelSupport:
         return self.min_label <= label <= self.max_label
 
     def indices_of(self, labels) -> np.ndarray:
-        """Grid index of each label; any label outside the support raises."""
-        return self.checked_indices(np.asarray(labels, dtype=np.int64) - self.min_label)
+        """Grid index of each label; a label that is not a whole number or
+        lies outside the support raises."""
+        return self.checked_indices(whole_labels(labels) - self.min_label)
 
     def checked_indices(self, idx) -> np.ndarray:
         """Grid indices as an int array; any outside the support raises."""
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             outside = (idx < 0) | (idx >= self.size)
             raise InvalidLabelError(f"label {self.min_label + idx[outside].flat[0]} outside "
                                     f"support [{self.min_label}, {self.max_label}]")
-        return idx
+        return idx.astype(np.int64, copy=False)
 
     def index_of(self, label: int) -> int:
         return int(self.indices_of(label))
@@ -162,7 +185,9 @@ def _check_width(arr: np.ndarray, support: LabelSupport, what: str) -> np.ndarra
 
 def _check_logits(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    # a sum is finite only if every entry is; a finite sum needs no scan, and
+    # one that overflows falls back to the entries themselves
+    if not np.isfinite(z.sum()) and not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
     return z
 

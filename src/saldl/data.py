@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .artifacts import write_csv
-from .core import LabelSupport
+from .artifacts import write_text
+from .core import LabelSupport, whole_labels
 from .errors import (
     InvalidLabelError,
     InvalidParameterError,
@@ -50,12 +51,7 @@ class Dataset:
         if labels.shape != (len(ids),) or features.ndim != 2 or len(features) != len(ids):
             raise ShapeError(f"{len(ids)} ids need ({len(ids)},) labels and ({len(ids)}, d) "
                              f"features, got {labels.shape} and {features.shape}")
-        if labels.dtype.kind not in "iu":  # an int64 cast would truncate 3.7 and wrap nan
-            labels = labels.astype(np.float64)
-            fraction = np.flatnonzero(labels != np.trunc(labels))  # nan too; inf is outside
-            if fraction.size:
-                i = fraction[0]
-                raise InvalidLabelError(f"sample {ids[i]} label {labels[i]} is not a whole number")
+        labels = whole_labels(labels, ids)
         outside = np.flatnonzero((labels < self.support.min_label)
                                  | (labels > self.support.max_label))
         if outside.size:
@@ -157,13 +153,32 @@ CSV_ID_COLUMN = "id"
 CSV_LABEL_COLUMN = "age"
 
 
+# Rows rendered by one format string: large enough to amortize the format,
+# small enough that the text of a chunk stays a few hundred kB.
+_CSV_CHUNK_ROWS = 512
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Schema: header ``id,age,f0,...,fD``; floats written with full
-    round-trip precision (``repr`` of each Python float)."""
+    round-trip precision (``repr`` of each Python float). The bytes are
+    those of ``csv.writer``: the csv module quotes the header and each row's
+    id and label, and one ``%r`` format renders a chunk of rows' floats."""
     header = [CSV_ID_COLUMN, CSV_LABEL_COLUMN] + [
         f"f{i}" for i in range(dataset.feature_dim)]
-    write_csv(path, header, zip(dataset.ids, dataset.labels.tolist(),
-                                *dataset.features.T.tolist()))
+    lines = []  # the header, then each row's "id,age", each ending in "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(dataset.ids, dataset.labels.tolist()))
+    row_format = "%s" + ",%r" * dataset.feature_dim + "\n"
+
+    def chunks():
+        yield lines[0]
+        for lo in range(0, len(dataset), _CSV_CHUNK_ROWS):
+            rows = dataset.features[lo:lo + _CSV_CHUNK_ROWS].tolist()
+            cells = [cell for lead, floats in zip(lines[1 + lo:1 + lo + len(rows)], rows)
+                     for cell in (lead[:-1], *floats)]
+            yield (row_format * len(rows)) % tuple(cells)
+    write_text(path, chunks())
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:

@@ -170,7 +170,8 @@ def stage_target_table(stage_params, partition, support: LabelSupport) -> Target
 def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
                   stage_params, partition, learning_rate: float,
                   support: LabelSupport, loss_mode: str = "saw",
-                  return_stats: bool = False, table: TargetTable | None = None):
+                  return_stats: bool = False, table: TargetTable | None = None, *,
+                  checked: tuple[np.ndarray, np.ndarray] | None = None):
     """One SGD step on the batch-mean loss.
 
     Each sample uses the alpha of its label's stage and its label's row of
@@ -182,24 +183,33 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     comparable. With ``return_stats`` it returns (model, None, stats)
     instead: the pre-step ``LossTerms``, whose loss values cost nothing
     unless read, for a caller that reduces its own sums.
-    """
-    if learning_rate < 0:
-        raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ShapeError(f"features {x.shape} and labels {y.shape} disagree")
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyInputError("batch is empty")
 
-    if table is None:
-        table = stage_target_table(stage_params, partition, support)
-    # the labels are checked once, against the table's support
-    idx = table.support.checked_indices(y - table.support.min_label)
-    stage_idx = (partition.stage_index[idx] if table.support == partition.support
-                 else partition.stages_of(y))
-    alphas = np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
+    ``checked`` is the batch's (grid indices, alphas), for a caller that
+    gathers them once per epoch from labels already checked against
+    ``table``'s support. The step then trusts its arguments: ``table`` must
+    be given and ``learning_rate`` must be >= 0. Without ``checked`` the
+    step checks its arguments and derives the same two arrays.
+    """
+    if checked is None:
+        if learning_rate < 0:
+            raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
+        x = np.asarray(features, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.int64)
+        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ShapeError(f"features {x.shape} and labels {y.shape} disagree")
+        if x.shape[0] == 0:
+            raise EmptyInputError("batch is empty")
+        if table is None:
+            table = stage_target_table(stage_params, partition, support)
+        # the labels are checked once, against the table's support
+        idx = table.support.checked_indices(y - table.support.min_label)
+        stage_idx = (partition.stage_index[idx] if table.support == partition.support
+                     else partition.stages_of(y))
+        checked = idx, np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]
+    else:
+        x = features
+    idx, alphas = checked
+    n = x.shape[0]
 
     with np.errstate(invalid="ignore", over="ignore"):
         logits, _, pre, acts = forward_batch(model, x)

@@ -6,6 +6,12 @@ parameters) whenever that error reaches a new minimum. Between epochs the
 per-stage sigma and alpha values are perturbed by a proposal mechanism
 (deterministic grid coordinate search by default, or gradient steps on the
 raw parameterizations); proposals only survive if validation improves.
+
+Each epoch's columns, grid indices and per-sample alphas are gathered once
+and every SGD step gets slices of them. The floored log predictions of a
+few hundred rows at a time are added into per-label sums by one
+``np.bincount``, each cell in row order; the epoch's loss record and sigma
+gradients reduce from those sums.
 """
 
 from __future__ import annotations
@@ -326,6 +332,19 @@ class TrainHistory:
         write_csv(path, header, map(row, self.records))
 
 
+# About this many rows of floored log predictions are buffered between
+# additions into an epoch's per-label sums, one ``np.bincount`` each.
+_FLUSH_ROWS = 256
+
+
+def _add_label_rows(sums: np.ndarray, label_idx: np.ndarray, rows: np.ndarray) -> None:
+    """Add row i of ``rows`` into row ``label_idx[i]`` of the contiguous
+    (size, size) per-label ``sums``. Each cell adds its rows in row order."""
+    size = rows.shape[1]
+    cells = (label_idx[:, None] * size + np.arange(size)).ravel()  # label-major
+    sums.reshape(-1)[:] += np.bincount(cells, weights=rows.ravel(), minlength=size * size)
+
+
 def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation") -> float:
     """Mean absolute error of the model's age read-out over a dataset."""
     if len(data) == 0:
@@ -344,8 +363,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     then train, then keep the proposal only if validation L1 reaches a new
     minimum. The model itself always keeps training forward (only snapshots
     are gated), mirroring a single continuous SGD trajectory. Batches are
-    slices of the epoch's shuffled columns, gathered once; the epoch's loss
-    record reduces once from per-label sums (``loss_sums``).
+    slices of the epoch's shuffled columns, checked grid indices and alphas,
+    gathered once; the epoch's loss record reduces once from per-label sums
+    (``loss_sums``).
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyInputError("train and validation splits must be non-empty")
@@ -373,18 +393,20 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
 
     features = train.features_matrix()
     labels = train.labels_array()
-    n = len(train)
+    n, size = len(train), support.size
     table = table_sigmas = None
     # The loss record and (gradient-mode sigma arms) dKL/dsigma reduce once
     # per epoch from per-label sums of floored log predictions. Every sample
     # is visited once per epoch, so the per-label counts never change.
     sigma_gradient = config.adaptation_mode == "gradient" and config.adapt_sigma
-    label_idx = labels - support.min_label
-    label_counts = np.bincount(label_idx, minlength=support.size).astype(np.float64)
+    label_idx = support.checked_indices(labels - support.min_label)
+    label_counts = np.bincount(label_idx, minlength=size).astype(np.float64)
     stage_of_label = partition.stages_of(support.labels())
-    onehot = np.eye(support.size)
     epoch_features, epoch_labels = np.empty_like(features), np.empty_like(labels)
-    epoch_idx, pred_ages = np.empty_like(label_idx), np.empty(n)
+    epoch_idx, epoch_alphas, pred_ages = np.empty_like(label_idx), np.empty(n), np.empty(n)
+    # a whole number of batches of floored log predictions between additions
+    buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
+    log_pred_rows = np.empty((min(n, buffered), size))
     if sigma_gradient:
         # a stage's labels form one contiguous range of the table's rows
         bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
@@ -407,7 +429,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         np.take(features, order, axis=0, out=epoch_features)
         np.take(labels, order, out=epoch_labels)
         np.take(label_idx, order, out=epoch_idx)
-        log_pred_sums = np.zeros((support.size, support.size))
+        np.take(params_current.alphas[stage_of_label], epoch_idx, out=epoch_alphas)
+        log_pred_sums = np.zeros((size, size))
+        added = 0  # the epoch's rows already in log_pred_sums
         # every stage's sigma is fixed for the epoch, so is each label's target;
         # the table changes only when a stage sigma does
         if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
@@ -415,17 +439,22 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             table_sigmas = params_current.sigmas
 
         for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
+            end = min(start + config.batch_size, n)
+            batch = slice(start, end)
             try:
                 model, _, stats = backward_step(
                     model, epoch_features[batch], epoch_labels[batch], params_current,
                     partition, config.learning_rate, support, loss_mode=config.loss_mode,
-                    return_stats=True, table=table)
+                    return_stats=True, table=table,
+                    checked=(epoch_idx[batch], epoch_alphas[batch]))
             except InvalidInputError as exc:
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
                 ) from exc
-            log_pred_sums += onehot[epoch_idx[batch]].T @ stats.log_preds
+            log_pred_rows[start - added:end - added] = stats.log_preds
+            if end - added == len(log_pred_rows) or end == n:
+                _add_label_rows(log_pred_sums, epoch_idx[added:end], log_pred_rows[:end - added])
+                added = end
             pred_ages[batch] = stats.pred_ages
 
         sq_err = ((pred_ages - support.grid[epoch_idx]) ** 2).sum()

@@ -63,6 +63,23 @@ class TestLabelSupport:
         assert SUP.checked_indices([]).dtype == np.int64
 
 
+    # an int64 cast would truncate 3.7 to 3 and turn nan or inf into some label
+    @pytest.mark.parametrize("bad, why", [(3.7, "is not a whole number"),
+                                          (np.nan, "is not a whole number"),
+                                          (np.inf, "outside support"),
+                                          (-np.inf, "outside support")])
+    def test_label_that_is_not_a_finite_whole_number_rejected(self, bad, why):
+        with pytest.raises(InvalidLabelError, match=f"^label {bad} {why}"):
+            SUP.index_of(bad)
+        with pytest.raises(InvalidLabelError, match=f"^label {bad} {why}"):
+            SUP.indices_of([3.0, bad])
+
+    def test_whole_float_labels_accepted(self):
+        assert SUP.index_of(3.0) == 3
+        idx = SUP.indices_of(np.array([3.0, 10.0]))
+        assert idx.dtype == np.int64 and idx.tolist() == [3, 10]
+
+
 def gaussian_oracle(y, sigma, support=SUP):
     """Direct pure-python evaluation of the target density, renormalized."""
     w = [math.exp(-((k - y) ** 2) / (2.0 * sigma * sigma))
@@ -98,6 +115,13 @@ class TestGaussianLabelDistribution:
         with pytest.raises(InvalidLabelError):
             gaussian_label_distribution(101, 2.0, SUP)
 
+    def test_label_that_is_not_a_finite_whole_number_rejected(self):
+        for bad in (3.7, np.nan, np.inf):
+            with pytest.raises(InvalidLabelError):
+                gaussian_label_distribution(bad, 2.0, SUP)
+        np.testing.assert_array_equal(gaussian_label_distribution(3.0, 2.0, SUP),
+                                      gaussian_label_distribution(3, 2.0, SUP))
+
     @given(y=st.integers(0, 100),
            sigma=st.floats(0.05, 8.0, allow_nan=False))
     def test_always_a_distribution(self, y, sigma):
@@ -126,6 +150,24 @@ class TestSoftmax:
             softmax(np.array([0.0, np.inf]))
         with pytest.raises(InvalidInputError):
             softmax(np.array([np.nan, 0.0]))
+
+    # finiteness is tested on the sum first (which NumPy may warn about); an
+    # overflowing sum of finite logits falls back to the entries
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_finite_logits_whose_sum_overflows_accepted(self):
+        np.testing.assert_allclose(softmax(np.full(101, 1e307)), 1 / 101, rtol=1e-15)
+        ok = (np.array([1, 2]), np.array([0.5, 0.5]), table_at(2.0))
+        terms = loss_terms(np.full((2, 101), 1e307), *ok)
+        np.testing.assert_allclose(terms.preds, 1 / 101, rtol=1e-15)
+        for bad in (np.inf, -np.inf, np.nan):
+            z = np.full((2, 101), 1e307)
+            z[1, 7] = bad
+            with pytest.raises(InvalidInputError):
+                loss_terms(z, *ok)
+            with pytest.raises(InvalidInputError):
+                softmax(z[1])
+        with pytest.raises(InvalidInputError):  # inf + -inf sums to nan
+            softmax(np.array([np.inf, -np.inf, 0.0]))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20),
            st.floats(-1000, 1000))
@@ -196,6 +238,13 @@ class TestCrossEntropy:
         pred = np.zeros(101)
         pred[30] = 1.0
         assert cross_entropy(pred, 30, SUP) <= 1e-9
+
+    def test_label_that_is_not_a_finite_whole_number_rejected(self):
+        pred = np.full(101, 1 / 101)
+        for bad in (3.7, np.nan, -np.inf):
+            with pytest.raises(InvalidLabelError):
+                cross_entropy(pred, bad, SUP)
+        assert cross_entropy(pred, 3.0, SUP) == cross_entropy(pred, 3, SUP)
 
     def test_uniform_prediction(self):
         pred = np.full(101, 1 / 101)
@@ -422,6 +471,15 @@ class TestBatchedSigmaGradient:
                 kl_gradient_sigma(*per_sample(np.array([3, bad]), preds), table)
         with pytest.raises(ShapeError):  # one count per label
             kl_gradient_sigma(np.array([3, 4]), np.ones(3), np.zeros((2, 101)), table)
+
+    def test_label_that_is_not_a_finite_whole_number_rejected(self):
+        preds = np.full((2, 101), 1 / 101)
+        table = table_at(1.5)
+        for bad in (3.7, np.nan, np.inf):
+            with pytest.raises(InvalidLabelError):
+                kl_gradient_sigma(*per_sample(np.array([3.0, bad]), preds), table)
+        assert (kl_gradient_sigma(*per_sample(np.array([3.0, 4.0]), preds), table)
+                == kl_gradient_sigma(*per_sample(np.array([3, 4]), preds), table))
 
 
 class TestLossTerms:

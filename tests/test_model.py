@@ -240,6 +240,21 @@ class TestBackwardStep:
         np.testing.assert_array_equal(got.alphas, want.alphas)
         assert m_wide.equals(m)
 
+    @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
+    def test_checked_path_equals_positional_path_bitwise(self, mode):
+        table = stage_target_table(PARAMS, PART, SUP)
+        idx = self.y - SUP.min_label
+        m_pos, m_kw = self.model.copy(), self.model.copy()
+        _, _, want = backward_step(m_pos, self.X, self.y, PARAMS, PART, 0.1, SUP,
+                                   loss_mode=mode, return_stats=True, table=table)
+        _, _, got = backward_step(m_kw, self.X, self.y, PARAMS, PART, 0.1, SUP,
+                                  loss_mode=mode, return_stats=True, table=table,
+                                  checked=(idx, PARAMS.alphas[PART.stages_of(self.y)]))
+        assert m_kw.equals(m_pos)
+        for name in ("preds", "log_preds", "pred_ages", "dlogits", "alphas", "label_idx",
+                     "targets", "kl", "ce", "mse", "objective"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+
     def test_breakdown_identity_with_mixed_stages(self):
         _, bd = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
                               0.1, SUP)

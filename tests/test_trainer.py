@@ -437,19 +437,23 @@ def test_rejected_proposal_gradient_moves_the_next_proposal(monkeypatch):
 
 # The acceptance arms on a tiny task, gradient mode, 8 epochs: SHA-256 of the
 # history (``to_dicts`` as JSON) and of the final raw_sigma, raw_alpha,
-# weight and bias bytes. All ten were last re-recorded when the SGD step
-# folded the learning rate into the backward delta, the composite logit
-# gradient became one fused expression and the epoch's squared error one
-# sum: weights and losses moved by rounding only (below 1e-12 relative) and
-# every arm kept its snapshot epochs. Any later change in the last bit of
-# training shows here. The values hold for one NumPy / BLAS build
+# weight and bias bytes. All ten were re-recorded when the SGD step folded
+# the learning rate into the backward delta, the composite logit gradient
+# became one fused expression and the epoch's squared error one sum: weights
+# and losses moved by rounding only (below 1e-12 relative) and every arm kept
+# its snapshot epochs. The fixed and sav history digests were re-recorded
+# again when the per-label log-prediction sums began to add in row order
+# (``np.bincount``) instead of a BLAS one-hot product: their loss records
+# moved by at most 1.8e-16 relative, and every snapshot epoch and final
+# state stayed the same. Any later change in the last bit of training shows
+# here. The values hold for one NumPy / BLAS build
 # (NumPy 2.4.6, OpenBLAS, x86-64).
 GOLDEN_ARMS = {
     "fixed": (dict(sav=False, loss_mode="kl"),
-              "33d5538ef22b0b22392fb9b70f552facea2a83a61360a200f807d8aa14da1f8d",
+              "1ce04168fb11c5b4c55c1eec9b3bf2ed8e1cdcadab70ae5b22c9966fb0e6bd9d",
               "ce2ec42d52e8d22af636f509ca393c7bc0c1c785aa99dbb8081b6127e43e889c"),
     "sav": (dict(sav=True, loss_mode="kl"),
-            "716df6ed067f8452bebe68e2570338314561ba47d60e4addfb278bd5d97c092a",
+            "762c4c0d8c314055047ab61707997dd86fb2d999db9d406eec03a3eed35e13aa",
             "a91fc4ba2b883cfdc7856c70ec770e6844c3bc3ca58402ab104dd5d66260fd4d"),
     "ce": (dict(sav=False, loss_mode="ce"),
            "9e240efdddaca3e239035cc5f04672ab398e395d399be5eb202a5e601193e580",
@@ -531,6 +535,55 @@ def test_kl_reduced_once_per_epoch_not_per_step(arm, monkeypatch):
     monkeypatch.setattr(core, "_kl", lambda *a, **kw: events.append("kl") or kl(*a, **kw))
     tr, hist = run_golden_arm(arm, monkeypatch, lambda *a, **kw: events.append("step"))
     assert events == (["step"] * -(-len(tr) // 32) + ["kl"]) * len(hist)
+
+
+def run_recording_sums(monkeypatch, n_per_label, batch_size, epochs=3):
+    """A full-arm run that records each step's labels and floored log
+    predictions, and each epoch's per-label sums as ``loss_sums`` reads them."""
+    steps, sums = [], []
+    step, reduce = trainer.backward_step, trainer.loss_sums
+
+    def spy_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        steps.append((np.array(args[2]), out[2].log_preds.copy()))
+        return out
+
+    def spy_sums(counts, log_pred_sums, *args):
+        sums.append(log_pred_sums.copy())
+        return reduce(counts, log_pred_sums, *args)
+
+    monkeypatch.setattr(trainer, "backward_step", spy_step)
+    monkeypatch.setattr(trainer, "loss_sums", spy_sums)
+    tr, va, _ = split(tiny_dataset(n_per_label=n_per_label), (0.7, 0.15, 0.15), seed=0)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.2, stage_lr=0.3,
+                      adaptation_mode="gradient", sav=True, loss_mode="saw", seed=0)
+    _, _, hist = train_sav(tr, va, PART, small_model(), initial_stage_params(PART.k, cfg), cfg)
+    return len(tr), steps, sums, hist
+
+
+# (n_per_label, batch_size): 202 rows, less than one flush of 256; 808 rows in
+# 101 full batches, four flushes; 303 rows in batches of 40, the last of 23
+@pytest.mark.parametrize("n_per_label, batch_size", [(3, 32), (12, 8), (4, 40)])
+def test_label_sums_equal_add_at_reference(monkeypatch, n_per_label, batch_size):
+    n, steps, sums, _ = run_recording_sums(monkeypatch, n_per_label, batch_size)
+    per_epoch = -(-n // batch_size)
+    assert {(3, 32): n < trainer._FLUSH_ROWS, (12, 8): n > 3 * trainer._FLUSH_ROWS
+            and n % batch_size == 0, (4, 40): n % batch_size != 0}[n_per_label, batch_size]
+    assert len(steps) == per_epoch * len(sums)
+    for epoch, got in enumerate(sums):
+        want = np.zeros((SUP.size, SUP.size))
+        for labels, log_preds in steps[epoch * per_epoch:(epoch + 1) * per_epoch]:
+            np.add.at(want, labels - SUP.min_label, log_preds)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_label_sums_identical_across_runs(monkeypatch):
+    _, _, first, hist = run_recording_sums(monkeypatch, 12, 32)
+    monkeypatch.undo()
+    _, _, second, again = run_recording_sums(monkeypatch, 12, 32)
+    for a, b in zip(first, second, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert hist.to_dicts() == again.to_dicts()
 
 
 class TestEvaluateL1:
