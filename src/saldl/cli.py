@@ -467,10 +467,10 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
     out = _out(config)
     [test_data] = _read_data(config, "test")
     model, _ = _load_model(config, test_data)
-    _, embeddings, _, _ = forward_batch(model, test_data.features_matrix())
+    _, acts = forward_batch(model, test_data.features_matrix())
     outputs = []
     for anchor in config.eval.anchors:
-        curve = anchor_similarity_curve(embeddings, test_data.labels_array(),
+        curve = anchor_similarity_curve(acts[-1], test_data.labels_array(),
                                         anchor, config.support,
                                         config.eval.similarity_aggregation)
         path = out / f"similarity_anchor_{anchor}.csv"

@@ -2,11 +2,13 @@
 
 Targets are Gaussians evaluated on the integer label grid and renormalized,
 so boundary-truncated targets stay valid distributions. ``loss_terms`` is
-the one batched kernel: the objective's fused logit gradient, and per-sample
-loss values computed when read (``_weigh`` weighs only these); the
+the one batched kernel: the predictions, their read-outs and the
+objective's fused logit gradient; floored log predictions and per-sample
+loss values are computed when read (``_weigh`` weighs only these). The
 single-sample functions are its n = 1 views. ``loss_sums`` and
 ``kl_gradient_sigma`` reduce many samples' per-label sums, which callers
-accumulate in any order (``train_sav`` adds rows in row order).
+accumulate in any order (``train_sav`` adds rows in row order);
+``LossBreakdown.from_sums`` composes the loss record from such sums.
 Labels are whole numbers inside a ``LabelSupport``: a fractional, nan or
 infinite label raises ``InvalidLabelError`` rather than being cast.
 Batched callers read each label's target row from a ``TargetTable``, a
@@ -134,13 +136,19 @@ class LossBreakdown:
         return cls(kl=float(kl), ce=float(ce), mse=float(mse),
                    total=float(_weigh("saw", alpha, kl, ce, mse)), alpha_used=float(alpha))
 
+    @classmethod
+    def from_sums(cls, wkl, wce, sq_err, alpha_sum, n) -> "LossBreakdown":
+        """n samples' record from their sums of alpha KL, (1 - alpha) CE,
+        squared error and alpha."""
+        return cls.compose(wkl / alpha_sum, wce / (n - alpha_sum), sq_err / n, alpha_sum / n)
+
 
 @dataclass
 class LossTerms:
-    """``loss_terms`` for n samples; the loss values are computed when read."""
+    """``loss_terms`` for n samples; the floored log predictions and the loss
+    values are computed when read."""
 
     preds: np.ndarray        # (n, support) predicted distributions
-    log_preds: np.ndarray    # (n, support) their floored logs
     pred_ages: np.ndarray    # (n,) expectation read-outs
     dlogits: np.ndarray      # (n, support) gradient of the objective w.r.t. the logits
     alphas: np.ndarray       # (n,) composite weights
@@ -148,6 +156,10 @@ class LossTerms:
     targets: np.ndarray      # (n, support) Gaussian targets
     support: LabelSupport
     loss_mode: str
+
+    @functools.cached_property
+    def log_preds(self) -> np.ndarray:
+        return _floored_log(self.preds)
 
     @functools.cached_property
     def kl(self) -> np.ndarray:
@@ -203,8 +215,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _floored_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, PROB_FLOOR))
+def _floored_log(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.log(np.maximum(p, PROB_FLOOR, out=out), out=out)
 
 
 def _gaussian_targets(label_idx, sigmas, support: LabelSupport):
@@ -306,9 +318,9 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
         dlogits = (preds * (1.0 + (2.0 * MSE_WEIGHT) * err[:, None] * (k - pred_ages[:, None]))
                    - alphas[:, None] * targets)
         dlogits[rows, label_idx] -= 1.0 - alphas
-    return LossTerms(preds=preds, log_preds=_floored_log(preds), pred_ages=pred_ages,
-                     dlogits=dlogits, alphas=alphas, label_idx=label_idx, targets=targets,
-                     support=support, loss_mode=loss_mode)
+    return LossTerms(preds=preds, pred_ages=pred_ages, dlogits=dlogits, alphas=alphas,
+                     label_idx=label_idx, targets=targets, support=support,
+                     loss_mode=loss_mode)
 
 
 def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,

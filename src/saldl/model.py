@@ -1,9 +1,11 @@
 """Small feed-forward classifier over the label support.
 
-Forward passes expose the penultimate embedding alongside the logits;
-backprop is hand-written against the composite-loss gradient from
-``core`` and drives plain SGD. All math is float64 so the finite
-difference checks in the tests can run at tight tolerances.
+Forward passes keep the logits and each layer's activation, from the input
+to the penultimate embedding, and no pre-activation: backprop, hand-written
+against the composite-loss gradient from ``core`` and driving plain SGD,
+reads each activation's derivative from the activation itself. All math is
+float64 so the finite difference checks in the tests can run at tight
+tolerances.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     _expectation,
     _loss_terms,
     _softmax,
+    whole_labels,
 )
 from .errors import (
     EmptyInputError,
@@ -91,40 +94,34 @@ def init_model(layer_dims, activation: str, seed: int,
     return Model(layer_dims=dims, activation=activation, weights=weights, biases=biases)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(h: np.ndarray, kind: str) -> np.ndarray:
+    """The derivative at the pre-activation z, from h = relu(z) or tanh(z)."""
     if kind == "relu":
-        return z > 0.0
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return h > 0.0
+    return 1.0 - h * h
 
 
 def forward_batch(model: Model, features: np.ndarray):
     """Run the network on an (n, input_dim) batch.
 
-    Returns (logits, embeddings, pre_activations, hidden_activations) where
-    ``hidden_activations[0]`` is the input batch itself.
+    Returns (logits, activations): ``activations[0]`` is the input batch
+    itself and ``activations[-1]`` the penultimate embedding.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
             f"features must have shape (n, {model.input_dim}), got {x.shape}"
         )
-    pre, acts = [], [x]
-    h = x
-    n_layers = len(model.weights)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pre.append(z)
-        if i < n_layers - 1:
-            h = _act(z, model.activation)
-            acts.append(h)
-    logits = pre[-1]
-    embeddings = acts[-1]
-    return logits, embeddings, pre, acts
+    acts = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = acts[-1] @ w + b
+        # the activation overwrites its pre-activation
+        if model.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        else:
+            np.tanh(z, out=z)
+        acts.append(z)
+    return acts[-1] @ model.weights[-1] + model.biases[-1], acts
 
 
 def forward(model: Model, features: np.ndarray) -> ForwardTrace:
@@ -132,8 +129,8 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a feature vector, got shape {x.shape}")
-    logits, emb, _, _ = forward_batch(model, x[None, :])
-    return ForwardTrace(logits=logits[0], embedding=emb[0])
+    logits, acts = forward_batch(model, x[None, :])
+    return ForwardTrace(logits=logits[0], embedding=acts[-1][0])
 
 
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
@@ -141,24 +138,10 @@ def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
     """Per-sample age read-out from the output distribution."""
     if prediction_rule not in PREDICTION_RULES:
         raise InvalidParameterError(f"unknown prediction rule {prediction_rule!r}")
-    logits, _, _, _ = forward_batch(model, features)
+    logits, _ = forward_batch(model, features)
     if prediction_rule == "argmax":
         return support.grid[np.argmax(logits, axis=1)]
     return _expectation(_softmax(logits), support)
-
-
-def batch_breakdown(kl, ce, mse, alphas) -> LossBreakdown:
-    """Batch-mean loss record with weight-normalized components.
-
-    Reporting kl as sum(alpha_i kl_i) / sum(alpha_i) (and ce analogously)
-    keeps the recomposition identity exact even when alpha varies across
-    the batch; with a shared alpha it reduces to the plain means.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    kl_rep = float(np.dot(alphas, kl) / alphas.sum())
-    ce_rep = float(np.dot(1.0 - alphas, ce) / (1.0 - alphas).sum())
-    return LossBreakdown.compose(kl_rep, ce_rep, float(np.mean(mse)),
-                                 float(np.mean(alphas)))
 
 
 def stage_target_table(stage_params, partition, support: LabelSupport) -> TargetTable:
@@ -194,7 +177,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         if learning_rate < 0:
             raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
         x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
+        y = whole_labels(labels)  # 3.7 or nan raises rather than being cast
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ShapeError(f"features {x.shape} and labels {y.shape} disagree")
         if x.shape[0] == 0:
@@ -212,7 +195,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     n = x.shape[0]
 
     with np.errstate(invalid="ignore", over="ignore"):
-        logits, _, pre, acts = forward_batch(model, x)
+        logits, acts = forward_batch(model, x)
     terms = _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
 
     delta = terms.dlogits * (learning_rate / n)  # a step on the batch-mean objective
@@ -221,13 +204,14 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
         step_b = delta.sum(axis=0)
         if layer > 0:
             delta = delta @ model.weights[layer].T
-            delta *= _act_grad(pre[layer - 1], model.activation)
+            delta *= _act_grad(acts[layer], model.activation)
         model.weights[layer] -= step_w
         model.biases[layer] -= step_b
 
     if return_stats:
         return model, None, terms
-    return model, batch_breakdown(terms.kl, terms.ce, terms.mse, alphas)
+    return model, LossBreakdown.from_sums(alphas @ terms.kl, (1.0 - alphas) @ terms.ce,
+                                          terms.mse.sum(), alphas.sum(), n)
 
 
 def _encode(arr: np.ndarray) -> str:

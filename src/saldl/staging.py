@@ -100,10 +100,10 @@ def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
     are attached to the nearest cluster interval, ties going to the lower
     stage, which makes the partition total over the support.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    # whole labels inside the support: 3.7 or nan raises rather than being cast
+    labels = support.min_label + support.indices_of(labels)
     if labels.size == 0:
         raise EmptyInputError("cannot cluster an empty label multiset")
-    support.indices_of(labels)
     values, counts = np.unique(labels, return_counts=True)
     m = len(values)
     if k < 1 or k > m:

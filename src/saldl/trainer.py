@@ -8,10 +8,11 @@ per-stage sigma and alpha values are perturbed by a proposal mechanism
 raw parameterizations); proposals only survive if validation improves.
 
 Each epoch's columns, grid indices and per-sample alphas are gathered once
-and every SGD step gets slices of them. The floored log predictions of a
-few hundred rows at a time are added into per-label sums by one
-``np.bincount``, each cell in row order; the epoch's loss record and sigma
-gradients reduce from those sums.
+and every SGD step gets slices of them. The steps' predicted distributions
+are buffered a few hundred rows at a time; each full buffer is floored and
+logged in place and added into per-label sums by one ``np.bincount``, each
+cell in row order. The epoch's loss record and sigma gradients reduce from
+those sums.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import evaluation
 from .artifacts import read_json, write_csv, write_json
-from .core import LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, kl_gradient_sigma, loss_sums
+from .core import (LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, _floored_log,
+                   kl_gradient_sigma, loss_sums)
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -332,8 +334,8 @@ class TrainHistory:
         write_csv(path, header, map(row, self.records))
 
 
-# About this many rows of floored log predictions are buffered between
-# additions into an epoch's per-label sums, one ``np.bincount`` each.
+# About this many rows of predictions are buffered between additions of
+# their floored logs into an epoch's per-label sums, one ``np.bincount`` each.
 _FLUSH_ROWS = 256
 
 
@@ -404,9 +406,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     stage_of_label = partition.stages_of(support.labels())
     epoch_features, epoch_labels = np.empty_like(features), np.empty_like(labels)
     epoch_idx, epoch_alphas, pred_ages = np.empty_like(label_idx), np.empty(n), np.empty(n)
-    # a whole number of batches of floored log predictions between additions
+    # a whole number of batches of predictions between additions
     buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
-    log_pred_rows = np.empty((min(n, buffered), size))
+    pred_rows = np.empty((min(n, buffered), size))
     if sigma_gradient:
         # a stage's labels form one contiguous range of the table's rows
         bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
@@ -451,9 +453,10 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
                 raise TrainingDivergedError(
                     f"non-finite state at epoch {epoch}: {exc}", history=history
                 ) from exc
-            log_pred_rows[start - added:end - added] = stats.log_preds
-            if end - added == len(log_pred_rows) or end == n:
-                _add_label_rows(log_pred_sums, epoch_idx[added:end], log_pred_rows[:end - added])
+            pred_rows[start - added:end - added] = stats.preds
+            if end - added == len(pred_rows) or end == n:
+                rows = pred_rows[:end - added]
+                _add_label_rows(log_pred_sums, epoch_idx[added:end], _floored_log(rows, out=rows))
                 added = end
             pred_ages[batch] = stats.pred_ages
 
@@ -463,8 +466,7 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         if not np.all(np.isfinite(sums)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", history=history)
         wkl, wce, sq_err, alpha_sum, objective = sums
-        epoch_breakdown = LossBreakdown.compose(
-            kl=wkl / alpha_sum, ce=wce / (n - alpha_sum), mse=sq_err / n, alpha=alpha_sum / n)
+        epoch_breakdown = LossBreakdown.from_sums(wkl, wce, sq_err, alpha_sum, n)
         if sigma_gradient:
             grads = np.array([
                 kl_gradient_sigma(support.labels()[lo:hi], label_counts[lo:hi],

@@ -5,10 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saldl.core import (
+    MSE_WEIGHT,
     PROB_FLOOR,
     LabelSupport,
+    LossBreakdown,
     cross_entropy,
     gaussian_label_distribution,
     kl_divergence,
@@ -16,8 +21,9 @@ from saldl.core import (
     saw_loss,
     softmax,
 )
-from saldl.errors import EmptyInputError, InvalidParameterError, ShapeError
+from saldl.errors import EmptyInputError, InvalidLabelError, InvalidParameterError, ShapeError
 from saldl.model import (
+    _act_grad,
     backward_step,
     forward,
     forward_batch,
@@ -167,14 +173,16 @@ class TestBackwardStep:
         # the reference backpropagates dlogits / n and scales each layer's
         # gradient by the learning rate afterwards
         ref = self.model.copy()
-        logits, _, pre, acts = forward_batch(ref, self.X)
+        logits, acts = forward_batch(ref, self.X)
         table = stage_target_table(PARAMS, PART, SUP)
         delta = loss_terms(logits, self.y - SUP.min_label, PARAMS.alphas[PART.stages_of(self.y)],
                            table, mode).dlogits / len(self.y)
         for layer in range(len(ref.weights) - 1, -1, -1):
             grad_w, grad_b = acts[layer].T @ delta, delta.sum(axis=0)
             if layer > 0:
-                delta = (delta @ ref.weights[layer].T) * (1.0 - np.tanh(pre[layer - 1]) ** 2)
+                # this layer's input's own pre-activation, before that layer's update
+                pre = acts[layer - 1] @ ref.weights[layer - 1] + ref.biases[layer - 1]
+                delta = (delta @ ref.weights[layer].T) * (1.0 - np.tanh(pre) ** 2)
             ref.weights[layer] -= lr * grad_w
             ref.biases[layer] -= lr * grad_b
         got = self.model.copy()
@@ -255,6 +263,36 @@ class TestBackwardStep:
                      "targets", "kl", "ce", "mse", "objective"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
 
+    @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
+    def test_breakdown_is_from_sums_of_its_own_stats(self, mode):
+        _, bd = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART, 0.1, SUP,
+                              loss_mode=mode)
+        _, _, stats = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART, 0.1,
+                                    SUP, loss_mode=mode, return_stats=True)
+        a = stats.alphas
+        assert bd == LossBreakdown.from_sums(a @ stats.kl, (1.0 - a) @ stats.ce,
+                                             stats.mse.sum(), a.sum(), len(a))
+        assert bd.total == pytest.approx(bd.alpha_used * bd.kl + (1 - bd.alpha_used) * bd.ce
+                                         + MSE_WEIGHT * bd.mse, rel=1e-12)
+        # CE over n - sum(alpha) rather than sum(1 - alpha): the same value up to rounding
+        assert bd.ce == pytest.approx((1.0 - a) @ stats.ce / (1.0 - a).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [3.7, np.nan])
+    def test_label_that_is_not_a_whole_number_rejected(self, bad):
+        # an int64 cast would train on label 3, or on some label for nan
+        m = self.model.copy()
+        with pytest.raises(InvalidLabelError, match="is not a whole number"):
+            backward_step(m, self.X[:2], [10, bad], PARAMS, PART, 0.1, SUP)
+        with pytest.raises(InvalidLabelError, match="is not a whole number"):
+            backward_step(m, self.X[:1], [bad], PARAMS, PART, 0.1, SUP, return_stats=True)
+        assert m.equals(self.model)
+
+    def test_whole_float_labels_train_as_integers(self):
+        m_int, m_float = self.model.copy(), self.model.copy()
+        _, want = backward_step(m_int, self.X, self.y, PARAMS, PART, 0.1, SUP)
+        _, got = backward_step(m_float, self.X, self.y.astype(float), PARAMS, PART, 0.1, SUP)
+        assert m_float.equals(m_int) and got == want
+
     def test_breakdown_identity_with_mixed_stages(self):
         _, bd = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
                               0.1, SUP)
@@ -315,8 +353,39 @@ class TestCheckpointRoundTrip:
 def test_forward_batch_matches_single():
     m = init_model((5, 9, 101), "relu", 4, SUP)
     X = np.random.default_rng(2).normal(size=(6, 5))
-    logits, emb, _, _ = forward_batch(m, X)
+    logits, acts = forward_batch(m, X)
+    emb = acts[-1]
     for i in range(6):
         tr = forward(m, X[i])
         np.testing.assert_allclose(logits[i], tr.logits, atol=1e-12)
         np.testing.assert_allclose(emb[i], tr.embedding, atol=1e-12)
+
+
+def test_forward_batch_keeps_the_input_and_one_activation_per_hidden_layer():
+    m = init_model((5, 9, 7, 101), "tanh", 4, SUP)
+    X = np.random.default_rng(2).normal(size=(6, 5))
+    logits, acts = forward_batch(m, X)
+    assert [a.shape for a in acts] == [(6, 5), (6, 9), (6, 7)]
+    assert acts[0] is X
+    np.testing.assert_array_equal(acts[1], np.tanh(X @ m.weights[0] + m.biases[0]))
+    np.testing.assert_array_equal(logits, acts[2] @ m.weights[2] + m.biases[2])
+
+
+@pytest.mark.parametrize("kind", ["relu", "tanh"])
+@given(z=arrays(np.float64, st.integers(1, 32),
+                elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(z=np.array([0.0, -0.0, np.nan, -np.nan, 1e300, -1e300, np.inf, -np.inf, 20.0, -20.0,
+                     5e-324, -5e-324]))
+def test_act_grad_from_the_activation_is_the_derivative_at_the_pre_activation(kind, z):
+    """``_act_grad`` of the activation, applied in place as the forward pass
+    does, has the bits of the derivative taken at the pre-activation."""
+    h = z.copy()
+    if kind == "relu":
+        np.maximum(h, 0.0, out=h)
+        want = z > 0.0
+    else:
+        np.tanh(h, out=h)
+        t = np.tanh(z)
+        want = 1.0 - t * t
+    got = _act_grad(h, kind)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

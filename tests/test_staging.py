@@ -136,6 +136,17 @@ class TestKmeans1d:
         with pytest.raises(InvalidLabelError):
             kmeans_1d([1, 200], 1, SUP)
 
+    @pytest.mark.parametrize("bad", [3.7, np.nan])
+    def test_label_that_is_not_a_whole_number_rejected(self, bad):
+        # an int64 cast would cluster 3.7 as 3, and nan as some label
+        with pytest.raises(InvalidLabelError, match="is not a whole number"):
+            kmeans_1d([bad, 3.2, 50.9, 60.1], 2, SUP)
+        with pytest.raises(InvalidLabelError, match="is not a whole number"):
+            kmeans_1d([3, bad, 50, 60], 2, SUP)
+
+    def test_whole_float_labels_cluster_as_integers(self):
+        assert kmeans_1d([3.0, 3.0, 50.0, 60.0], 2, SUP) == kmeans_1d([3, 3, 50, 60], 2, SUP)
+
     def test_deterministic(self):
         labels = [5, 5, 9, 30, 31, 77, 78, 79]
         assert kmeans_1d(labels, 3, SUP).boundaries == kmeans_1d(labels, 3, SUP).boundaries

@@ -577,6 +577,52 @@ def test_label_sums_equal_add_at_reference(monkeypatch, n_per_label, batch_size)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("n_per_label, batch_size", [(3, 32), (12, 8), (4, 40)])
+def test_floored_log_taken_once_per_flush_block_not_per_step(monkeypatch, n_per_label,
+                                                             batch_size):
+    """No SGD step takes a floored log; ``train_sav`` takes one per flush
+    block, in place over the buffered predictions, and a step's
+    ``log_preds``, when read, has the bits of ``_floored_log(preds)``."""
+    events, in_step = [], []
+    floored_log, step = core._floored_log, trainer.backward_step
+
+    def spy_core_log(p, out=None):
+        if in_step:
+            events.append("log in step")
+        return floored_log(p, out)
+
+    def spy_flush_log(p, out=None):
+        events.append(("log", len(p), out is p))
+        return floored_log(p, out)
+
+    def spy_step(*args, **kwargs):
+        in_step.append(True)
+        out = step(*args, **kwargs)
+        in_step.pop()
+        events.append(("step", len(args[2])))
+        stats = out[2]
+        assert stats.log_preds.tobytes() == floored_log(stats.preds).tobytes()
+        return out
+
+    monkeypatch.setattr(core, "_floored_log", spy_core_log)
+    monkeypatch.setattr(trainer, "_floored_log", spy_flush_log)
+    monkeypatch.setattr(trainer, "backward_step", spy_step)
+    tr, va, _ = split(tiny_dataset(n_per_label=n_per_label), (0.7, 0.15, 0.15), seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, learning_rate=0.2, stage_lr=0.3,
+                      adaptation_mode="gradient", sav=True, loss_mode="saw", seed=0)
+    _, _, hist = train_sav(tr, va, PART, small_model(), initial_stage_params(PART.k, cfg), cfg)
+    n = len(tr)
+    block = min(n, batch_size * max(1, trainer._FLUSH_ROWS // batch_size))
+    want, added = [], 0
+    for start in range(0, n, batch_size):
+        end = min(start + batch_size, n)
+        want.append(("step", end - start))
+        if end % block == 0 or end == n:
+            want.append(("log", end - added, True))
+            added = end
+    assert events == want * len(hist)
+
+
 def test_label_sums_identical_across_runs(monkeypatch):
     _, _, first, hist = run_recording_sums(monkeypatch, 12, 32)
     monkeypatch.undo()
