@@ -42,7 +42,7 @@ from .evaluation import (
     anchor_similarity_curve,
     compute_metrics,
 )
-from .model import ACTIVATIONS, Model, forward_batch, init_model, predict_ages
+from .model import ACTIVATIONS, Model, _widths, forward_batch, init_model, predict_ages
 from .staging import (
     PROVENANCES,
     StagePartition,
@@ -208,7 +208,7 @@ class ModelSection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSection":
-        return _section(cls, d, "model", {"hidden_dims": _ints,
+        return _section(cls, d, "model", {"hidden_dims": _widths,
                                           "activation": _one_of(ACTIVATIONS)})
 
 
@@ -263,7 +263,7 @@ class ExperimentConfig:
         for key in train:  # checked one at a time, so an error names its key
             _get(train, "train", key, lambda v: TrainConfig(**{key: v}))
         config = cls(
-            seed=_get(d, "config", "seed", int),
+            seed=_get(d, "config", "seed", lambda v: TrainConfig(seed=int(v)).seed),
             out_dir=_get(d, "config", "out_dir", _exactly(str)),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),

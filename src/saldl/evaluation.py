@@ -126,30 +126,28 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
             f"aggregation must be one of {SIMILARITY_AGGREGATIONS}")
     support = support or LabelSupport()
     emb = np.asarray(embeddings, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if emb.ndim != 2 or emb.shape[0] != lab.shape[0]:
-        raise ShapeError(f"embeddings {emb.shape} and labels {lab.shape} disagree")
+    idx = support.indices_of(labels)
+    if emb.ndim != 2 or emb.shape[0] != idx.shape[0]:
+        raise ShapeError(f"embeddings {emb.shape} and labels {idx.shape} disagree")
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateEmbeddingError("zero-norm embedding has no direction")
     unit = emb / norms[:, None]
 
     anchor_idx = support.index_of(anchor)
-    anchor_mask = lab == anchor
+    anchor_mask = idx == anchor_idx
     if not anchor_mask.any():
         raise InvalidLabelError(f"anchor label {anchor} has no samples")
     a = unit[anchor_mask]
     a_sum = a.sum(axis=0)
 
     # per label: its sample count and the sum of its samples' dots with the anchor sum
-    keep = (lab >= support.min_label) & (lab <= support.max_label)
-    idx, kept = lab[keep] - support.min_label, unit[keep]
     counts = np.bincount(idx, minlength=support.size)
-    dots = np.bincount(idx, weights=kept @ a_sum, minlength=support.size)
+    dots = np.bincount(idx, weights=unit @ a_sum, minlength=support.size)
     if aggregation == "mean_embedding":
         # the cosine of two mean vectors is the cosine of the two sums
         sums = np.zeros((support.size, unit.shape[1]))
-        np.add.at(sums, idx, kept)
+        np.add.at(sums, idx, unit)
         norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(a_sum)
         zero = np.flatnonzero((counts > 0) & (norms == 0.0))
         if zero.size:

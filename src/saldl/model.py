@@ -73,12 +73,20 @@ class ForwardTrace:
     embedding: np.ndarray
 
 
+def _widths(dims) -> tuple[int, ...]:
+    """Layer widths as ints; a width below 1 raises."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise InvalidParameterError(f"layer widths must be positive, got {dims}")
+    return dims
+
+
 def init_model(layer_dims, activation: str, seed: int,
                support: LabelSupport | None = None) -> Model:
     """Deterministic init: fan-in-scaled uniform weights, zero biases."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidParameterError(f"layer_dims must be >= 2 positive widths, got {dims}")
+    dims = _widths(layer_dims)
+    if len(dims) < 2:
+        raise InvalidParameterError(f"layer_dims needs >= 2 widths, got {dims}")
     if support is not None and dims[-1] != support.size:
         raise InvalidParameterError(
             f"final layer width {dims[-1]} must equal support size {support.size}"

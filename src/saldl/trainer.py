@@ -1,18 +1,12 @@
 """Validation-gated training loop with per-stage adaptive spread and weights.
 
-Each epoch trains the classifier by SGD on the configured loss, evaluates
-mean absolute error on the validation split, and snapshots (model, stage
-parameters) whenever that error reaches a new minimum. Between epochs the
-per-stage sigma and alpha values are perturbed by a proposal mechanism
-(deterministic grid coordinate search by default, or gradient steps on the
-raw parameterizations); proposals only survive if validation improves.
-
-Each epoch's columns, grid indices and per-sample alphas are gathered once
-and every SGD step gets slices of them. The steps' predicted distributions
-are buffered a few hundred rows at a time; each full buffer is floored and
-logged in place and added into per-label sums by one ``np.bincount``, each
-cell in row order. The epoch's loss record and sigma gradients reduce from
-those sums.
+Each epoch proposes stage parameters, trains the classifier by SGD on the
+configured loss, evaluates mean absolute error on the validation split, and
+snapshots (model, stage parameters) whenever that error reaches a new
+minimum; a proposal survives only if it does. Proposals follow a
+deterministic walk over sigma and alpha grids, whose every move is a
+function of the proposal's number alone, plus, in gradient mode, a descent
+step on the raw sigmas.
 """
 
 from __future__ import annotations
@@ -175,8 +169,10 @@ class TrainConfig:
     fixed_sigma: float = 2.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise InvalidParameterError("epochs must be >= 0 and batch_size >= 1")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.learning_rate <= 0 or self.stage_lr < 0:
             raise InvalidParameterError("learning_rate must be > 0, stage_lr >= 0")
         if self.adaptation_mode not in ADAPTATION_MODES:
@@ -215,77 +211,55 @@ def initial_stage_params(k: int, config: TrainConfig) -> StageParams:
     return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridState:
-    """Deterministic coordinate-search cursor.
+    """Deterministic coordinate-search walk over the sigma and alpha grids.
 
-    Proposals visit stages round-robin; an active stage alternates between
-    its sigma move and its alpha move, each advancing that stage's own
-    pointer through the grid cyclically. The walk order is independent of
-    which proposals get accepted.
+    Proposal ``step`` moves stage ``step % k`` on that stage's visit
+    ``v = step // k``. When both parameters adapt, even visits move sigma and
+    odd visits alpha, each to grid index ``(v // 2) % len(grid)``; when one
+    adapts, every visit moves it to index ``v % len(grid)``. The walk does not
+    depend on which proposals get accepted.
     """
 
     k: int
     adapt_sigma: bool
     adapt_alpha: bool
-    stage_ptr: int = 0
-    sigma_ptr: list[int] = field(default_factory=list)
-    alpha_ptr: list[int] = field(default_factory=list)
-    next_is_sigma: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.sigma_ptr:
-            self.sigma_ptr = [0] * self.k
-        if not self.alpha_ptr:
-            self.alpha_ptr = [0] * self.k
-        if not self.next_is_sigma:
-            self.next_is_sigma = [True] * self.k
 
 
 def propose_stage_update(params: StageParams, mode: str, *,
                          grid_state: GridState | None = None,
+                         step: int = 0,
                          sigma_grid: tuple[float, ...] = (),
                          alpha_grid: tuple[float, ...] = (),
                          sigma_grads: np.ndarray | None = None,
-                         alpha_grads: np.ndarray | None = None,
                          stage_lr: float = 0.0) -> StageParams:
     """Next candidate stage parameters.
 
-    grid mode advances one (stage, parameter) coordinate per call, mutating
-    ``grid_state``; gradient mode takes one descent step on the raw
-    parameterizations using the supplied accumulated gradients (a missing
-    gradient leaves that parameter untouched).
+    grid mode makes proposal ``step``'s move of the ``grid_state`` walk (a
+    walk with no adaptive parameter returns ``params``); gradient mode takes
+    one descent step on the raw sigmas using the supplied accumulated
+    gradients (without them, ``params`` is returned).
     """
     if mode == "gradient":
-        raw_sigma = params.raw_sigma.copy()
-        raw_alpha = params.raw_alpha.copy()
-        if sigma_grads is not None:
-            raw_sigma -= stage_lr * np.asarray(sigma_grads, dtype=np.float64)
-        if alpha_grads is not None:
-            raw_alpha -= stage_lr * np.asarray(alpha_grads, dtype=np.float64)
-        return StageParams(raw_sigma=raw_sigma, raw_alpha=raw_alpha)
+        if sigma_grads is None:
+            return params
+        return StageParams(raw_sigma=params.raw_sigma
+                           - stage_lr * np.asarray(sigma_grads, dtype=np.float64),
+                           raw_alpha=params.raw_alpha)
     if mode != "grid":
         raise InvalidParameterError(f"adaptation mode must be one of {ADAPTATION_MODES}")
     if grid_state is None:
         raise InvalidParameterError("grid mode needs a GridState")
-
-    st = grid_state
-    if not (st.adapt_sigma or st.adapt_alpha):
+    if not (grid_state.adapt_sigma or grid_state.adapt_alpha):
         return params
-    s = st.stage_ptr
-    use_sigma = st.adapt_sigma and (st.next_is_sigma[s] or not st.adapt_alpha)
+    visit, stage = divmod(step, grid_state.k)
+    use_sigma = grid_state.adapt_sigma
+    if grid_state.adapt_sigma and grid_state.adapt_alpha:
+        use_sigma, visit = visit % 2 == 0, visit // 2
     if use_sigma:
-        candidate = sigma_grid[st.sigma_ptr[s]]
-        st.sigma_ptr[s] = (st.sigma_ptr[s] + 1) % len(sigma_grid)
-        out = params.with_sigma(s, candidate)
-    else:
-        candidate = alpha_grid[st.alpha_ptr[s]]
-        st.alpha_ptr[s] = (st.alpha_ptr[s] + 1) % len(alpha_grid)
-        out = params.with_alpha(s, candidate)
-    if st.adapt_sigma and st.adapt_alpha:
-        st.next_is_sigma[s] = not st.next_is_sigma[s]
-    st.stage_ptr = (s + 1) % st.k
-    return out
+        return params.with_sigma(stage, sigma_grid[visit % len(sigma_grid)])
+    return params.with_alpha(stage, alpha_grid[visit % len(alpha_grid)])
 
 
 @dataclass(frozen=True)
@@ -355,19 +329,116 @@ def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation
     return evaluation.mae(preds, data.labels_array())
 
 
+class _Run:
+    """One ``train_sav`` run: the arrays fixed for the run, the buffers every
+    epoch reuses, and the phases of an epoch."""
+
+    def __init__(self, train: Dataset, partition: StagePartition, config: TrainConfig):
+        self.config, self.partition, self.support = config, partition, train.support
+        self.history, self.rng = TrainHistory(), np.random.default_rng(config.seed)
+        # in gradient mode the grid walk owns only the alpha coordinate
+        self.walk = GridState(k=partition.k, adapt_alpha=config.adapt_alpha,
+                              adapt_sigma=config.adapt_sigma and config.adaptation_mode == "grid")
+        self.features, self.labels = train.features_matrix(), train.labels_array()
+        self.shuffled = np.empty_like(self.features)
+        self.label_idx = self.support.checked_indices(self.labels - self.support.min_label)
+        # every sample is visited once per epoch, so the per-label counts never change
+        self.label_counts = np.bincount(self.label_idx,
+                                        minlength=self.support.size).astype(np.float64)
+        self.stage_of_label = partition.stages_of(self.support.labels())
+        # a whole number of batches of predictions between additions
+        buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
+        self.pred_rows = np.empty((min(len(train), buffered), self.support.size))
+        self.table = self.table_sigmas = None
+
+    def propose(self, accepted: StageParams, epoch: int,
+                sigma_grads: np.ndarray | None) -> StageParams:
+        """The epoch's stage parameters: from epoch 1 on, the walk's move on
+        the accepted ones, then a step along the last sigma gradient, if any."""
+        if epoch == 0:
+            return accepted
+        params = propose_stage_update(
+            accepted, "grid", grid_state=self.walk, step=epoch - 1,
+            sigma_grid=self.config.sigma_grid, alpha_grid=self.config.alpha_grid)
+        return propose_stage_update(params, "gradient", sigma_grads=sigma_grads,
+                                    stage_lr=self.config.stage_lr)
+
+    def sgd_pass(self, model: Model, params: StageParams, epoch: int):
+        """One shuffled pass of SGD steps at ``params``. Returns the model,
+        the per-label sums of the steps' floored log predictions, and the
+        epoch record's loss fields reduced from them: the weight-normalized
+        losses and the per-sample objective."""
+        config, n = self.config, len(self.labels)
+        order = self.rng.permutation(n)
+        features = np.take(self.features, order, axis=0, out=self.shuffled)
+        labels, idx = self.labels[order], self.label_idx[order]
+        alphas = params.alphas[self.stage_of_label][idx]
+        # every stage's sigma is fixed for the epoch, so is each label's target;
+        # the table changes only when a stage sigma does
+        if not np.array_equal(params.sigmas, self.table_sigmas):
+            self.table = stage_target_table(params, self.partition, self.support)
+            self.table_sigmas = params.sigmas
+        log_pred_sums, pred_ages = np.zeros((self.support.size,) * 2), np.empty(n)
+        added = 0  # the epoch's rows already in log_pred_sums
+        for start in range(0, n, config.batch_size):
+            end = min(start + config.batch_size, n)
+            batch = slice(start, end)
+            try:
+                model, _, stats = backward_step(
+                    model, features[batch], labels[batch], params, self.partition,
+                    config.learning_rate, self.support, loss_mode=config.loss_mode,
+                    return_stats=True, table=self.table, checked=(idx[batch], alphas[batch]))
+            except InvalidInputError as exc:
+                raise TrainingDivergedError(f"non-finite state at epoch {epoch}: {exc}",
+                                            history=self.history) from exc
+            self.pred_rows[start - added:end - added] = stats.preds
+            if end - added == len(self.pred_rows) or end == n:
+                rows = self.pred_rows[:end - added]
+                _add_label_rows(log_pred_sums, idx[added:end], _floored_log(rows, out=rows))
+                added = end
+            pred_ages[batch] = stats.pred_ages
+        sq_err = ((pred_ages - self.support.grid[idx]) ** 2).sum()
+        sums = loss_sums(self.label_counts, log_pred_sums, self.table,
+                         params.alphas[self.stage_of_label], sq_err, config.loss_mode)
+        if not np.all(np.isfinite(sums)):
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}",
+                                        history=self.history)
+        wkl, wce, sq_err, alpha_sum, objective = sums
+        bd = LossBreakdown.from_sums(wkl, wce, sq_err, alpha_sum, n)
+        return model, log_pred_sums, dict(
+            objective=objective / n, total=bd.total, kl=bd.kl, ce=bd.ce, mse=bd.mse,
+            alpha_mean=bd.alpha_used)
+
+    def sigma_gradient(self, params: StageParams, log_pred_sums: np.ndarray) -> np.ndarray:
+        """Per-stage gradient of the objective in the raw sigmas, averaged
+        over each stage's samples (0 for a stage with none)."""
+        # a stage's labels form one contiguous range of the table's rows
+        bounds = np.searchsorted(self.stage_of_label, np.arange(self.partition.k + 1))
+        labels, counts = self.support.labels(), self.label_counts
+        grads = np.array([kl_gradient_sigma(labels[lo:hi], counts[lo:hi],
+                                            log_pred_sums[lo:hi], self.table)
+                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+        if self.config.loss_mode == "saw":
+            grads *= params.alphas
+        grads *= sigmoid(params.raw_sigma)
+        stage_counts = np.add.reduceat(counts, bounds[:-1])
+        return np.where(stage_counts > 0, grads / np.maximum(stage_counts, 1), 0.0)
+
+
 def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
               model0: Model, params0: StageParams, config: TrainConfig
               ) -> tuple[Model, StageParams, TrainHistory]:
     """Outer training loop; returns the last validation-accepted snapshot.
 
-    Epoch 0 trains at the initial stage parameters to establish a baseline;
-    later epochs first apply one proposal on top of the accepted parameters,
-    then train, then keep the proposal only if validation L1 reaches a new
-    minimum. The model itself always keeps training forward (only snapshots
-    are gated), mirroring a single continuous SGD trajectory. Batches are
-    slices of the epoch's shuffled columns, checked grid indices and alphas,
-    gathered once; the epoch's loss record reduces once from per-label sums
-    (``loss_sums``).
+    Epoch 0 trains at the initial stage parameters to establish a baseline.
+    Each later epoch runs the same phases: a proposal on top of the accepted
+    parameters (one move of the grid walk, then, in gradient mode, a step
+    along the previous epoch's sigma gradient), an SGD pass, the epoch's loss
+    record and sigma gradient, the validation read-out, and the gate, which
+    keeps the proposal only if validation L1 reaches a new minimum. A sigma
+    gradient measured under a proposal the gate rejects still steps the next
+    proposal. The model itself always keeps training forward (only snapshots
+    are gated), mirroring a single continuous SGD trajectory.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyInputError("train and validation splits must be non-empty")
@@ -375,138 +446,43 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         raise InvalidParameterError(
             f"stage params have {params0.k} stages, partition has {partition.k}"
         )
-    support = train.support
-    history = TrainHistory()
-    if config.epochs == 0:
-        return model0.copy(), params0, history
-
-    rng = np.random.default_rng(config.seed)
-    model = model0.copy()
-    params_accepted = best_params = params0
-    best_model = model0.copy()
-    min_l1 = float("inf")
-    # in gradient mode the grid cursor owns only the alpha coordinate
-    grid_state = GridState(
-        k=partition.k,
-        adapt_sigma=config.adapt_sigma and config.adaptation_mode == "grid",
-        adapt_alpha=config.adapt_alpha)
-    adapting = config.adapt_sigma or config.adapt_alpha
-    last_sigma_grads: np.ndarray | None = None
-
-    features = train.features_matrix()
-    labels = train.labels_array()
-    n, size = len(train), support.size
-    table = table_sigmas = None
-    # The loss record and (gradient-mode sigma arms) dKL/dsigma reduce once
-    # per epoch from per-label sums of floored log predictions. Every sample
-    # is visited once per epoch, so the per-label counts never change.
+    for name, support in (("validation split", val.support), ("partition", partition.support)):
+        if support != train.support:
+            raise InvalidParameterError(
+                f"{name} support {support} differs from train support {train.support}")
+    run = _Run(train, partition, config)
     sigma_gradient = config.adaptation_mode == "gradient" and config.adapt_sigma
-    label_idx = support.checked_indices(labels - support.min_label)
-    label_counts = np.bincount(label_idx, minlength=size).astype(np.float64)
-    stage_of_label = partition.stages_of(support.labels())
-    epoch_features, epoch_labels = np.empty_like(features), np.empty_like(labels)
-    epoch_idx, epoch_alphas, pred_ages = np.empty_like(label_idx), np.empty(n), np.empty(n)
-    # a whole number of batches of predictions between additions
-    buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
-    pred_rows = np.empty((min(n, buffered), size))
-    if sigma_gradient:
-        # a stage's labels form one contiguous range of the table's rows
-        bounds = np.searchsorted(stage_of_label, np.arange(partition.k + 1))
-        stage_counts = np.bincount(stage_of_label, weights=label_counts,
-                                   minlength=partition.k)
+    model, best_model = model0.copy(), model0.copy()
+    params_accepted = best_params = params0
+    min_l1, sigma_grads = float("inf"), None
 
     for epoch in range(config.epochs):
-        params_current = params_accepted
-        if adapting and epoch > 0:
-            params_current = propose_stage_update(
-                params_accepted, "grid", grid_state=grid_state,
-                sigma_grid=config.sigma_grid, alpha_grid=config.alpha_grid)
-            # set in gradient mode only, from the previous epoch
-            if config.adapt_sigma and last_sigma_grads is not None:
-                params_current = propose_stage_update(
-                    params_current, "gradient", sigma_grads=last_sigma_grads,
-                    stage_lr=config.stage_lr)
-
-        order = rng.permutation(n)
-        np.take(features, order, axis=0, out=epoch_features)
-        np.take(labels, order, out=epoch_labels)
-        np.take(label_idx, order, out=epoch_idx)
-        np.take(params_current.alphas[stage_of_label], epoch_idx, out=epoch_alphas)
-        log_pred_sums = np.zeros((size, size))
-        added = 0  # the epoch's rows already in log_pred_sums
-        # every stage's sigma is fixed for the epoch, so is each label's target;
-        # the table changes only when a stage sigma does
-        if table is None or not np.array_equal(params_current.sigmas, table_sigmas):
-            table = stage_target_table(params_current, partition, support)
-            table_sigmas = params_current.sigmas
-
-        for start in range(0, n, config.batch_size):
-            end = min(start + config.batch_size, n)
-            batch = slice(start, end)
-            try:
-                model, _, stats = backward_step(
-                    model, epoch_features[batch], epoch_labels[batch], params_current,
-                    partition, config.learning_rate, support, loss_mode=config.loss_mode,
-                    return_stats=True, table=table,
-                    checked=(epoch_idx[batch], epoch_alphas[batch]))
-            except InvalidInputError as exc:
-                raise TrainingDivergedError(
-                    f"non-finite state at epoch {epoch}: {exc}", history=history
-                ) from exc
-            pred_rows[start - added:end - added] = stats.preds
-            if end - added == len(pred_rows) or end == n:
-                rows = pred_rows[:end - added]
-                _add_label_rows(log_pred_sums, epoch_idx[added:end], _floored_log(rows, out=rows))
-                added = end
-            pred_ages[batch] = stats.pred_ages
-
-        sq_err = ((pred_ages - support.grid[epoch_idx]) ** 2).sum()
-        sums = loss_sums(label_counts, log_pred_sums, table,
-                         params_current.alphas[stage_of_label], sq_err, config.loss_mode)
-        if not np.all(np.isfinite(sums)):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}", history=history)
-        wkl, wce, sq_err, alpha_sum, objective = sums
-        epoch_breakdown = LossBreakdown.from_sums(wkl, wce, sq_err, alpha_sum, n)
+        params = run.propose(params_accepted, epoch, sigma_grads)
+        model, log_pred_sums, losses = run.sgd_pass(model, params, epoch)
         if sigma_gradient:
-            grads = np.array([
-                kl_gradient_sigma(support.labels()[lo:hi], label_counts[lo:hi],
-                                  log_pred_sums[lo:hi], table)
-                for lo, hi in zip(bounds[:-1], bounds[1:])])
-            if config.loss_mode == "saw":
-                grads *= params_current.alphas
-            grads *= sigmoid(params_current.raw_sigma)
-            last_sigma_grads = np.where(stage_counts > 0,
-                                        grads / np.maximum(stage_counts, 1), 0.0)
-
-        val_preds = predict_ages(model, val.features_matrix(), support,
-                                 config.prediction_rule)
-        if not np.all(np.isfinite(val_preds)):
+            sigma_grads = run.sigma_gradient(params, log_pred_sums)
+        l1 = evaluate_l1(model, val, config.prediction_rule)
+        if not np.isfinite(l1):
             raise TrainingDivergedError(
-                f"non-finite validation predictions at epoch {epoch}", history=history)
-        l1 = evaluation.mae(val_preds, val.labels_array())
+                f"non-finite validation predictions at epoch {epoch}", history=run.history)
 
         improved = l1 < min_l1
         if improved:
             min_l1 = l1
             best_model = model.copy()
-            best_params = params_accepted = params_current
-        history.records.append(EpochRecord(
+            best_params = params_accepted = params
+        run.history.records.append(EpochRecord(
             epoch=epoch,
-            objective=objective / n,
-            total=epoch_breakdown.total,
-            kl=epoch_breakdown.kl,
-            ce=epoch_breakdown.ce,
-            mse=epoch_breakdown.mse,
-            alpha_mean=epoch_breakdown.alpha_used,
+            **losses,
             val_l1=l1,
             val_mae=l1,
             snapshot=improved,
             best_val_l1=min_l1,
-            sigmas=tuple(float(v) for v in params_current.sigmas),
-            alphas=tuple(float(v) for v in params_current.alphas),
+            sigmas=tuple(float(v) for v in params.sigmas),
+            alphas=tuple(float(v) for v in params.alphas),
         ))
 
-    return best_model, best_params, history
+    return best_model, best_params, run.history
 
 
 CHECKPOINT_FORMAT = "saldl-checkpoint"

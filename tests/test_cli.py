@@ -112,6 +112,9 @@ class TestConfigValidation:
         ("eval", "similarity_aggregation", "median"),
         ("ablation", "sav", "false"),  # a JSON string, not a boolean
         ("ablation", "saw", "no"),
+        ("train", "epochs", 1.5),  # loaded, then failed after files were written
+        ("train", "batch_size", True),  # trained with batch size 1
+        ("model", "hidden_dims", [0]),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -137,6 +140,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "config.out_dir" in err[0]
         assert not (tmp_path / "5").exists()
+
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "run")
+        doc["seed"] = -1
+        with pytest.raises(InvalidParameterError, match=re.escape("config.seed")):
+            ExperimentConfig.from_dict(doc)
+        assert main(["gen-data", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "config.seed" in err[0]
+        assert not (tmp_path / "run").exists()
 
     def test_out_dir_naming_a_file_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "run"

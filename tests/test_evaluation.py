@@ -205,8 +205,8 @@ class TestAnchorSimilarityCurve:
     def test_equals_per_label_loop(self, n, dim, seed, aggregation):
         rng = np.random.default_rng(seed)
         emb = rng.normal(size=(n, dim))
-        # few distinct labels, so most hold several samples; some lie off the support
-        labels = rng.choice(np.array([-2, 0, 3, 50, 51, 100, 103]), size=n)
+        # few distinct labels, so most hold several samples
+        labels = rng.choice(np.array([0, 3, 50, 51, 100]), size=n)
         anchor = labels[0] = rng.choice([0, 3, 50, 51, 100])
         curve = anchor_similarity_curve(emb, labels, anchor, SUP, aggregation)
         want_values, want_counts = similarity_loop(emb, labels, anchor, SUP, aggregation)
@@ -215,6 +215,15 @@ class TestAnchorSimilarityCurve:
             assert (got is None) == (want is None)
             if want is not None:
                 assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [3.7, 50, -1, np.nan])
+    def test_label_not_on_the_support_rejected(self, bad):
+        # a fraction was truncated, a label off the support dropped, nan a bare ValueError
+        small = LabelSupport(0, 10)
+        emb = np.eye(3)
+        with pytest.raises(InvalidLabelError, match="label"):
+            anchor_similarity_curve(emb, np.array([3, 5, bad]), 3, small)
+        assert anchor_similarity_curve(emb, np.array([3.0, 5.0, 10.0]), 3, small).counts[10] == 1
 
     def test_zero_norm_embedding_rejected(self):
         emb = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from saldl import core, evaluation, trainer
 from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport, loss_terms
-from saldl.data import AmbiguityProfile, generate_synthetic, split
+from saldl.data import AmbiguityProfile, Dataset, generate_synthetic, split
 from saldl.errors import (
     EmptyInputError,
     InvalidParameterError,
@@ -99,8 +99,7 @@ class TestStageParams:
 class TestProposeStageUpdate:
     def test_gradient_zero_grads_identity(self):
         p = StageParams.initial(3)
-        q = propose_stage_update(p, "gradient", sigma_grads=np.zeros(3),
-                                 alpha_grads=np.zeros(3), stage_lr=0.5)
+        q = propose_stage_update(p, "gradient", sigma_grads=np.zeros(3), stage_lr=0.5)
         assert q.equals(p)
 
     def test_gradient_missing_grads_leave_param(self):
@@ -123,8 +122,8 @@ class TestProposeStageUpdate:
         state = GridState(k=2, adapt_sigma=True, adapt_alpha=True)
         p = StageParams.initial(2)
         seen = []
-        for _ in range(8):
-            q = propose_stage_update(p, "grid", grid_state=state,
+        for step in range(8):
+            q = propose_stage_update(p, "grid", grid_state=state, step=step,
                                      sigma_grid=sigma_grid, alpha_grid=alpha_grid)
             ds = np.flatnonzero(~np.isclose(q.sigmas, p.sigmas))
             da = np.flatnonzero(~np.isclose(q.alphas, p.alphas))
@@ -144,14 +143,43 @@ class TestProposeStageUpdate:
     def test_grid_single_value_is_constant(self):
         state = GridState(k=2, adapt_sigma=True, adapt_alpha=False)
         p = StageParams.from_values([2.0, 2.0], [0.5, 0.5])
-        for _ in range(5):
-            q = propose_stage_update(p, "grid", grid_state=state,
+        for step in range(5):
+            q = propose_stage_update(p, "grid", grid_state=state, step=step,
                                      sigma_grid=(2.0,), alpha_grid=(0.5,))
             np.testing.assert_allclose(q.sigmas, p.sigmas, atol=1e-12)
 
     def test_grid_requires_state(self):
         with pytest.raises(InvalidParameterError):
             propose_stage_update(StageParams.initial(2), "grid")
+
+    @given(k=st.integers(1, 5), adapt_sigma=st.booleans(), adapt_alpha=st.booleans(),
+           sigma_grid=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=4),
+           alpha_grid=st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.9]), min_size=1, max_size=4),
+           steps=st.integers(0, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_walk_equals_pointer_cursor(self, k, adapt_sigma, adapt_alpha,
+                                             sigma_grid, alpha_grid, steps):
+        """Proposal ``step`` makes the move the pointer cursor below makes on
+        its ``step``-th call; that cursor is the walk kept in place."""
+        stage, sigma_ptr, alpha_ptr, next_is_sigma = 0, [0] * k, [0] * k, [True] * k
+        walk = GridState(k=k, adapt_sigma=adapt_sigma, adapt_alpha=adapt_alpha)
+        p = StageParams.from_values(np.full(k, 1.3), np.full(k, 0.45))
+        for step in range(steps):
+            want = p
+            if adapt_sigma or adapt_alpha:
+                if adapt_sigma and (next_is_sigma[stage] or not adapt_alpha):
+                    want = p.with_sigma(stage, sigma_grid[sigma_ptr[stage]])
+                    sigma_ptr[stage] = (sigma_ptr[stage] + 1) % len(sigma_grid)
+                else:
+                    want = p.with_alpha(stage, alpha_grid[alpha_ptr[stage]])
+                    alpha_ptr[stage] = (alpha_ptr[stage] + 1) % len(alpha_grid)
+                if adapt_sigma and adapt_alpha:
+                    next_is_sigma[stage] = not next_is_sigma[stage]
+                stage = (stage + 1) % k
+            got = propose_stage_update(p, "grid", grid_state=walk, step=step,
+                                       sigma_grid=tuple(sigma_grid),
+                                       alpha_grid=tuple(alpha_grid))
+            assert got.equals(want)
 
 
 class TestTrainConfig:
@@ -307,6 +335,17 @@ class TestTrainSav:
         with pytest.raises(EmptyInputError):
             train_sav(tr, empty, PART, small_model(),
                       StageParams.initial(PART.k), TrainConfig())
+
+    def test_split_or_partition_on_another_support_rejected(self):
+        # a validation split on 0..120 was scored on the train grid
+        tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
+        wide = LabelSupport(0, 120)
+        va_wide = Dataset(ids=va.ids, labels=va.labels, features=va.features, support=wide)
+        part_wide = StagePartition(boundaries=(0, 50), support=wide, provenance="manual")
+        for val, part in ((va_wide, PART), (va, part_wide)):
+            with pytest.raises(InvalidParameterError, match="max_label=120.*max_label=100"):
+                train_sav(tr, val, part, small_model(), StageParams.initial(PART.k),
+                          TrainConfig(epochs=1))
 
     def test_params_partition_size_mismatch_rejected(self):
         data = tiny_dataset()
@@ -473,6 +512,35 @@ def test_acceptance_arm_bytes_pinned(arm):
     tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
     cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=0.2, stage_lr=0.3,
                       adaptation_mode="gradient", fixed_sigma=2.0, seed=0, **switches)
+    model, params, hist = train_sav(tr, va, PART, small_model(),
+                                    initial_stage_params(PART.k, cfg), cfg)
+    state = b"".join(a.tobytes() for a in (params.raw_sigma, params.raw_alpha,
+                                           *model.weights, *model.biases))
+    assert hashlib.sha256(json.dumps(hist.to_dicts()).encode()).hexdigest() == history_sha
+    assert hashlib.sha256(state).hexdigest() == state_sha
+
+
+# The sav, saw and full arms of GOLDEN_ARMS in grid mode, the default
+# adaptation mode: SHA-256 of the history and of the final state, as above.
+# Recorded before the grid walk became a function of the proposal number,
+# in place of a cursor advanced by each proposal. The saw digests equal the
+# gradient-mode ones: that arm adapts alpha only, on the grid in both modes.
+GRID_ARMS = {
+    "sav": ("49c9d365168691993f7a174e9e430b9cedd17122792db8a88e5d4039acc00ece",
+            "d8328257c4b4a69ff19e79b1e59e21a2724d30a818b64c6725f4cb9dc1bb03d7"),
+    "saw": ("9b379efdd07ea2f062a54082dc597cb7bb48b3ec12df6fb28abb0736b8536848",
+            "bc2825a8d3a4e0c05bb3af024a33258cb5773cd2c79551dc78b60e124047c7b4"),
+    "full": ("283344b24a741075d0fb9935c946aa96147d20e1940871429a39ade3a8349bcb",
+             "db71297e64b54f15748ac722cb8bbdbc6768e4c29c1d5766d68c62d137333bc8"),
+}
+
+
+@pytest.mark.parametrize("arm", GRID_ARMS)
+def test_grid_arm_bytes_pinned(arm):
+    history_sha, state_sha = GRID_ARMS[arm]
+    tr, va, _ = split(tiny_dataset(), (0.7, 0.15, 0.15), seed=0)
+    cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=0.2, stage_lr=0.3,
+                      adaptation_mode="grid", fixed_sigma=2.0, seed=0, **GOLDEN_ARMS[arm][0])
     model, params, hist = train_sav(tr, va, PART, small_model(),
                                     initial_stage_params(PART.k, cfg), cfg)
     state = b"".join(a.tobytes() for a in (params.raw_sigma, params.raw_alpha,
