@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import copy_file, write_csv, write_json
-from .core import LOSS_MODES, LabelSupport
+from .core import LOSS_MODES, LabelSupport, whole_number
 from .data import (
     AmbiguityProfile,
     Dataset,
@@ -41,11 +41,13 @@ from .evaluation import (
     MetricsReport,
     anchor_similarity_curve,
     compute_metrics,
+    cs_threshold,
 )
 from .model import ACTIVATIONS, Model, _widths, forward_batch, init_model, predict_ages
 from .staging import (
     PROVENANCES,
     StagePartition,
+    check_stage_count,
     decade_partition,
     kmeans_1d,
     load_partition,
@@ -91,12 +93,20 @@ def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()
             raise InvalidParameterError(f"{ctx} is missing {key!r}")
 
 
+@contextlib.contextmanager
+def _field(name: str):
+    """A TypeError or ValueError raised inside becomes an
+    InvalidParameterError naming the field ``name``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from None
+
+
 def _get(d: dict, ctx: str, key: str, convert):
     """``convert(d[key])``; a failure is an InvalidParameterError naming ``ctx.key``."""
-    try:
+    with _field(f"{ctx}.{key}"):
         return convert(d[key])
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{ctx}.{key}: {exc}") from None
 
 
 def _section(cls, d: dict, ctx: str, converters: dict, required: tuple[str, ...] = ()):
@@ -106,12 +116,21 @@ def _section(cls, d: dict, ctx: str, converters: dict, required: tuple[str, ...]
     return cls(**{key: _get(d, ctx, key, converters[key]) for key in d})
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _number(value) -> float:
+    """``value`` as a float; true is no number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _each(convert):
+    """A list converter: ``convert`` applied to each value, into a tuple."""
+    return lambda values: tuple(map(convert, values))
+
+
+def _seed(value) -> int:
+    """A whole number that TrainConfig takes as its seed."""
+    return TrainConfig(seed=whole_number(value)).seed
 
 
 def _optional(convert):
@@ -155,15 +174,20 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         return _section(cls, d, "data.synthetic", {
-            "levels": _floats, "boundaries": _ints, "feature_dim": int,
-            "noise_scale": float, "n_per_label": int}, required=("levels", "boundaries"))
+            "levels": _each(_number), "boundaries": _each(whole_number),
+            "feature_dim": whole_number, "noise_scale": _number,
+            "n_per_label": whole_number}, required=("levels", "boundaries"))
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
-        partition = StagePartition(boundaries=self.boundaries, support=support,
-                                   provenance="manual")
-        return AmbiguityProfile(levels=self.levels, partition=partition,
-                                feature_dim=self.feature_dim,
-                                noise_scale=self.noise_scale)
+        """The planted profile; a failing check names the field it reads."""
+        with _field("data.synthetic.boundaries"):
+            partition = StagePartition(self.boundaries, support, "manual")
+        with _field("data.synthetic.levels"):
+            profile = AmbiguityProfile(levels=self.levels, partition=partition)
+        for key in ("feature_dim", "noise_scale"):
+            with _field(f"data.synthetic.{key}"):
+                profile = replace(profile, **{key: getattr(self, key)})
+        return profile
 
 
 @dataclass
@@ -177,7 +201,7 @@ class DataSection:
     @classmethod
     def from_dict(cls, d: dict) -> "DataSection":
         section = _section(cls, d, "data", {
-            "synthetic": lambda v: v or None, "fractions": _floats,
+            "synthetic": lambda v: v or None, "fractions": _each(_number),
             "train_csv": _path, "val_csv": _path, "test_csv": _path})
         if section.synthetic is not None:  # parsed outside _get: it names its own fields
             section.synthetic = SyntheticSpec.from_dict(section.synthetic)
@@ -195,10 +219,22 @@ class PartitionSection:
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionSection":
         section = _section(cls, d, "partition", {
-            "mode": _one_of(PROVENANCES), "k": int, "boundaries": _optional(_ints)})
+            "mode": _one_of(PROVENANCES), "k": whole_number,
+            "boundaries": _optional(_each(whole_number))})
         if section.mode == "manual" and not section.boundaries:
             raise InvalidParameterError("manual partition needs boundaries")
         return section
+
+    def fixed_stages(self, support: LabelSupport) -> StagePartition | None:
+        """The stages that need no data (decade, manual); for kmeans, None
+        once k is checked against the labels the support can take."""
+        if self.mode == "decade":
+            return decade_partition(support)
+        if self.mode == "manual":
+            with _field("partition.boundaries"):
+                return StagePartition(self.boundaries, support, "manual")
+        with _field("partition.k"):
+            check_stage_count(self.k, support.size)
 
 
 @dataclass
@@ -224,8 +260,9 @@ class AblationSection:
     def from_dict(cls, d: dict) -> "AblationSection":
         return _section(cls, d, "ablation", {
             "sav": _exactly(bool), "saw": _exactly(bool),
-            "fixed_sigma": lambda v: TrainConfig(fixed_sigma=float(v)).fixed_sigma,
-            "loss_mode": _optional(_one_of(LOSS_MODES)), "seeds": _optional(_ints)})
+            "fixed_sigma": lambda v: TrainConfig(fixed_sigma=_number(v)).fixed_sigma,
+            "loss_mode": _optional(_one_of(LOSS_MODES)),
+            "seeds": _optional(_each(_seed))})
 
 
 @dataclass
@@ -237,7 +274,8 @@ class EvalSection:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalSection":
         return _section(cls, d, "eval", {
-            "cs_thresholds": _floats, "anchors": _ints,
+            "cs_thresholds": _each(lambda v: cs_threshold(_number(v))),
+            "anchors": _each(whole_number),
             "similarity_aggregation": _one_of(SIMILARITY_AGGREGATIONS)})
 
 
@@ -257,13 +295,13 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
         support = _section(LabelSupport, d.get("support", {}), "support",
-                           {"min_label": int, "max_label": int})
+                           {"min_label": whole_number, "max_label": whole_number})
         train = d.get("train", {})
         _strict(train, TRAIN_KEYS, "train")
         for key in train:  # checked one at a time, so an error names its key
             _get(train, "train", key, lambda v: TrainConfig(**{key: v}))
         config = cls(
-            seed=_get(d, "config", "seed", lambda v: TrainConfig(seed=int(v)).seed),
+            seed=_get(d, "config", "seed", _seed),
             out_dir=_get(d, "config", "out_dir", _exactly(str)),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
@@ -274,6 +312,12 @@ class ExperimentConfig:
             eval=EvalSection.from_dict(d.get("eval", {})),
         )
         config.train_config()  # the train section combined with the ablation switches
+        # the sections' objects on the support, built so that their own checks speak
+        if config.data.synthetic is not None:
+            config.data.synthetic.profile(support)
+        config.partition.fixed_stages(support)
+        with _field("eval.anchors"):
+            support.indices_of(config.eval.anchors)
         return config
 
     def train_config(self) -> TrainConfig:
@@ -297,7 +341,8 @@ def load_config(path, seed_override: int | None = None,
         raise CommandError(f"config {path} is not valid JSON: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:
-        cfg.seed = seed_override
+        with _field("--seed"):
+            cfg.seed = _seed(seed_override)
     if out_override is not None:
         cfg.out_dir = out_override
     return cfg
@@ -322,13 +367,8 @@ def _read_data(config: ExperimentConfig, *names: str) -> list[Dataset]:
 
 
 def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePartition:
-    sect = config.partition
-    if sect.mode == "decade":
-        return decade_partition(config.support)
-    if sect.mode == "manual":
-        return StagePartition(boundaries=sect.boundaries, support=config.support,
-                              provenance="manual")
-    return kmeans_1d(train_data.labels_array(), sect.k, config.support)
+    return (config.partition.fixed_stages(config.support)
+            or kmeans_1d(train_data.labels, config.partition.k, config.support))
 
 
 def _generate_data(config: ExperimentConfig
@@ -410,7 +450,7 @@ def _evaluate(config: ExperimentConfig, test_data: Dataset
     model, partition = _load_model(config, test_data)
     preds = predict_ages(model, test_data.features_matrix(), config.support,
                          config.train_config().prediction_rule)
-    report = compute_metrics(preds, test_data.labels_array(), partition,
+    report = compute_metrics(preds, test_data.labels, partition,
                              config.eval.cs_thresholds)
     json_path, csv_path = out / "metrics.json", out / "metrics.csv"
     report.save_json(json_path)
@@ -470,7 +510,7 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
     _, acts = forward_batch(model, test_data.features_matrix())
     outputs = []
     for anchor in config.eval.anchors:
-        curve = anchor_similarity_curve(acts[-1], test_data.labels_array(),
+        curve = anchor_similarity_curve(acts[-1], test_data.labels,
                                         anchor, config.support,
                                         config.eval.similarity_aggregation)
         path = out / f"similarity_anchor_{anchor}.csv"

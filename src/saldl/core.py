@@ -47,6 +47,15 @@ MSE_WEIGHT = 0.01
 LOSS_MODES = ("kl", "ce", "saw")
 
 
+def whole_number(value) -> int:
+    """``value`` as an int when it is a whole number: 3, 3.0 and "3" pass;
+    1.5, nan and a bool raise rather than being cast."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not float(value).is_integer()):
+        raise InvalidParameterError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def whole_labels(labels, ids=None) -> np.ndarray:
     """``labels`` as an array that holds no fraction and no nan, so an int64
     cast can neither truncate 3.7 to 3 nor turn nan into a label. Integer
@@ -76,9 +85,7 @@ class LabelSupport:
     def __post_init__(self):
         if self.max_label - self.min_label + 1 < 2:
             raise InvalidParameterError(
-                f"label support needs at least 2 labels, got "
-                f"[{self.min_label}, {self.max_label}]"
-            )
+                f"label support needs at least 2 labels, got [{self.min_label}, {self.max_label}]")
 
     @property
     def size(self) -> int:

@@ -74,9 +74,6 @@ class Dataset:
     def features_matrix(self) -> np.ndarray:
         return self.features
 
-    def labels_array(self) -> np.ndarray:
-        return self.labels
-
     def same_as(self, other: "Dataset") -> bool:
         return (self.support == other.support and self.ids == other.ids
                 and np.array_equal(self.labels, other.labels)
@@ -112,6 +109,12 @@ class AmbiguityProfile:
 
 
 def _prototypes(profile: AmbiguityProfile, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm prototype per label, ordered by label.
+
+    Adjacent labels sit 1/level(stage) apart along the curve before the
+    whole arc is rescaled to a fixed span, so raising one stage's level
+    compresses that stage relative to the others.
+    """
     support = profile.partition.support
     stages = profile.partition.stages_of(np.arange(support.min_label, support.max_label))
     steps = 1.0 / np.asarray(profile.levels)[stages]
@@ -120,16 +123,6 @@ def _prototypes(profile: AmbiguityProfile, rng: np.random.Generator) -> np.ndarr
     basis, _ = np.linalg.qr(rng.standard_normal((profile.feature_dim, 2)))
     e1, e2 = basis[:, 0], basis[:, 1]
     return np.cos(t)[:, None] * e1[None, :] + np.sin(t)[:, None] * e2[None, :]
-
-
-def synthetic_prototypes(profile: AmbiguityProfile, seed: int) -> np.ndarray:
-    """Unit-norm prototype per label, ordered by label.
-
-    Adjacent labels sit 1/level(stage) apart along the curve before the
-    whole arc is rescaled to a fixed span, so raising one stage's level
-    compresses that stage relative to the others.
-    """
-    return _prototypes(profile, np.random.default_rng(seed))
 
 
 def generate_synthetic(profile: AmbiguityProfile, n_per_label: int, seed: int) -> Dataset:

@@ -37,11 +37,17 @@ def mae(preds, labels) -> float:
     return float(np.mean(np.abs(preds - labels)))
 
 
+def cs_threshold(threshold: float) -> float:
+    """A cumulative-score threshold: an error bound >= 0."""
+    if threshold < 0:
+        raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
+    return threshold
+
+
 def cumulative_score(preds, labels, threshold: float) -> float:
     """Percentage of samples with absolute error at most ``threshold``
     (inclusive comparison)."""
-    if threshold < 0:
-        raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
+    cs_threshold(threshold)
     preds, labels = _check_pair(preds, labels)
     return float(100.0 * np.mean(np.abs(preds - labels) <= threshold))
 
@@ -101,9 +107,6 @@ class SimilarityCurve:
     values: tuple[float | None, ...]
     counts: tuple[int, ...]
     support: LabelSupport
-
-    def value_at(self, label: int) -> float | None:
-        return self.values[self.support.index_of(label)]
 
     def to_csv(self, path) -> None:
         write_csv(path, ["label", "mean_cos", "count"], (

@@ -23,6 +23,7 @@ from .core import (
     _loss_terms,
     _softmax,
     whole_labels,
+    whole_number,
 )
 from .errors import (
     EmptyInputError,
@@ -74,8 +75,9 @@ class ForwardTrace:
 
 
 def _widths(dims) -> tuple[int, ...]:
-    """Layer widths as ints; a width below 1 raises."""
-    dims = tuple(int(d) for d in dims)
+    """Layer widths as ints; a width that is not a whole number or is below
+    1 raises."""
+    dims = tuple(whole_number(d) for d in dims)
     if any(d < 1 for d in dims):
         raise InvalidParameterError(f"layer widths must be positive, got {dims}")
     return dims
@@ -89,8 +91,7 @@ def init_model(layer_dims, activation: str, seed: int,
         raise InvalidParameterError(f"layer_dims needs >= 2 widths, got {dims}")
     if support is not None and dims[-1] != support.size:
         raise InvalidParameterError(
-            f"final layer width {dims[-1]} must equal support size {support.size}"
-        )
+            f"final layer width {dims[-1]} must equal support size {support.size}")
     if activation not in ACTIVATIONS:
         raise InvalidParameterError(f"activation must be one of {ACTIVATIONS}")
     rng = np.random.default_rng(seed)
@@ -117,9 +118,7 @@ def forward_batch(model: Model, features: np.ndarray):
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"features must have shape (n, {model.input_dim}), got {x.shape}"
-        )
+        raise ShapeError(f"features must have shape (n, {model.input_dim}), got {x.shape}")
     acts = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = acts[-1] @ w + b
@@ -247,8 +246,7 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(d: dict) -> Model:
     if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
         raise InvalidParameterError(
-            f"unsupported model format {d.get('format')!r} v{d.get('version')!r}"
-        )
+            f"unsupported model format {d.get('format')!r} v{d.get('version')!r}")
     dims = tuple(int(v) for v in d["layer_dims"])
     weights = [_decode(blob, (fan_in, fan_out))
                for blob, fan_in, fan_out in zip(d["weights"], dims[:-1], dims[1:])]

@@ -38,14 +38,12 @@ class StagePartition:
             raise InvalidParameterError("partition needs at least one stage")
         if b[0] != self.support.min_label:
             raise InvalidParameterError(
-                f"first stage must start at {self.support.min_label}, got {b[0]}"
-            )
+                f"first stage must start at {self.support.min_label}, got {b[0]}")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise InvalidParameterError(f"boundaries must increase strictly: {b}")
         if b[-1] > self.support.max_label:
             raise InvalidParameterError(
-                f"stage start {b[-1]} beyond support max {self.support.max_label}"
-            )
+                f"stage start {b[-1]} beyond support max {self.support.max_label}")
         if self.provenance not in PROVENANCES:
             raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
 
@@ -68,11 +66,6 @@ class StagePartition:
         """Index of the unique stage containing ``label``."""
         return int(self.stages_of(label))
 
-    def stage_ranges(self) -> list[tuple[int, int]]:
-        """Inclusive (start, end) label range per stage."""
-        ends = list(self.boundaries[1:]) + [self.support.max_label + 1]
-        return [(start, end - 1) for start, end in zip(self.boundaries, ends)]
-
     def to_dict(self) -> dict:
         return {"boundaries": list(self.boundaries), "k": self.k,
                 "provenance": self.provenance}
@@ -91,6 +84,13 @@ def load_partition(path, support: LabelSupport) -> StagePartition:
     return read_json(path, lambda doc: StagePartition.from_dict(doc, support))
 
 
+def check_stage_count(k: int, m: int) -> None:
+    """k-means can cut ``m`` distinct labels into ``k`` stages only if
+    1 <= k <= m."""
+    if k < 1 or k > m:
+        raise InvalidParameterError(f"k must lie in [1, {m}] for {m} distinct labels, got {k}")
+
+
 def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
     """Globally optimal k-means clustering of a 1-D label multiset.
 
@@ -106,10 +106,7 @@ def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
         raise EmptyInputError("cannot cluster an empty label multiset")
     values, counts = np.unique(labels, return_counts=True)
     m = len(values)
-    if k < 1 or k > m:
-        raise InvalidParameterError(
-            f"k must lie in [1, {m}] for {m} distinct labels, got {k}"
-        )
+    check_stage_count(k, m)
 
     v = values.astype(np.float64)
     c = counts.astype(np.float64)
@@ -158,10 +155,5 @@ def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
 def decade_partition(support: LabelSupport) -> StagePartition:
     """Ten-label stages from the support minimum; a short tail merges into
     the final full stage."""
-    n_full = support.size // 10
-    if n_full == 0:
-        starts = [support.min_label]
-    else:
-        starts = [support.min_label + 10 * i for i in range(n_full)]
-    return StagePartition(boundaries=tuple(starts), support=support,
-                          provenance="decade")
+    starts = [support.min_label + 10 * i for i in range(max(1, support.size // 10))]
+    return StagePartition(boundaries=tuple(starts), support=support, provenance="decade")

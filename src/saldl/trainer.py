@@ -3,10 +3,11 @@
 Each epoch proposes stage parameters, trains the classifier by SGD on the
 configured loss, evaluates mean absolute error on the validation split, and
 snapshots (model, stage parameters) whenever that error reaches a new
-minimum; a proposal survives only if it does. Proposals follow a
-deterministic walk over sigma and alpha grids, whose every move is a
-function of the proposal's number alone, plus, in gradient mode, a descent
-step on the raw sigmas.
+minimum; a proposal survives only if it does. A proposal is one pure
+function of the accepted parameters, its number and the last sigma
+gradient: a move of a deterministic walk over the sigma and alpha grids
+(sigma walks in grid mode only), then, in gradient mode, a descent step on
+the raw sigmas.
 """
 
 from __future__ import annotations
@@ -211,55 +212,39 @@ def initial_stage_params(k: int, config: TrainConfig) -> StageParams:
     return params
 
 
-@dataclass(frozen=True)
-class GridState:
-    """Deterministic coordinate-search walk over the sigma and alpha grids.
+def _sigma_by_gradient(config: TrainConfig) -> bool:
+    """Whether sigma adapts by the measured gradient: sigma walks the grid in
+    grid mode only, and is measured and stepped in gradient mode only."""
+    return config.adapt_sigma and config.adaptation_mode == "gradient"
 
-    Proposal ``step`` moves stage ``step % k`` on that stage's visit
-    ``v = step // k``. When both parameters adapt, even visits move sigma and
-    odd visits alpha, each to grid index ``(v // 2) % len(grid)``; when one
-    adapts, every visit moves it to index ``v % len(grid)``. The walk does not
-    depend on which proposals get accepted.
+
+def propose_stage_update(params: StageParams, step: int, sigma_grads: np.ndarray | None,
+                         config: TrainConfig) -> StageParams:
+    """Proposal ``step`` on the accepted ``params``: a move of the grid walk,
+    then a step of ``config.stage_lr`` along ``sigma_grads`` when they are
+    given.
+
+    The walk moves stage ``step % k`` on that stage's visit ``v = step // k``.
+    When sigma and alpha both walk, even visits move sigma and odd visits
+    alpha, each to grid index ``(v // 2) % len(grid)``; when one walks, every
+    visit moves it to index ``v % len(grid)``; when neither does, the walk
+    leaves ``params``. The walk does not depend on which proposals get
+    accepted.
     """
-
-    k: int
-    adapt_sigma: bool
-    adapt_alpha: bool
-
-
-def propose_stage_update(params: StageParams, mode: str, *,
-                         grid_state: GridState | None = None,
-                         step: int = 0,
-                         sigma_grid: tuple[float, ...] = (),
-                         alpha_grid: tuple[float, ...] = (),
-                         sigma_grads: np.ndarray | None = None,
-                         stage_lr: float = 0.0) -> StageParams:
-    """Next candidate stage parameters.
-
-    grid mode makes proposal ``step``'s move of the ``grid_state`` walk (a
-    walk with no adaptive parameter returns ``params``); gradient mode takes
-    one descent step on the raw sigmas using the supplied accumulated
-    gradients (without them, ``params`` is returned).
-    """
-    if mode == "gradient":
-        if sigma_grads is None:
-            return params
-        return StageParams(raw_sigma=params.raw_sigma
-                           - stage_lr * np.asarray(sigma_grads, dtype=np.float64),
-                           raw_alpha=params.raw_alpha)
-    if mode != "grid":
-        raise InvalidParameterError(f"adaptation mode must be one of {ADAPTATION_MODES}")
-    if grid_state is None:
-        raise InvalidParameterError("grid mode needs a GridState")
-    if not (grid_state.adapt_sigma or grid_state.adapt_alpha):
+    move_sigma = config.adapt_sigma and not _sigma_by_gradient(config)
+    if move_sigma or config.adapt_alpha:
+        visit, stage = divmod(step, params.k)
+        if move_sigma and config.adapt_alpha:  # both walk: visits alternate
+            move_sigma, visit = visit % 2 == 0, visit // 2
+        if move_sigma:
+            params = params.with_sigma(stage, config.sigma_grid[visit % len(config.sigma_grid)])
+        else:
+            params = params.with_alpha(stage, config.alpha_grid[visit % len(config.alpha_grid)])
+    if sigma_grads is None:
         return params
-    visit, stage = divmod(step, grid_state.k)
-    use_sigma = grid_state.adapt_sigma
-    if grid_state.adapt_sigma and grid_state.adapt_alpha:
-        use_sigma, visit = visit % 2 == 0, visit // 2
-    if use_sigma:
-        return params.with_sigma(stage, sigma_grid[visit % len(sigma_grid)])
-    return params.with_alpha(stage, alpha_grid[visit % len(alpha_grid)])
+    return StageParams(raw_sigma=params.raw_sigma
+                       - config.stage_lr * np.asarray(sigma_grads, dtype=np.float64),
+                       raw_alpha=params.raw_alpha)
 
 
 @dataclass(frozen=True)
@@ -326,7 +311,7 @@ def evaluate_l1(model: Model, data: Dataset, prediction_rule: str = "expectation
     if len(data) == 0:
         raise EmptyInputError("cannot evaluate on an empty dataset")
     preds = predict_ages(model, data.features_matrix(), data.support, prediction_rule)
-    return evaluation.mae(preds, data.labels_array())
+    return evaluation.mae(preds, data.labels)
 
 
 class _Run:
@@ -336,32 +321,22 @@ class _Run:
     def __init__(self, train: Dataset, partition: StagePartition, config: TrainConfig):
         self.config, self.partition, self.support = config, partition, train.support
         self.history, self.rng = TrainHistory(), np.random.default_rng(config.seed)
-        # in gradient mode the grid walk owns only the alpha coordinate
-        self.walk = GridState(k=partition.k, adapt_alpha=config.adapt_alpha,
-                              adapt_sigma=config.adapt_sigma and config.adaptation_mode == "grid")
-        self.features, self.labels = train.features_matrix(), train.labels_array()
+        self.features, self.labels = train.features_matrix(), train.labels
         self.shuffled = np.empty_like(self.features)
         self.label_idx = self.support.checked_indices(self.labels - self.support.min_label)
         # every sample is visited once per epoch, so the per-label counts never change
         self.label_counts = np.bincount(self.label_idx,
                                         minlength=self.support.size).astype(np.float64)
-        self.stage_of_label = partition.stages_of(self.support.labels())
+        self.support_labels = self.support.labels()
+        self.stage_of_label = partition.stages_of(self.support_labels)
+        # a stage's labels form one contiguous range of the table's rows
+        bounds = np.searchsorted(self.stage_of_label, np.arange(partition.k + 1))
+        self.stage_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.stage_counts = np.add.reduceat(self.label_counts, bounds[:-1])
         # a whole number of batches of predictions between additions
         buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
         self.pred_rows = np.empty((min(len(train), buffered), self.support.size))
         self.table = self.table_sigmas = None
-
-    def propose(self, accepted: StageParams, epoch: int,
-                sigma_grads: np.ndarray | None) -> StageParams:
-        """The epoch's stage parameters: from epoch 1 on, the walk's move on
-        the accepted ones, then a step along the last sigma gradient, if any."""
-        if epoch == 0:
-            return accepted
-        params = propose_stage_update(
-            accepted, "grid", grid_state=self.walk, step=epoch - 1,
-            sigma_grid=self.config.sigma_grid, alpha_grid=self.config.alpha_grid)
-        return propose_stage_update(params, "gradient", sigma_grads=sigma_grads,
-                                    stage_lr=self.config.stage_lr)
 
     def sgd_pass(self, model: Model, params: StageParams, epoch: int):
         """One shuffled pass of SGD steps at ``params``. Returns the model,
@@ -412,17 +387,13 @@ class _Run:
     def sigma_gradient(self, params: StageParams, log_pred_sums: np.ndarray) -> np.ndarray:
         """Per-stage gradient of the objective in the raw sigmas, averaged
         over each stage's samples (0 for a stage with none)."""
-        # a stage's labels form one contiguous range of the table's rows
-        bounds = np.searchsorted(self.stage_of_label, np.arange(self.partition.k + 1))
-        labels, counts = self.support.labels(), self.label_counts
-        grads = np.array([kl_gradient_sigma(labels[lo:hi], counts[lo:hi],
-                                            log_pred_sums[lo:hi], self.table)
-                          for lo, hi in zip(bounds[:-1], bounds[1:])])
+        grads = np.array([kl_gradient_sigma(self.support_labels[rows], self.label_counts[rows],
+                                            log_pred_sums[rows], self.table)
+                          for rows in self.stage_rows])
         if self.config.loss_mode == "saw":
             grads *= params.alphas
         grads *= sigmoid(params.raw_sigma)
-        stage_counts = np.add.reduceat(counts, bounds[:-1])
-        return np.where(stage_counts > 0, grads / np.maximum(stage_counts, 1), 0.0)
+        return np.where(self.stage_counts > 0, grads / np.maximum(self.stage_counts, 1), 0.0)
 
 
 def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
@@ -431,35 +402,35 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
     """Outer training loop; returns the last validation-accepted snapshot.
 
     Epoch 0 trains at the initial stage parameters to establish a baseline.
-    Each later epoch runs the same phases: a proposal on top of the accepted
-    parameters (one move of the grid walk, then, in gradient mode, a step
-    along the previous epoch's sigma gradient), an SGD pass, the epoch's loss
-    record and sigma gradient, the validation read-out, and the gate, which
-    keeps the proposal only if validation L1 reaches a new minimum. A sigma
-    gradient measured under a proposal the gate rejects still steps the next
-    proposal. The model itself always keeps training forward (only snapshots
-    are gated), mirroring a single continuous SGD trajectory.
+    Each later epoch runs the same phases: proposal ``epoch - 1`` on top of
+    the accepted parameters (``propose_stage_update``: one move of the grid
+    walk, then, in gradient mode, a step along the previous epoch's sigma
+    gradient), an SGD pass, the epoch's loss record and sigma gradient, the
+    validation read-out, and the gate, which keeps the proposal only if
+    validation L1 reaches a new minimum. A sigma gradient measured under a
+    proposal the gate rejects still steps the next proposal. The model
+    itself always keeps training forward (only snapshots are gated),
+    mirroring a single continuous SGD trajectory.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyInputError("train and validation splits must be non-empty")
     if params0.k != partition.k:
         raise InvalidParameterError(
-            f"stage params have {params0.k} stages, partition has {partition.k}"
-        )
+            f"stage params have {params0.k} stages, partition has {partition.k}")
     for name, support in (("validation split", val.support), ("partition", partition.support)):
         if support != train.support:
             raise InvalidParameterError(
                 f"{name} support {support} differs from train support {train.support}")
     run = _Run(train, partition, config)
-    sigma_gradient = config.adaptation_mode == "gradient" and config.adapt_sigma
     model, best_model = model0.copy(), model0.copy()
     params_accepted = best_params = params0
     min_l1, sigma_grads = float("inf"), None
 
     for epoch in range(config.epochs):
-        params = run.propose(params_accepted, epoch, sigma_grads)
+        params = (params_accepted if epoch == 0 else
+                  propose_stage_update(params_accepted, epoch - 1, sigma_grads, config))
         model, log_pred_sums, losses = run.sgd_pass(model, params, epoch)
-        if sigma_gradient:
+        if _sigma_by_gradient(config):
             sigma_grads = run.sigma_gradient(params, log_pred_sums)
         l1 = evaluate_l1(model, val, config.prediction_rule)
         if not np.isfinite(l1):
@@ -472,15 +443,9 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
             best_model = model.copy()
             best_params = params_accepted = params
         run.history.records.append(EpochRecord(
-            epoch=epoch,
-            **losses,
-            val_l1=l1,
-            val_mae=l1,
-            snapshot=improved,
-            best_val_l1=min_l1,
-            sigmas=tuple(float(v) for v in params.sigmas),
-            alphas=tuple(float(v) for v in params.alphas),
-        ))
+            epoch=epoch, **losses, val_l1=l1, val_mae=l1, snapshot=improved,
+            best_val_l1=min_l1, sigmas=tuple(float(v) for v in params.sigmas),
+            alphas=tuple(float(v) for v in params.alphas)))
 
     return best_model, best_params, run.history
 

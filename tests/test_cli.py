@@ -115,20 +115,60 @@ class TestConfigValidation:
         ("train", "epochs", 1.5),  # loaded, then failed after files were written
         ("train", "batch_size", True),  # trained with batch size 1
         ("model", "hidden_dims", [0]),
+        # integer fields took int(): fractions were truncated, true read as 1
+        ("config", "seed", 1.5),
+        ("config", "seed", True),
+        ("partition", "k", 2.5),
+        ("data.synthetic", "n_per_label", 12.7),
+        ("data.synthetic", "feature_dim", True),
+        ("data.synthetic", "boundaries", [0, 50.9]),
+        ("eval", "anchors", [10.9]),
+        ("ablation", "seeds", [0.5]),
+        ("support", "max_label", 100.5),
+        ("model", "hidden_dims", [16.5, True]),
+        # float fields read true as 1.0
+        ("ablation", "fixed_sigma", True),
+        ("data", "fractions", [True, 0.15, 0.15]),
+        # loaded, then failed in the command that first built the object
+        ("ablation", "seeds", [-1]),
+        ("partition", "boundaries", [5, 50]),
+        ("partition", "boundaries", [0, 50, 40]),
+        ("data.synthetic", "levels", [8.0]),
+        ("eval", "anchors", [500]),
+        ("eval", "cs_thresholds", [-1]),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
         target = doc
-        for part in section.split("."):
+        for part in section.split(".") if section != "config" else ():
             target = target[part]
         target[key] = value
-        field = f"{section}.{key}"
+        self.assert_rejected_at_load(tmp_path, capsys, doc, f"{section}.{key}")
+
+    @pytest.mark.parametrize("k", [0, 500])
+    def test_kmeans_k_outside_support_names_field(self, tmp_path, capsys, k):
+        doc = base_config(tmp_path / "run")
+        doc["partition"] = {"mode": "kmeans", "k": k}
+        self.assert_rejected_at_load(tmp_path, capsys, doc, "partition.k")
+
+    @staticmethod
+    def assert_rejected_at_load(tmp_path, capsys, doc, field):
         with pytest.raises(InvalidParameterError, match=re.escape(field)):
             ExperimentConfig.from_dict(doc)
         path = write_config(tmp_path, doc)
-        assert main(["gen-data", "--config", str(path)]) == 1
+        for command in ("gen-data", "run-ablation"):
+            assert main([command, "--config", str(path)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "run-ablation"])
+    def test_negative_seed_override_names_flag(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main([command, "--config", str(path), "--seed", "-1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert len(err) == 1 and err[0].startswith("error: --seed:")
+        assert not (tmp_path / "run").exists()
 
     def test_non_string_out_dir_names_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -24,6 +24,7 @@ from saldl.core import (
     saw_gradient_logits,
     saw_loss,
     softmax,
+    whole_number,
 )
 from saldl.errors import (
     InvalidInputError,
@@ -78,6 +79,18 @@ class TestLabelSupport:
         assert SUP.index_of(3.0) == 3
         idx = SUP.indices_of(np.array([3.0, 10.0]))
         assert idx.dtype == np.int64 and idx.tolist() == [3, 10]
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value", [3, 3.0, "3", np.int64(3), np.float32(3.0)])
+    def test_whole_values_convert(self, value):
+        assert whole_number(value) == 3 and type(whole_number(value)) is int
+
+    @pytest.mark.parametrize("value", [1.5, np.float32(1.5), math.nan, math.inf, True,
+                                       np.bool_(False)])
+    def test_fraction_nan_and_bool_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="expected a whole number"):
+            whole_number(value)
 
 
 def gaussian_oracle(y, sigma, support=SUP):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from saldl.data import (
     load_csv,
     save_csv,
     split,
-    synthetic_prototypes,
 )
 from saldl.errors import (
     EmptyInputError,
@@ -38,6 +38,11 @@ PART = StagePartition(boundaries=(0, 50), support=SUP, provenance="manual")
 def profile(levels=(8.0, 1.0), dim=8, noise=0.05):
     return AmbiguityProfile(levels=levels, partition=PART, feature_dim=dim,
                             noise_scale=noise)
+
+
+def prototypes(profile, seed):
+    """Each label's prototype: the one noiseless sample per label."""
+    return generate_synthetic(replace(profile, noise_scale=0.0), 1, seed).features
 
 
 def adjacent_cos(protos, start, end):
@@ -93,7 +98,6 @@ class TestDatasetColumns:
             with pytest.raises(ValueError):
                 column[0] = 0
         assert ds.features_matrix() is ds.features
-        assert ds.labels_array() is ds.labels
 
     def test_empty_split_keeps_width(self):
         ds = Dataset(ids=(), labels=[], features=np.zeros((0, 4)), support=SUP)
@@ -128,14 +132,14 @@ class TestSyntheticGenerator:
         ds = generate_synthetic(profile(), 3, seed=0)
         assert len(ds) == 101 * 3
         assert ds.feature_dim == 8
-        assert sorted(set(ds.labels_array().tolist())) == list(range(101))
+        assert sorted(set(ds.labels.tolist())) == list(range(101))
 
     def test_prototypes_unit_norm(self):
-        protos = synthetic_prototypes(profile(), seed=0)
+        protos = prototypes(profile(), seed=0)
         np.testing.assert_allclose(np.linalg.norm(protos, axis=1), 1.0, atol=1e-12)
 
     def test_extreme_ambiguity_collapses_prototypes(self):
-        protos = synthetic_prototypes(profile(levels=(500.0, 1.0)), seed=0)
+        protos = prototypes(profile(levels=(500.0, 1.0)), seed=0)
         sims = []
         for i in range(0, 50):
             for j in range(i + 1, 51):
@@ -143,7 +147,7 @@ class TestSyntheticGenerator:
         assert np.mean(sims) > 0.99
 
     def test_high_ambiguity_stage_flatter_similarity(self):
-        protos = synthetic_prototypes(profile(levels=(10.0, 0.5)), seed=3)
+        protos = prototypes(profile(levels=(10.0, 0.5)), seed=3)
         high = adjacent_cos(protos, 0, 49)
         low = adjacent_cos(protos, 51, 100)
         assert high > low
@@ -153,8 +157,8 @@ class TestSyntheticGenerator:
     def test_raising_level_does_not_decrease_within_stage_similarity(self, bump):
         base = profile(levels=(4.0, 1.0))
         raised = profile(levels=(4.0 + bump, 1.0))
-        protos_a = synthetic_prototypes(base, seed=5)
-        protos_b = synthetic_prototypes(raised, seed=5)
+        protos_a = prototypes(base, seed=5)
+        protos_b = prototypes(raised, seed=5)
         assert (adjacent_cos(protos_b, 0, 49)
                 >= adjacent_cos(protos_a, 0, 49) - 1e-12)
 
@@ -166,10 +170,12 @@ class TestSyntheticGenerator:
         np.testing.assert_array_equal(generate_synthetic(profile(), 3, seed=4).features, want)
 
     def test_noise_scale_zero_gives_exact_prototypes(self):
-        ds = generate_synthetic(profile(noise=0.0), 2, seed=1)
-        protos = synthetic_prototypes(profile(noise=0.0), seed=1)
-        for features, label in zip(ds.features, ds.labels):
-            np.testing.assert_array_equal(features, protos[label])
+        for levels in ((8.0, 1.0), (500.0, 1.0), (10.0, 0.5)):
+            ds = generate_synthetic(profile(levels, noise=0.0), 2, seed=1)
+            protos = _prototypes(profile(levels), np.random.default_rng(1))
+            for features, label in zip(ds.features, ds.labels):
+                np.testing.assert_array_equal(features, protos[label])
+            np.testing.assert_array_equal(prototypes(profile(levels), seed=1), protos)
 
     def test_invalid_profile_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -373,7 +379,7 @@ class TestSplit:
         ds = Dataset(ids=ids, labels=labels, features=np.zeros((len(ids), 2)),
                      support=SUP)
         tr, va, te = split(ds, (0.5, 0.25, 0.25), seed=seed)
-        train_labels = set(tr.labels_array().tolist())
+        train_labels = set(tr.labels.tolist())
         for lab, c in enumerate(counts):
             if c >= 3:
                 assert lab in train_labels

@@ -28,6 +28,10 @@ SUP = LabelSupport()
 PART = StagePartition(boundaries=(0, 50), support=SUP, provenance="manual")
 
 
+def value_at(curve, label):
+    return curve.values[curve.support.index_of(label)]
+
+
 class TestMae:
     def test_perfect(self):
         assert mae(np.array([1.0, 2.0]), np.array([1, 2])) == 0.0
@@ -145,8 +149,8 @@ class TestAnchorSimilarityCurve:
         labels = np.array([5, 5, 20, 20, 40, 40])
         curve = anchor_similarity_curve(emb, labels, 20, SUP)
         for lab in (5, 20, 40):
-            assert curve.value_at(lab) == pytest.approx(1.0)
-        assert curve.value_at(3) is None
+            assert value_at(curve, lab) == pytest.approx(1.0)
+        assert value_at(curve, 3) is None
 
     def test_orthogonal_per_label(self):
         emb = np.zeros((4, 4))
@@ -155,9 +159,9 @@ class TestAnchorSimilarityCurve:
         emb[3, 2] = 1.0               # label 60
         labels = np.array([10, 10, 30, 60])
         curve = anchor_similarity_curve(emb, labels, 10, SUP)
-        assert curve.value_at(10) == pytest.approx(1.0)
-        assert curve.value_at(30) == pytest.approx(0.0)
-        assert curve.value_at(60) == pytest.approx(0.0)
+        assert value_at(curve, 10) == pytest.approx(1.0)
+        assert value_at(curve, 30) == pytest.approx(0.0)
+        assert value_at(curve, 60) == pytest.approx(0.0)
 
     def test_self_pairs_excluded_with_multiple_samples(self):
         theta = 0.5
@@ -165,13 +169,13 @@ class TestAnchorSimilarityCurve:
         labels = np.array([10, 10])
         curve = anchor_similarity_curve(emb, labels, 10, SUP)
         # with self pairs the mean would be (2 + 2 cos) / 4, not cos
-        assert curve.value_at(10) == pytest.approx(np.cos(theta))
+        assert value_at(curve, 10) == pytest.approx(np.cos(theta))
 
     def test_single_sample_anchor_is_one(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([10, 30])
         curve = anchor_similarity_curve(emb, labels, 10, SUP)
-        assert curve.value_at(10) == pytest.approx(1.0)
+        assert value_at(curve, 10) == pytest.approx(1.0)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(0)
@@ -238,14 +242,14 @@ class TestAnchorSimilarityCurve:
                                        aggregation="mean_embedding")
         # pairwise averages cosines; the mean variant takes the cosine of the
         # averaged unit vectors, which differs on spread sets
-        assert pair.value_at(10) == pytest.approx(0.5)
-        assert mean.value_at(10) == pytest.approx(np.cos(np.pi / 4))
+        assert value_at(pair, 10) == pytest.approx(0.5)
+        assert value_at(mean, 10) == pytest.approx(np.cos(np.pi / 4))
 
     def test_curve_flatter_in_high_ambiguity_stage(self):
         profile = AmbiguityProfile(levels=(12.0, 0.5), partition=PART,
                                    feature_dim=8, noise_scale=0.01)
         ds = generate_synthetic(profile, n_per_label=2, seed=0)
-        curve = anchor_similarity_curve(ds.features_matrix(), ds.labels_array(),
+        curve = anchor_similarity_curve(ds.features_matrix(), ds.labels,
                                         25, SUP)
         vals = np.array([v for v in curve.values if v is not None])
         high_stage = vals[0:50]

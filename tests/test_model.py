@@ -60,6 +60,11 @@ class TestInitModel:
         with pytest.raises(InvalidParameterError):
             init_model((4, 64, 100), "relu", 0, SUP)
 
+    @pytest.mark.parametrize("width", [16.5, True, 0])
+    def test_width_that_is_not_a_positive_whole_number_rejected(self, width):
+        with pytest.raises(InvalidParameterError):
+            init_model((4, width, 101), "relu", 0, SUP)
+
     def test_bad_activation_rejected(self):
         with pytest.raises(InvalidParameterError):
             init_model((4, 101), "sigmoid", 0, SUP)
