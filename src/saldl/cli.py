@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -30,10 +31,12 @@ from .core import LOSS_MODES, LabelSupport, whole_number
 from .data import (
     AmbiguityProfile,
     Dataset,
+    check_fractions,
     generate_synthetic,
     load_csv,
     save_csv,
     split,
+    split_counts,
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
 from .evaluation import (
@@ -117,10 +120,13 @@ def _section(cls, d: dict, ctx: str, converters: dict, required: tuple[str, ...]
 
 
 def _number(value) -> float:
-    """``value`` as a float; true is no number."""
+    """``value`` as a finite float; true, nan and infinity are no numbers."""
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _each(convert):
@@ -189,6 +195,18 @@ class SyntheticSpec:
                 profile = replace(profile, **{key: getattr(self, key)})
         return profile
 
+    def check_split(self, fractions: tuple[float, float, float]) -> None:
+        """Reject an ``n_per_label`` that leaves a split empty: every label
+        has that many samples, so a part that ``split_counts`` gives none of
+        them gets no sample at all."""
+        with _field("data.synthetic.n_per_label"):
+            counts = split_counts(self.n_per_label, fractions)
+            empty = [name for name, count in zip(SPLITS, counts) if count == 0]
+            if empty:
+                raise ValueError(f"{self.n_per_label} samples per label leave the "
+                                 f"{' and '.join(empty)} split empty at fractions "
+                                 f"{list(fractions)}")
+
 
 @dataclass
 class DataSection:
@@ -205,8 +223,8 @@ class DataSection:
             "train_csv": _path, "val_csv": _path, "test_csv": _path})
         if section.synthetic is not None:  # parsed outside _get: it names its own fields
             section.synthetic = SyntheticSpec.from_dict(section.synthetic)
-        if len(section.fractions) != 3:
-            raise InvalidParameterError("data.fractions needs three values")
+        with _field("data.fractions"):
+            check_fractions(section.fractions)
         return section
 
 
@@ -315,6 +333,7 @@ class ExperimentConfig:
         # the sections' objects on the support, built so that their own checks speak
         if config.data.synthetic is not None:
             config.data.synthetic.profile(support)
+            config.data.synthetic.check_split(config.data.fractions)
         config.partition.fixed_stages(support)
         with _field("eval.anchors"):
             support.indices_of(config.eval.anchors)

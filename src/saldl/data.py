@@ -11,6 +11,7 @@ stage spreads them far apart. Samples are prototypes plus isotropic noise.
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -94,12 +95,12 @@ class AmbiguityProfile:
         if len(self.levels) != self.partition.k:
             raise InvalidParameterError(
                 f"{len(self.levels)} ambiguity levels for {self.partition.k} stages")
-        if any(v <= 0 for v in self.levels):
-            raise InvalidParameterError("ambiguity levels must be positive")
+        if not all(0 < v < math.inf for v in self.levels):  # nan fails too
+            raise InvalidParameterError("ambiguity levels must be finite and positive")
         if self.feature_dim < 2:
             raise InvalidParameterError("feature_dim must be at least 2")
-        if self.noise_scale < 0:
-            raise InvalidParameterError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise InvalidParameterError("noise_scale must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels),
@@ -228,49 +229,75 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
     return Dataset(ids=tuple(ids), labels=labels, features=features, support=support)
 
 
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """``fractions`` as three finite, strictly positive floats summing to 1."""
+    if len(fractions) != 3:
+        raise InvalidParameterError("need exactly three split fractions")
+    fr = tuple(float(f) for f in fractions)
+    if not all(0 < f < math.inf for f in fr):  # nan fails too
+        raise InvalidParameterError(f"fractions must be finite and strictly positive: {fr}")
+    if abs(sum(fr) - 1.0) > 1e-9:
+        raise InvalidParameterError(f"fractions must sum to 1: {fr}")
+    return fr
+
+
+def split_counts(group_size: int, fractions) -> tuple[int, int, int]:
+    """How many of one label's ``group_size`` samples go to train, val and
+    test.
+
+    Each part gets the floor of its quota ``group_size * fraction``; the
+    samples left over go one each to the parts with the largest fractional
+    remainder (ties favour train, then val). A label with at least 3
+    samples gets a training sample, taken from val when val is not empty
+    and holds at least as many as test, else from test.
+    """
+    if group_size < 1:
+        raise InvalidParameterError(f"a label needs at least 1 sample, got {group_size}")
+    quotas = [group_size * f for f in check_fractions(fractions)]
+    counts = [math.floor(q) for q in quotas]
+    remainders = [q - c for q, c in zip(quotas, counts)]
+    for _ in range(group_size - sum(counts)):
+        j = remainders.index(max(remainders))  # the first of equal remainders
+        counts[j] += 1
+        remainders[j] = -1.0
+    if group_size >= 3 and counts[0] == 0:
+        donor = 1 if counts[1] >= counts[2] and counts[1] > 0 else 2
+        counts[donor] -= 1
+        counts[0] += 1
+    return counts[0], counts[1], counts[2]
+
+
 def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
           ) -> tuple[Dataset, Dataset, Dataset]:
     """Label-stratified shuffle split into train/val/test.
 
-    Within each label group the floor allocation is topped up by largest
-    fractional remainder (ties favour train, then val); any label with at
-    least 3 samples is guaranteed a training sample.
+    Each label's samples are shuffled, in label order, and allocated by
+    ``split_counts``: the first of the shuffled samples go to train, the
+    next to val, the rest to test. Each part lists its labels in
+    ascending order, each label's samples in their shuffled order. A part
+    may come out empty.
     """
-    if len(fractions) != 3:
-        raise InvalidParameterError("need exactly three split fractions")
-    fr = [float(f) for f in fractions]
-    if any(f <= 0 for f in fr):
-        raise InvalidParameterError(f"fractions must be strictly positive: {fr}")
-    if abs(sum(fr) - 1.0) > 1e-9:
-        raise InvalidParameterError(f"fractions must sum to 1: {fr}")
+    fr = check_fractions(fractions)
     if len(dataset) == 0:
         raise StratificationError("cannot stratify an empty dataset")
 
+    # one stable sort groups the rows by label, each group in row order
+    order = np.argsort(dataset.labels, kind="stable")
+    grouped = dataset.labels[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)])
     rng = np.random.default_rng(seed)
-    parts: tuple[list[np.ndarray], ...] = ([], [], [])
-    for label in np.unique(dataset.labels):
-        idxs = np.flatnonzero(dataset.labels == label)
-        rng.shuffle(idxs)
-        g = len(idxs)
-        quotas = [g * f for f in fr]
-        counts = [int(np.floor(q)) for q in quotas]
-        remainders = [q - c for q, c in zip(quotas, counts)]
-        for _ in range(g - sum(counts)):
-            j = int(np.argmax(remainders))  # argmax ties resolve to train first
-            counts[j] += 1
-            remainders[j] = -1.0
-        if g >= 3 and counts[0] == 0:
-            donor = 1 if counts[1] >= counts[2] and counts[1] > 0 else 2
-            counts[donor] -= 1
-            counts[0] += 1
-        for part, piece in zip(parts, np.split(idxs, np.cumsum(counts[:2]))):
-            part.append(piece)
+    for lo, hi in zip(starts.tolist(), (starts + sizes).tolist()):
+        rng.shuffle(order[lo:hi])
+    distinct, group_kind = np.unique(sizes, return_inverse=True)
+    cuts = np.cumsum([split_counts(g, fr)[:2] for g in distinct.tolist()], axis=1)
+    rank = np.arange(len(order)) - np.repeat(starts, sizes)  # place within its group
+    part = (rank[:, None] >= np.repeat(cuts[group_kind], sizes, axis=0)).sum(axis=1)
 
     ids = np.array(dataset.ids, dtype=object)
 
-    def subset(pieces: list[np.ndarray]) -> Dataset:
-        idx = np.concatenate(pieces)
+    def subset(idx: np.ndarray) -> Dataset:
         return Dataset(ids=tuple(ids[idx]), labels=dataset.labels[idx],
                        features=dataset.features[idx], support=dataset.support)
 
-    return subset(parts[0]), subset(parts[1]), subset(parts[2])
+    return tuple(subset(order[part == p]) for p in range(3))

@@ -39,7 +39,7 @@ def mae(preds, labels) -> float:
 
 def cs_threshold(threshold: float) -> float:
     """A cumulative-score threshold: an error bound >= 0."""
-    if threshold < 0:
+    if not threshold >= 0:  # nan fails too
         raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
     return threshold
 

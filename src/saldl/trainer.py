@@ -13,6 +13,7 @@ the raw sigmas.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -174,8 +175,10 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.learning_rate <= 0 or self.stage_lr < 0:
-            raise InvalidParameterError("learning_rate must be > 0, stage_lr >= 0")
+        # each range check is written so that nan fails it
+        if not (0 < self.learning_rate < math.inf and 0 <= self.stage_lr < math.inf):
+            raise InvalidParameterError("learning_rate must be finite and > 0, "
+                                        "stage_lr finite and >= 0")
         if self.adaptation_mode not in ADAPTATION_MODES:
             raise InvalidParameterError(f"adaptation_mode must be one of {ADAPTATION_MODES}")
         if self.prediction_rule not in PREDICTION_RULES:
@@ -184,12 +187,12 @@ class TrainConfig:
             raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
         self.sigma_grid = tuple(float(v) for v in self.sigma_grid)
         self.alpha_grid = tuple(float(v) for v in self.alpha_grid)
-        if not self.sigma_grid or any(v <= SIGMA_MIN for v in self.sigma_grid):
-            raise InvalidParameterError(f"sigma grid values must exceed {SIGMA_MIN}")
+        if not self.sigma_grid or not all(SIGMA_MIN < v < math.inf for v in self.sigma_grid):
+            raise InvalidParameterError(f"sigma grid values must be finite and exceed {SIGMA_MIN}")
         if not self.alpha_grid or any(not 0 < v < 1 for v in self.alpha_grid):
             raise InvalidParameterError("alpha grid values must lie in (0, 1)")
-        if self.fixed_sigma <= SIGMA_MIN:
-            raise InvalidParameterError(f"fixed_sigma must exceed {SIGMA_MIN}")
+        if not SIGMA_MIN < self.fixed_sigma < math.inf:
+            raise InvalidParameterError(f"fixed_sigma must be finite and exceed {SIGMA_MIN}")
 
     @property
     def adapt_sigma(self) -> bool:

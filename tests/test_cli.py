@@ -2,6 +2,7 @@
 reproducibility of written artifacts."""
 
 import json
+import math
 import re
 from collections import Counter
 
@@ -11,7 +12,7 @@ import pytest
 from saldl import cli
 from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
-from saldl.data import Dataset, load_csv, save_csv
+from saldl.data import Dataset, load_csv, save_csv, split_counts
 from saldl.errors import InvalidParameterError
 from saldl.model import init_model
 from saldl.staging import StagePartition
@@ -136,6 +137,25 @@ class TestConfigValidation:
         ("data.synthetic", "levels", [8.0]),
         ("eval", "anchors", [500]),
         ("eval", "cs_thresholds", [-1]),
+        # nan passed every x <= 0 check
+        ("data", "fractions", [math.nan, 0.5, 0.5]),  # failed in split, naming no field
+        ("train", "learning_rate", math.nan),  # these loaded, and gen-data exited 0
+        ("train", "stage_lr", math.nan),
+        ("ablation", "fixed_sigma", math.nan),
+        ("eval", "cs_thresholds", [math.nan]),
+        ("data.synthetic", "noise_scale", math.nan),  # train.csv written, then not read back
+        ("data.synthetic", "levels", [math.nan, 1]),
+        ("data", "fractions", [math.inf, 0.5, 0.5]),
+        ("train", "sigma_grid", [1.0, math.inf]),
+        ("data.synthetic", "noise_scale", -math.inf),
+        # the split allocation: failed in gen-data after out_dir was made
+        ("data.synthetic", "n_per_label", 0),
+        ("data", "fractions", [0.5, 0.5, 0.5]),
+        ("data", "fractions", [0.85, 0.15, 0.0]),
+        ("data", "fractions", [0.7, 0.3]),
+        # an empty split: gen-data exited 0 with a header-only test.csv
+        ("data.synthetic", "n_per_label", 3),
+        ("data.synthetic", "n_per_label", 4),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -144,6 +164,20 @@ class TestConfigValidation:
             target = target[part]
         target[key] = value
         self.assert_rejected_at_load(tmp_path, capsys, doc, f"{section}.{key}")
+
+    @pytest.mark.parametrize("fractions", [(0.7, 0.15, 0.15), (0.5, 0.25, 0.25),
+                                           (0.05, 0.05, 0.9), (0.8, 0.1, 0.1)])
+    def test_n_per_label_loads_when_every_split_gets_each_label(self, tmp_path, fractions):
+        doc = base_config(tmp_path / "run")
+        doc["data"]["fractions"] = list(fractions)
+        for n in range(1, 25):
+            doc["data"]["synthetic"]["n_per_label"] = n
+            if all(split_counts(n, fractions)):
+                ExperimentConfig.from_dict(doc)
+            else:
+                with pytest.raises(InvalidParameterError,
+                                   match="^data.synthetic.n_per_label: .* split empty"):
+                    ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("k", [0, 500])
     def test_kmeans_k_outside_support_names_field(self, tmp_path, capsys, k):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import math
 import tempfile
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from saldl.data import (
     load_csv,
     save_csv,
     split,
+    split_counts,
 )
 from saldl.errors import (
     EmptyInputError,
@@ -184,6 +186,12 @@ class TestSyntheticGenerator:
             AmbiguityProfile(levels=(0.0, 1.0), partition=PART, feature_dim=8)
         with pytest.raises(InvalidParameterError):
             AmbiguityProfile(levels=(1.0, 1.0), partition=PART, feature_dim=1)
+        for levels in ((math.nan, 1.0), (math.inf, 1.0)):  # nan passed v <= 0
+            with pytest.raises(InvalidParameterError, match="levels"):
+                AmbiguityProfile(levels=levels, partition=PART, feature_dim=8)
+        for noise in (math.nan, math.inf, -1.0):
+            with pytest.raises(InvalidParameterError, match="noise_scale"):
+                AmbiguityProfile(levels=(1.0, 1.0), partition=PART, noise_scale=noise)
         with pytest.raises(InvalidParameterError):
             generate_synthetic(profile(), 0, seed=0)
 
@@ -389,3 +397,105 @@ class TestSplit:
         empty = Dataset(ids=(), labels=[], features=np.zeros((0, 2)), support=SUP)
         with pytest.raises(StratificationError):
             split(empty, (0.7, 0.15, 0.15), seed=0)
+
+
+def reference_split(dataset, fractions, seed):
+    """The per-label loop that ``split`` replaced: one scan of every label
+    per distinct label, the allocation inline, then ``np.split``."""
+    fr = [float(f) for f in fractions]
+    rng = np.random.default_rng(seed)
+    parts = ([], [], [])
+    for label in np.unique(dataset.labels):
+        idxs = np.flatnonzero(dataset.labels == label)
+        rng.shuffle(idxs)
+        g = len(idxs)
+        quotas = [g * f for f in fr]
+        counts = [int(np.floor(q)) for q in quotas]
+        remainders = [q - c for q, c in zip(quotas, counts)]
+        for _ in range(g - sum(counts)):
+            j = int(np.argmax(remainders))
+            counts[j] += 1
+            remainders[j] = -1.0
+        if g >= 3 and counts[0] == 0:
+            donor = 1 if counts[1] >= counts[2] and counts[1] > 0 else 2
+            counts[donor] -= 1
+            counts[0] += 1
+        for part, piece in zip(parts, np.split(idxs, np.cumsum(counts[:2]))):
+            part.append(piece)
+    ids = np.array(dataset.ids, dtype=object)
+    return [(tuple(ids[idx]), dataset.labels[idx], dataset.features[idx])
+            for idx in map(np.concatenate, parts)]
+
+
+FRACTION_TRIPLES = [(0.7, 0.15, 0.15), (0.5, 0.25, 0.25), (0.8, 0.1, 0.1),
+                    (0.05, 0.05, 0.9), (1 / 3, 1 / 3, 1 / 3), (0.6, 0.3, 0.1)]
+
+
+@st.composite
+def weights_as_fractions(draw):
+    weights = draw(st.tuples(*[st.integers(1, 20)] * 3))
+    return tuple(w / sum(weights) for w in weights)
+
+
+class TestSplitMatchesReference:
+    @given(groups=st.dictionaries(st.integers(0, 100), st.integers(1, 12),
+                                  min_size=1, max_size=30),
+           fractions=st.one_of(st.sampled_from(FRACTION_TRIPLES), weights_as_fractions()),
+           row_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    @example(groups={0: 3, 7: 1, 100: 12}, fractions=(0.7, 0.15, 0.15), row_seed=0, seed=11)
+    @example(groups={5: 3, 6: 4}, fractions=(0.05, 0.05, 0.9), row_seed=1, seed=2)
+    def test_same_ids_labels_and_feature_bytes(self, groups, fractions, row_seed, seed):
+        # labels with gaps, rows out of label order
+        labels = np.repeat(list(groups), list(groups.values()))
+        rows = np.random.default_rng(row_seed)
+        labels = labels[rows.permutation(len(labels))]
+        ds = Dataset(ids=tuple(f"r{i}" for i in range(len(labels))), labels=labels,
+                     features=rows.standard_normal((len(labels), 3)), support=SUP)
+        for got, (ids, labs, feats) in zip(split(ds, fractions, seed),
+                                          reference_split(ds, fractions, seed)):
+            assert got.ids == ids
+            assert got.labels.tolist() == labs.tolist()
+            assert got.features.tobytes() == feats.tobytes()
+
+
+class TestSplitCounts:
+    @pytest.mark.parametrize("group_size, counts", [
+        (1, (1, 0, 0)), (2, (2, 0, 0)), (3, (2, 1, 0)), (4, (3, 1, 0)),
+        (5, (3, 1, 1)), (8, (6, 1, 1)), (12, (8, 2, 2)), (20, (14, 3, 3))])
+    def test_counts_at_default_fractions(self, group_size, counts):
+        assert split_counts(group_size, (0.7, 0.15, 0.15)) == counts
+
+    def test_ties_favour_train_then_val(self):
+        assert split_counts(1, (1 / 3, 1 / 3, 1 / 3)) == (1, 0, 0)
+        assert split_counts(2, (1 / 3, 1 / 3, 1 / 3)) == (1, 1, 0)
+
+    def test_three_samples_reach_train_taken_from_val_then_test(self):
+        # before the rule: (0, 0, 3), (0, 2, 2) and (0, 1, 2)
+        assert split_counts(3, (0.05, 0.05, 0.9)) == (1, 0, 2)  # val empty: test gives
+        assert split_counts(4, (0.05, 0.475, 0.475)) == (1, 1, 2)  # as many: val gives
+        assert split_counts(3, (0.1, 0.3, 0.6)) == (1, 1, 1)  # test holds more: test gives
+
+    @given(group_size=st.integers(1, 500),
+           fractions=st.one_of(st.sampled_from(FRACTION_TRIPLES), weights_as_fractions()))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_cover_the_group_within_one_of_each_quota(self, group_size, fractions):
+        counts = split_counts(group_size, fractions)
+        assert sum(counts) == group_size and min(counts) >= 0
+        assert group_size < 3 or counts[0] >= 1
+        for count, f in zip(counts[1:], fractions[1:]):  # train may gain a donor's sample
+            assert abs(count - group_size * f) < 2
+
+    @pytest.mark.parametrize("group_size", [0, -3])
+    def test_empty_group_rejected(self, group_size):
+        with pytest.raises(InvalidParameterError, match="at least 1 sample"):
+            split_counts(group_size, (0.7, 0.15, 0.15))
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5),
+                                           (math.inf, 0.5, 0.5), (0.5, 0.5, 0.5),
+                                           (1.0, 0.0, 0.0), (0.7, 0.3)])
+    def test_bad_fractions_rejected_by_split_and_counts(self, fractions):
+        with pytest.raises(InvalidParameterError, match="fractions"):
+            split_counts(4, fractions)
+        with pytest.raises(InvalidParameterError, match="fractions"):
+            split(uniform_dataset(), fractions, seed=0)

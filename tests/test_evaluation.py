@@ -76,6 +76,11 @@ class TestCumulativeScore:
         with pytest.raises(InvalidParameterError):
             cumulative_score(np.array([1.0]), np.array([1]), -1.0)
 
+    def test_nan_threshold_rejected(self):
+        # nan passed the threshold < 0 check and scored 0 %
+        with pytest.raises(InvalidParameterError, match="threshold"):
+            cumulative_score(np.array([1.0]), np.array([1]), np.nan)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_monotone_in_threshold(self, seed):

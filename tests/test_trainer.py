@@ -220,6 +220,15 @@ class TestTrainConfig:
         with pytest.raises(InvalidParameterError):
             TrainConfig(fixed_sigma=0.1)
 
+    # nan passed every x <= 0 check, and infinity every lower bound
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf), ("stage_lr", np.nan),
+        ("stage_lr", np.inf), ("fixed_sigma", np.nan), ("fixed_sigma", np.inf),
+        ("sigma_grid", (1.0, np.nan)), ("sigma_grid", (np.inf,))])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field.replace("_grid", " grid")):
+            TrainConfig(**{field: value})
+
     def test_ce_mode_disables_sigma_adaptation(self):
         cfg = TrainConfig(loss_mode="ce", sav=True)
         assert not cfg.adapt_sigma
