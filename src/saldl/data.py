@@ -286,12 +286,15 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
     grouped = dataset.labels[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
     sizes = np.diff(np.r_[starts, len(order)])
+    # one label's run at a time, in label order: the order of the draws is
+    # part of what a seed's split is, and tests/test_data.py pins it
     rng = np.random.default_rng(seed)
     for lo, hi in zip(starts.tolist(), (starts + sizes).tolist()):
         rng.shuffle(order[lo:hi])
     distinct, group_kind = np.unique(sizes, return_inverse=True)
     cuts = np.cumsum([split_counts(g, fr)[:2] for g in distinct.tolist()], axis=1)
     rank = np.arange(len(order)) - np.repeat(starts, sizes)  # place within its group
+    # 0 train, 1 val, 2 test
     part = (rank[:, None] >= np.repeat(cuts[group_kind], sizes, axis=0)).sum(axis=1)
 
     ids = np.array(dataset.ids, dtype=object)
