@@ -137,13 +137,15 @@ class TestConfigValidation:
         ("data.synthetic", "levels", [8.0]),
         ("eval", "anchors", [500]),
         ("eval", "cs_thresholds", [-1]),
-        # nan passed every x <= 0 check
-        ("data", "fractions", [math.nan, 0.5, 0.5]),  # failed in split, naming no field
-        ("train", "learning_rate", math.nan),  # these loaded, and gen-data exited 0
+        # nan passed every x <= 0 check: fractions then failed in split and
+        # noise_scale and levels after train.csv was written, naming no field;
+        # the rest loaded, and gen-data exited 0
+        ("data", "fractions", [math.nan, 0.5, 0.5]),
+        ("train", "learning_rate", math.nan),
         ("train", "stage_lr", math.nan),
         ("ablation", "fixed_sigma", math.nan),
         ("eval", "cs_thresholds", [math.nan]),
-        ("data.synthetic", "noise_scale", math.nan),  # train.csv written, then not read back
+        ("data.synthetic", "noise_scale", math.nan),
         ("data.synthetic", "levels", [math.nan, 1]),
         ("data", "fractions", [math.inf, 0.5, 0.5]),
         ("train", "sigma_grid", [1.0, math.inf]),
