@@ -9,15 +9,10 @@ from .core import (
     PROB_FLOOR,
     SIGMA_MIN,
     TargetTable,
-    cross_entropy,
-    expected_age,
     gaussian_label_distribution,
-    kl_divergence,
     kl_gradient_sigma,
-    mse_loss,
     saw_gradient_logits,
     saw_loss,
-    softmax,
 )
 from .data import AmbiguityProfile, Dataset, generate_synthetic, load_csv, save_csv, split
 from .evaluation import (
@@ -46,10 +41,9 @@ __all__ = [
     "StagePartition", "TargetTable", "TrainConfig", "TrainHistory",
     "MSE_WEIGHT", "PROB_FLOOR", "SIGMA_MIN",
     "anchor_similarity_curve", "backward_step", "compute_metrics",
-    "cross_entropy", "cumulative_score", "decade_partition", "evaluate_l1",
-    "expected_age", "forward", "gaussian_label_distribution",
-    "generate_synthetic", "init_model", "kl_divergence", "kl_gradient_sigma",
-    "kmeans_1d", "load_csv", "mae", "mse_loss", "per_stage_mae",
+    "cumulative_score", "decade_partition", "evaluate_l1", "forward",
+    "gaussian_label_distribution", "generate_synthetic", "init_model",
+    "kl_gradient_sigma", "kmeans_1d", "load_csv", "mae", "per_stage_mae",
     "predict_ages", "propose_stage_update", "save_csv", "saw_gradient_logits",
-    "saw_loss", "softmax", "split", "train_sav",
+    "saw_loss", "split", "train_sav",
 ]

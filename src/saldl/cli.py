@@ -377,12 +377,12 @@ def _read_data(config: ExperimentConfig, *names: str) -> list[Dataset]:
     """The named splits, read from the configured CSVs or from ``out_dir``."""
     data, out = config.data, Path(config.out_dir)
     configured = dict(zip(SPLITS, (data.train_csv, data.val_csv, data.test_csv)))
-    paths = {name: Path(p) if p else out / f"{name}.csv" for name, p in configured.items()}
-    for p in paths.values():
+    paths = [Path(configured[name] or out / f"{name}.csv") for name in names]
+    for p in paths:
         if not p.exists():
             raise CommandError(
                 f"dataset file missing: {p} (run gen-data or set data.*_csv)")
-    return [load_csv(paths[name], config.support) for name in names]
+    return [load_csv(p, config.support) for p in paths]
 
 
 def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePartition:

@@ -1,11 +1,11 @@
 """Discrete label distributions and the composite training loss.
 
 Targets are Gaussians evaluated on the integer label grid and renormalized,
-so boundary-truncated targets stay valid distributions. ``loss_terms`` is
+so boundary-truncated targets stay valid distributions. ``_loss_terms`` is
 the one batched kernel: the predictions, their read-outs and the
-objective's fused logit gradient; floored log predictions and per-sample
-loss values are computed when read (``_weigh`` weighs only these). The
-single-sample functions are its n = 1 views. ``loss_sums`` and
+objective's fused logit gradient. ``_sample_losses`` gives each sample's
+KL, CE and squared error, for the single-sample ``saw_loss`` and the
+per-batch loss record of ``backward_step``. ``loss_sums`` and
 ``kl_gradient_sigma`` reduce many samples' per-label sums, which callers
 accumulate in any order (``train_sav`` adds rows in row order);
 ``LossBreakdown.from_sums`` composes the loss record from such sums.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class LossBreakdown:
     def compose(cls, kl: float, ce: float, mse: float, alpha: float) -> "LossBreakdown":
         _check_alpha(alpha)
         return cls(kl=float(kl), ce=float(ce), mse=float(mse),
-                   total=float(_weigh("saw", alpha, kl, ce, mse)), alpha_used=float(alpha))
+                   total=float(alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse),
+                   alpha_used=float(alpha))
 
     @classmethod
     def from_sums(cls, wkl, wce, sq_err, alpha_sum, n) -> "LossBreakdown":
@@ -150,39 +152,12 @@ class LossBreakdown:
         return cls.compose(wkl / alpha_sum, wce / (n - alpha_sum), sq_err / n, alpha_sum / n)
 
 
-@dataclass
-class LossTerms:
-    """``loss_terms`` for n samples; the floored log predictions and the loss
-    values are computed when read."""
+class LossTerms(NamedTuple):
+    """``_loss_terms`` for n samples."""
 
     preds: np.ndarray        # (n, support) predicted distributions
     pred_ages: np.ndarray    # (n,) expectation read-outs
     dlogits: np.ndarray      # (n, support) gradient of the objective w.r.t. the logits
-    alphas: np.ndarray       # (n,) composite weights
-    label_idx: np.ndarray    # (n,) grid indices of the true labels
-    targets: np.ndarray      # (n, support) Gaussian targets
-    support: LabelSupport
-    loss_mode: str
-
-    @functools.cached_property
-    def log_preds(self) -> np.ndarray:
-        return _floored_log(self.preds)
-
-    @functools.cached_property
-    def kl(self) -> np.ndarray:
-        return _kl(self.targets, _floored_log(self.targets), self.log_preds)
-
-    @functools.cached_property
-    def ce(self) -> np.ndarray:
-        return -self.log_preds[np.arange(self.label_idx.size), self.label_idx]
-
-    @functools.cached_property
-    def mse(self) -> np.ndarray:
-        return (self.pred_ages - self.support.grid[self.label_idx]) ** 2
-
-    @functools.cached_property
-    def objective(self) -> np.ndarray:
-        return _weigh(self.loss_mode, self.alphas, self.kl, self.ce, self.mse)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -291,18 +266,19 @@ def _expectation(probs: np.ndarray, support: LabelSupport) -> np.ndarray:
     return probs @ support.grid
 
 
-def _weigh(loss_mode: str, alpha, kl, ce, mse):
-    """The optimized objective from its loss values; ``_loss_terms`` fuses
-    the same weighting into one composite logit gradient."""
-    if loss_mode == "kl":
-        return kl
-    if loss_mode == "ce":
-        return ce
-    return alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse
-
-
 def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
                 support: LabelSupport, loss_mode: str) -> LossTerms:
+    """Predictions, read-outs and the ``loss_mode`` objective's logit
+    gradient for a batch of (n, support) logits.
+
+    Sample i has the true label at checked grid index ``label_idx[i]``, the
+    Gaussian target row ``targets[i]`` and the composite weight
+    ``alphas[i]``. Logit gradients: KL term pred - target, CE term
+    pred - onehot, squared-error term 2 (age_hat - label) * pred_k *
+    (k - age_hat), from the softmax Jacobian applied to the expectation
+    read-out; the composite objective weighs them alpha, 1 - alpha and
+    ``MSE_WEIGHT``.
+    """
     if loss_mode not in LOSS_MODES:
         raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
     z = _check_logits(logits)
@@ -325,24 +301,17 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
         dlogits = (preds * (1.0 + (2.0 * MSE_WEIGHT) * err[:, None] * (k - pred_ages[:, None]))
                    - alphas[:, None] * targets)
         dlogits[rows, label_idx] -= 1.0 - alphas
-    return LossTerms(preds=preds, pred_ages=pred_ages, dlogits=dlogits, alphas=alphas,
-                     label_idx=label_idx, targets=targets, support=support,
-                     loss_mode=loss_mode)
+    return LossTerms(preds, pred_ages, dlogits)
 
 
-def loss_terms(logits: np.ndarray, label_idx: np.ndarray, alphas: np.ndarray,
-               table: TargetTable, loss_mode: str = "saw") -> LossTerms:
-    """Loss terms and logit gradient for a batch of (n, support) logits.
-
-    Sample i has the true label at grid index ``label_idx[i]``, the Gaussian
-    target of that label's row in ``table`` and the composite weight
-    ``alphas[i]``. Logit gradients: KL term pred - target, CE term
-    pred - onehot, squared-error term 2 (age_hat - label) * pred_k *
-    (k - age_hat), from the softmax Jacobian applied to the expectation
-    read-out.
-    """
-    idx = table.support.checked_indices(label_idx)
-    return _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
+def _sample_losses(terms: LossTerms, label_idx: np.ndarray, targets: np.ndarray,
+                   support: LabelSupport):
+    """Each sample's KL, CE and squared error, for the samples ``terms`` was
+    computed on."""
+    log_preds = _floored_log(terms.preds)
+    kl = _kl(targets, _floored_log(targets), log_preds)
+    ce = -log_preds[np.arange(label_idx.size), label_idx]
+    return kl, ce, (terms.pred_ages - support.grid[label_idx]) ** 2
 
 
 def gaussian_label_distribution(label: int, sigma: float,
@@ -358,44 +327,14 @@ def gaussian_label_distribution(label: int, sigma: float,
     return target
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probability vector from logits, with max-subtraction for overflow safety."""
-    return _softmax(_check_logits(logits))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) with the 0 * log(0 / q) = 0 convention and floored logs."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ShapeError(f"distributions differ in shape: {p.shape} vs {q.shape}")
-    return float(_kl(p, _floored_log(p), _floored_log(q)))
-
-
-def cross_entropy(pred: np.ndarray, label: int, support: LabelSupport) -> float:
-    """Negative log-probability of the true label under ``pred`` (one sample)."""
-    idx = support.index_of(label)
-    pred = _check_width(pred, support, "prediction")
-    return float(-_floored_log(pred[idx]))
-
-
-def mse_loss(pred_age: float, label: int) -> float:
-    return float((float(pred_age) - float(label)) ** 2)
-
-
-def expected_age(dist: np.ndarray, support: LabelSupport) -> float:
-    """Expectation read-out: sum of label * probability."""
-    return float(_expectation(_check_width(dist, support, "distribution"), support))
-
-
-def _one_sample(logits, label: int, sigma: float, alpha: float,
-                support: LabelSupport) -> LossTerms:
+def _one_sample(logits, label: int, sigma: float, alpha: float, support: LabelSupport):
+    """``_loss_terms`` of one sample, its grid index and its target row."""
     _check_sigma(sigma)
     _check_alpha(alpha)
     idx = np.array([support.index_of(label)])
     z = _check_width(logits, support, "logits")
     d, _ = _gaussian_targets(idx, np.array([sigma], dtype=np.float64), support)
-    return _loss_terms(z[None, :], idx, d, np.array([alpha]), support, "saw")
+    return _loss_terms(z[None, :], idx, d, np.array([alpha]), support, "saw"), idx, d
 
 
 def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
@@ -405,15 +344,15 @@ def saw_loss(logits: np.ndarray, label: int, sigma: float, alpha: float,
     The KL target is the Gaussian label distribution at ``sigma``; the
     squared-error term uses the differentiable expectation read-out.
     """
-    t = _one_sample(logits, label, sigma, alpha, support)
-    return LossBreakdown.compose(t.kl[0], t.ce[0], t.mse[0], alpha)
+    kl, ce, sq_err = _sample_losses(*_one_sample(logits, label, sigma, alpha, support), support)
+    return LossBreakdown.compose(kl[0], ce[0], sq_err[0], alpha)
 
 
 def saw_gradient_logits(logits: np.ndarray, label: int, sigma: float, alpha: float,
                         support: LabelSupport) -> np.ndarray:
     """Exact gradient of the composite loss w.r.t. each logit (see
-    ``loss_terms`` for the per-term formulas)."""
-    return _one_sample(logits, label, sigma, alpha, support).dlogits[0]
+    ``_loss_terms`` for the per-term formulas)."""
+    return _one_sample(logits, label, sigma, alpha, support)[0].dlogits[0]
 
 
 def kl_gradient_sigma(labels, counts, log_pred_sums, table: TargetTable) -> float:

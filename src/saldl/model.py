@@ -21,6 +21,7 @@ from .core import (
     TargetTable,
     _expectation,
     _loss_terms,
+    _sample_losses,
     _softmax,
     whole_labels,
     whole_number,
@@ -171,8 +172,8 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     ``learning_rate / n``. Returns (model, breakdown): the
     pre-step batch loss with the full composite decomposition, so arms stay
     comparable. With ``return_stats`` it returns (model, None, stats)
-    instead: the pre-step ``LossTerms``, whose loss values cost nothing
-    unless read, for a caller that reduces its own sums.
+    instead: the pre-step ``LossTerms`` (predictions, read-outs and logit
+    gradient), for a caller that reduces its own sums.
 
     ``checked`` is the batch's (grid indices, alphas), for a caller that
     gathers them once per epoch from labels already checked against
@@ -217,8 +218,9 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
 
     if return_stats:
         return model, None, terms
-    return model, LossBreakdown.from_sums(alphas @ terms.kl, (1.0 - alphas) @ terms.ce,
-                                          terms.mse.sum(), alphas.sum(), n)
+    kl, ce, sq_err = _sample_losses(terms, idx, table.target[idx], table.support)
+    return model, LossBreakdown.from_sums(alphas @ kl, (1.0 - alphas) @ ce,
+                                          sq_err.sum(), alphas.sum(), n)
 
 
 def _encode(arr: np.ndarray) -> str:
@@ -247,7 +249,7 @@ def model_from_dict(d: dict) -> Model:
     if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
         raise InvalidParameterError(
             f"unsupported model format {d.get('format')!r} v{d.get('version')!r}")
-    dims = tuple(int(v) for v in d["layer_dims"])
+    dims = tuple(whole_number(v) for v in d["layer_dims"])
     weights = [_decode(blob, (fan_in, fan_out))
                for blob, fan_in, fan_out in zip(d["weights"], dims[:-1], dims[1:])]
     biases = [_decode(blob, (fan_out,)) for blob, fan_out in zip(d["biases"], dims[1:])]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .core import LabelSupport
+from .core import LabelSupport, whole_number
 from .errors import EmptyInputError, InvalidParameterError
 
 PROVENANCES = ("kmeans", "decade", "manual")
@@ -72,7 +72,7 @@ class StagePartition:
 
     @classmethod
     def from_dict(cls, d: dict, support: LabelSupport) -> "StagePartition":
-        return cls(boundaries=tuple(int(b) for b in d["boundaries"]),
+        return cls(boundaries=tuple(whole_number(b) for b in d["boundaries"]),
                    support=support, provenance=str(d["provenance"]))
 
 

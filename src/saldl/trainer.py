@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .artifacts import read_json, write_csv, write_json
 from .core import (LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, _floored_log,
-                   kl_gradient_sigma, loss_sums)
+                   kl_gradient_sigma, loss_sums, whole_number)
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -476,8 +476,8 @@ def load_checkpoint(path) -> tuple[Model, StageParams, StagePartition, LabelSupp
         if doc["format"] != CHECKPOINT_FORMAT or doc["version"] != CHECKPOINT_VERSION:
             raise InvalidParameterError(
                 f"unsupported checkpoint format {doc['format']!r} v{doc['version']!r}")
-        support = LabelSupport(int(doc["support"]["min_label"]),
-                               int(doc["support"]["max_label"]))
+        support = LabelSupport(whole_number(doc["support"]["min_label"]),
+                               whole_number(doc["support"]["max_label"]))
         return (model_from_dict(doc["model"]), StageParams.from_dict(doc["stage_params"]),
                 StagePartition.from_dict(doc["partition"], support), support)
     return read_json(path, build)

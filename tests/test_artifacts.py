@@ -8,7 +8,8 @@ import stat
 import pytest
 
 from saldl import artifacts
-from saldl.artifacts import copy_file, write_csv, write_json
+from saldl.artifacts import copy_file, read_json, write_csv, write_json
+from saldl.errors import ParseError
 
 
 def _old_file(tmp_path, name):
@@ -74,3 +75,10 @@ def test_copy_is_byte_exact(tmp_path):
     src.write_bytes(b"a\r\nb\xff\n")
     copy_file(src, _old_file(tmp_path, "dst.bin"))
     assert (tmp_path / "dst.bin").read_bytes() == b"a\r\nb\xff\n"
+
+
+def test_value_the_builder_rejects_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"n": "x"}')
+    with pytest.raises(ParseError, match=r"doc\.json: invalid literal for int"):
+        read_json(path, lambda doc: int(doc["n"]))

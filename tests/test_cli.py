@@ -383,6 +383,22 @@ class TestTrainCommand:
         assert len(json.loads((out / "checkpoint.json").read_text())
                    ["partition"]["boundaries"]) == 2
 
+    def test_fractional_partition_boundary_names_the_file(self, tmp_path, capsys):
+        # int() would truncate 50.5 to the config's 50 and train on
+        path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
+        for cmd in ("gen-data", "stage"):
+            assert main([cmd, "--config", str(path)]) == 0
+        partition = tmp_path / "run" / "partition.json"
+        doc = json.loads(partition.read_text())
+        doc["boundaries"][1] = 50.5
+        partition.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "partition.json" in err[0]
+        assert json.loads((tmp_path / "run" / "run_meta.json").read_text())["status"] == "partial"
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         doc = base_config(tmp_path / "a")
         path = write_config(tmp_path, doc)
@@ -448,6 +464,50 @@ class TestEvalCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "checkpoint.json" in err[0]
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert (meta["command"], meta["status"]) == ("eval", "partial")
+
+    # each value builds nothing valid: before, eval ended in a NumPy, int() or
+    # stage-parameter message that named no file
+    @pytest.mark.parametrize("keys, change", [
+        (("model", "weights", 0), lambda blob: blob[:8]),
+        (("model", "weights", 0), lambda blob: ""),
+        (("partition", "boundaries", 1), lambda boundary: "x"),
+        (("stage_params", "raw_alpha"), lambda raw: raw[:1]),
+    ], ids=["weight-blob-cut", "weight-blob-empty", "boundary-not-a-number",
+            "one-raw-alpha"])
+    def test_checkpoint_value_that_builds_nothing_names_the_file(self, tmp_path, capsys,
+                                                                 keys, change):
+        path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = change(node[keys[-1]])
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "checkpoint.json" in err[0]
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert (meta["command"], meta["status"]) == ("eval", "partial")
+
+    def test_eval_and_analyze_need_only_the_test_split(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        out = tmp_path / "run"
+        for p in out.iterdir():
+            if p.name not in ("test.csv", "checkpoint.json"):
+                p.unlink()
+        for cmd in ("eval", "analyze"):
+            assert main([cmd, "--config", str(path)]) == 0, cmd
+        capsys.readouterr()
+        assert main(["stage", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dataset file missing")
+        assert str(out / "train.csv") in err[0]
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_checkpoint_support_mismatch_fails_cleanly(self, tmp_path, capsys, command):

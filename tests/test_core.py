@@ -14,16 +14,10 @@ from saldl.core import (
     MSE_WEIGHT,
     SIGMA_MIN,
     TargetTable,
-    cross_entropy,
-    expected_age,
     gaussian_label_distribution,
-    kl_divergence,
     kl_gradient_sigma,
-    loss_terms,
-    mse_loss,
     saw_gradient_logits,
     saw_loss,
-    softmax,
     whole_number,
 )
 from saldl.errors import (
@@ -149,6 +143,43 @@ class TestGaussianLabelDistribution:
         assert d[y - delta] == d[y + delta]
 
 
+def batch_terms(logits, idx, alphas, table, loss_mode="saw"):
+    """The batched kernel on label indices already inside ``table``'s support."""
+    return core._loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
+
+
+def softmax(logits):
+    """The predictions ``_loss_terms`` gives for one logit vector or for each
+    row of a batch, over a support as wide as the logits."""
+    z = np.asarray(logits, dtype=np.float64)
+    rows = np.atleast_2d(z)
+    n, width = rows.shape
+    terms = core._loss_terms(rows, np.zeros(n, dtype=np.int64), np.zeros((n, width)),
+                             np.full(n, 0.5), LabelSupport(0, width - 1), "kl")
+    return terms.preds if z.ndim == 2 else terms.preds[0]
+
+
+def kl_divergence(p, q):
+    """KL(p || q) through ``core._kl``, with floored logs."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    return float(core._kl(p, core._floored_log(p), core._floored_log(q)))
+
+
+def logits_of(pred):
+    """Logits whose softmax is ``pred``; a zero entry gets about 1e-300."""
+    return np.log(np.maximum(pred, 1e-300))
+
+
+def cross_entropy(pred, label):
+    return saw_loss(logits_of(pred), label, 2.0, 0.5, SUP).ce
+
+
+def onehot(label):
+    pred = np.zeros(SUP.size)
+    pred[label] = 1.0
+    return pred
+
+
 class TestSoftmax:
     def test_zero_logits_uniform(self):
         p = softmax(np.zeros(101))
@@ -169,14 +200,12 @@ class TestSoftmax:
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_finite_logits_whose_sum_overflows_accepted(self):
         np.testing.assert_allclose(softmax(np.full(101, 1e307)), 1 / 101, rtol=1e-15)
-        ok = (np.array([1, 2]), np.array([0.5, 0.5]), table_at(2.0))
-        terms = loss_terms(np.full((2, 101), 1e307), *ok)
-        np.testing.assert_allclose(terms.preds, 1 / 101, rtol=1e-15)
+        np.testing.assert_allclose(softmax(np.full((2, 101), 1e307)), 1 / 101, rtol=1e-15)
         for bad in (np.inf, -np.inf, np.nan):
             z = np.full((2, 101), 1e307)
             z[1, 7] = bad
             with pytest.raises(InvalidInputError):
-                loss_terms(z, *ok)
+                softmax(z)
             with pytest.raises(InvalidInputError):
                 softmax(z[1])
         with pytest.raises(InvalidInputError):  # inf + -inf sums to nan
@@ -226,10 +255,6 @@ class TestKlDivergence:
         assert np.isfinite(val)
         assert val > 1.0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            kl_divergence(np.ones(3) / 3, np.ones(4) / 4)
-
     @given(st.integers(0, 2**32 - 1))
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
@@ -248,20 +273,18 @@ class TestKlDivergence:
 
 class TestCrossEntropy:
     def test_onehot_at_truth_is_zero(self):
-        pred = np.zeros(101)
-        pred[30] = 1.0
-        assert cross_entropy(pred, 30, SUP) <= 1e-9
+        assert cross_entropy(onehot(30), 30) <= 1e-9
 
     def test_label_that_is_not_a_finite_whole_number_rejected(self):
         pred = np.full(101, 1 / 101)
         for bad in (3.7, np.nan, -np.inf):
             with pytest.raises(InvalidLabelError):
-                cross_entropy(pred, bad, SUP)
-        assert cross_entropy(pred, 3.0, SUP) == cross_entropy(pred, 3, SUP)
+                cross_entropy(pred, bad)
+        assert cross_entropy(pred, 3.0) == cross_entropy(pred, 3)
 
     def test_uniform_prediction(self):
         pred = np.full(101, 1 / 101)
-        assert abs(cross_entropy(pred, 7, SUP) - math.log(101)) < 1e-12
+        assert abs(cross_entropy(pred, 7) - math.log(101)) < 1e-12
         assert abs(math.log(101) - 4.6151) < 1e-4
 
     def test_batch_mean_is_mean(self):
@@ -270,7 +293,7 @@ class TestCrossEntropy:
 
     def test_label_outside_support(self):
         with pytest.raises(InvalidLabelError):
-            cross_entropy(np.full(101, 1 / 101), -1, SUP)
+            cross_entropy(np.full(101, 1 / 101), -1)
 
     def test_monotone_in_true_label_mass(self):
         # shifting mass onto the true label strictly reduces the loss
@@ -278,24 +301,26 @@ class TestCrossEntropy:
         for mass in (0.2, 0.5, 0.9):
             pred = np.full(101, (1 - mass) / 100)
             pred[40] = mass
-            losses.append(cross_entropy(pred, 40, SUP))
+            losses.append(cross_entropy(pred, 40))
         assert losses[0] > losses[1] > losses[2]
 
 
 class TestMseAndExpectation:
     def test_mse_fixtures(self):
-        assert mse_loss(30.0, 30) == 0.0
-        assert mse_loss(32.0, 30) == 4.0
-        assert np.mean([mse_loss(1.0, 0), mse_loss(3.0, 0)]) == 5.0
+        # a one-hot prediction at k reads out exactly k
+        def mse_loss(k, label):
+            return saw_loss(logits_of(onehot(k)), label, 2.0, 0.5, SUP).mse
+
+        assert mse_loss(30, 30) == 0.0
+        assert mse_loss(32, 30) == 4.0
+        assert np.mean([mse_loss(1, 0), mse_loss(3, 0)]) == 5.0
 
     def test_expected_age_fixtures(self):
-        onehot = np.zeros(101)
-        onehot[30] = 1.0
-        assert expected_age(onehot, SUP) == 30.0
-        assert expected_age(np.full(101, 1 / 101), SUP) == pytest.approx(50.0)
+        assert core._expectation(onehot(30), SUP) == 30.0
+        assert core._expectation(np.full(101, 1 / 101), SUP) == pytest.approx(50.0)
         bimodal = np.zeros(101)
         bimodal[20] = bimodal[40] = 0.5
-        assert expected_age(bimodal, SUP) == pytest.approx(30.0)
+        assert core._expectation(bimodal, SUP) == pytest.approx(30.0)
 
 
 class TestSawLoss:
@@ -350,15 +375,13 @@ class TestSawGradient:
         # the target; the expectation read-out then equals the label (the
         # target is unclipped at 50), so the squared-error part vanishes too.
         np.testing.assert_allclose(pred, target, atol=1e-15)
-        assert abs(expected_age(pred, SUP) - 50.0) < 1e-9
+        assert abs(core._expectation(pred, SUP) - 50.0) < 1e-9
         # With the composite weight pushed to the KL side the full gradient
         # collapses to those two vanished terms.
         g = saw_gradient_logits(z, 50, 2.0, 1.0 - 1e-9, SUP)
         assert np.max(np.abs(g)) < 1e-6
         # The CE part is stationary at its own minimum, the one-hot.
-        onehot = np.zeros(101)
-        onehot[50] = 1.0
-        g_ce = saw_gradient_logits(np.log(onehot + 1e-300), 50, 2.0, 1e-9, SUP)
+        g_ce = saw_gradient_logits(np.log(onehot(50) + 1e-300), 50, 2.0, 1e-9, SUP)
         assert np.max(np.abs(g_ce)) < 1e-6
 
     def test_matches_finite_differences(self):
@@ -502,43 +525,38 @@ class TestLossTerms:
         z = rng.normal(size=(3, 101))
         sigmas = np.full(SUP.size, 2.0)
         sigmas[5], sigmas[95] = 0.8, 3.0
-        args = (np.array([5, 50, 95]), np.array([0.2, 0.5, 0.7]),
-                TargetTable.build(sigmas, SUP), mode)
-        t = loss_terms(z, *args)
+        idx, alphas = np.array([5, 50, 95]), np.array([0.2, 0.5, 0.7])
+        t = batch_terms(z, idx, alphas, TargetTable.build(sigmas, SUP), mode)
+
+        def objective(i, zi):
+            # sample i's objective from the single-sample loss
+            b = saw_loss(zi, idx[i], sigmas[idx[i]], alphas[i], SUP)
+            return {"kl": b.kl, "ce": b.ce, "saw": b.total}[mode]
+
         h = 1e-5
         for i in range(3):
             for k in (0, 5, 49, 50, 95, 100):
-                zp, zm = z.copy(), z.copy()
-                zp[i, k] += h
-                zm[i, k] -= h
-                fd = (loss_terms(zp, *args).objective[i]
-                      - loss_terms(zm, *args).objective[i]) / (2 * h)
+                zp, zm = z[i].copy(), z[i].copy()
+                zp[k] += h
+                zm[k] -= h
+                fd = (objective(i, zp) - objective(i, zm)) / (2 * h)
                 assert abs(t.dlogits[i, k] - fd) <= 1e-6
 
     def test_unknown_mode_and_non_finite_logits_rejected(self):
         ok = (np.array([1]), np.array([0.5]), table_at(2.0))
         with pytest.raises(InvalidParameterError):
-            loss_terms(np.zeros((1, 101)), *ok, loss_mode="mse")
+            batch_terms(np.zeros((1, 101)), *ok, loss_mode="mse")
         with pytest.raises(InvalidInputError):
-            loss_terms(np.full((1, 101), np.nan), *ok)
-
-    # unchecked, NumPy would wrap index -1 to the last label and fail on 101 with IndexError
-    def test_label_index_below_support_rejected(self):
-        with pytest.raises(InvalidLabelError, match="label -1 outside"):
-            loss_terms(np.zeros((2, 101)), np.array([3, -1]), np.full(2, 0.5), table_at(2.0))
-
-    def test_label_index_above_support_rejected(self):
-        with pytest.raises(InvalidLabelError, match="label 101 outside"):
-            loss_terms(np.zeros((2, 101)), np.array([101, 3]), np.full(2, 0.5), table_at(2.0))
+            batch_terms(np.full((1, 101), np.nan), *ok)
 
 
-def _unfused_saw_gradient(terms, table):
+def _unfused_saw_gradient(terms, idx, alphas, table):
     """The composite logit gradient as the weighted sum of its three terms."""
-    p, idx, k = terms.preds, terms.label_idx, SUP.grid
+    p, k, a = terms.preds, SUP.grid, alphas[:, None]
     g_ce = p.copy()
     g_ce[np.arange(idx.size), idx] -= 1.0
     g_mse = 2.0 * (terms.pred_ages - k[idx])[:, None] * p * (k - terms.pred_ages[:, None])
-    return core._weigh("saw", terms.alphas[:, None], p - table.target[idx], g_ce, g_mse)
+    return a * (p - table.target[idx]) + (1.0 - a) * g_ce + MSE_WEIGHT * g_mse
 
 
 @given(labels=st.lists(st.integers(0, 100), min_size=0, max_size=6),
@@ -550,19 +568,23 @@ def test_fused_saw_gradient_equals_weighted_terms(labels, spread, seed):
     z = spread * rng.uniform(-1.0, 1.0, size=(idx.size, SUP.size))
     alphas = rng.uniform(1e-3, 1.0 - 1e-3, size=idx.size)
     table = TargetTable.build(rng.uniform(SIGMA_MIN, 6.0, size=SUP.size), SUP)
-    terms = loss_terms(z, idx, alphas, table, "saw")
-    np.testing.assert_allclose(terms.dlogits, _unfused_saw_gradient(terms, table),
+    terms = batch_terms(z, idx, alphas, table, "saw")
+    np.testing.assert_allclose(terms.dlogits, _unfused_saw_gradient(terms, idx, alphas, table),
                                rtol=1e-12, atol=1e-15)
 
 
-def _bits(terms) -> list[bytes]:
-    return [getattr(terms, name).tobytes() for name in
-            ("preds", "log_preds", "pred_ages", "kl", "ce", "mse", "objective",
-             "dlogits")]
+def _arrays(z, idx, alphas, table, loss_mode="saw") -> list[np.ndarray]:
+    """The kernel's three arrays and each sample's KL, CE and squared error."""
+    terms = batch_terms(z, idx, alphas, table, loss_mode)
+    return [*terms, *core._sample_losses(terms, idx, table.target[idx], table.support)]
+
+
+def _bits(z, idx, alphas, table) -> list[bytes]:
+    return [arr.tobytes() for arr in _arrays(z, idx, alphas, table)]
 
 
 class TestTargetRowMemo:
-    """``loss_terms`` and ``kl_gradient_sigma`` read each label's target row
+    """``_loss_terms`` and ``kl_gradient_sigma`` read each label's target row
     from a ``TargetTable``, the rows built once for one spread per label."""
 
     @given(sigmas=st.lists(st.floats(SIGMA_MIN, 6.0), min_size=1, max_size=4),
@@ -588,7 +610,7 @@ class TestTargetRowMemo:
         preds = softmax(z)
 
         def results(t):
-            return (_bits(loss_terms(z, idx, alphas, t)),
+            return (_bits(z, idx, alphas, t),
                     kl_gradient_sigma(*per_sample(idx, preds), t))
 
         first = results(table)
@@ -610,16 +632,16 @@ class TestTargetRowMemo:
         alphas = np.full(4, 0.3)
         # the KL objective and its gradient are row-wise, so each row must equal
         # its own n = 1 call bit for bit
-        batch = loss_terms(z, idx, alphas, table, "kl")
+        preds, _, dlogits, kl, _, _ = _arrays(z, idx, alphas, table, "kl")
         for i in range(4):
-            alone = loss_terms(z[i:i + 1], idx[i:i + 1], alphas[i:i + 1], table, "kl")
-            for name in ("kl", "dlogits"):
-                assert getattr(batch, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
+            alone = _arrays(z[i:i + 1], idx[i:i + 1], alphas[i:i + 1], table, "kl")
+            assert kl[i].tobytes() == alone[3][0].tobytes()
+            assert dlogits[i].tobytes() == alone[2][0].tobytes()
         # each sample's KL is against its own label's spread
         for i in range(4):
             target = gaussian_oracle(int(idx[i]), float(per_label[idx[i]]))
-            assert batch.kl[i] == pytest.approx(kl_divergence(target, batch.preds[i]),
-                                                rel=1e-12, abs=1e-12)
+            assert kl[i] == pytest.approx(kl_divergence(target, preds[i]),
+                                          rel=1e-12, abs=1e-12)
 
     def test_sigma_gradient_matches_direct_formula_bitwise(self):
         # the formula built per call, with the spread cubed as a Python float
@@ -643,14 +665,12 @@ class TestTargetRowMemo:
                 arr[0, 0] = 7.0
         args = (np.array([3, 40, 40]), np.full(3, 0.5), table)
         z = np.linspace(-1.0, 1.0, 3 * SUP.size).reshape(3, SUP.size)
-        first = _bits(loss_terms(z, *args))
-        t = loss_terms(z, *args)
-        for name in ("preds", "log_preds", "kl", "ce", "mse", "objective", "dlogits"):
-            arr = getattr(t, name)
+        first = _bits(z, *args)
+        for arr in _arrays(z, *args):
             assert not any(np.shares_memory(arr, row)
                            for row in (table.target, table.log_target, table.dsigma))
             arr[...] = 7.0
-        assert _bits(loss_terms(z, *args)) == first
+        assert _bits(z, *args) == first
         dist = gaussian_label_distribution(40, 1.5, SUP)
         before = dist.copy()
         dist[:] = 0.0

@@ -11,15 +11,12 @@ from hypothesis.extra.numpy import arrays
 
 from saldl.core import (
     MSE_WEIGHT,
-    PROB_FLOOR,
     LabelSupport,
     LossBreakdown,
-    cross_entropy,
-    gaussian_label_distribution,
-    kl_divergence,
-    loss_terms,
+    LossTerms,
+    _loss_terms,
+    _sample_losses,
     saw_loss,
-    softmax,
 )
 from saldl.errors import EmptyInputError, InvalidLabelError, InvalidParameterError, ShapeError
 from saldl.model import (
@@ -113,6 +110,13 @@ class TestForward:
             forward(m, np.zeros(5))
 
 
+def sample_losses(stats, y):
+    """Each sample's KL, CE and squared error from a step's ``LossTerms`` on
+    labels ``y`` at PARAMS."""
+    idx = y - SUP.min_label
+    return _sample_losses(stats, idx, stage_target_table(PARAMS, PART, SUP).target[idx], SUP)
+
+
 def batch_saw_loss(model, X, y):
     """Independent loss path: per-sample composite loss via the public
     single-sample operations, averaged."""
@@ -180,8 +184,9 @@ class TestBackwardStep:
         ref = self.model.copy()
         logits, acts = forward_batch(ref, self.X)
         table = stage_target_table(PARAMS, PART, SUP)
-        delta = loss_terms(logits, self.y - SUP.min_label, PARAMS.alphas[PART.stages_of(self.y)],
-                           table, mode).dlogits / len(self.y)
+        idx = self.y - SUP.min_label
+        delta = _loss_terms(logits, idx, table.target[idx], PARAMS.alphas[PART.stages_of(self.y)],
+                            SUP, mode).dlogits / len(self.y)
         for layer in range(len(ref.weights) - 1, -1, -1):
             grad_w, grad_b = acts[layer].T @ delta, delta.sum(axis=0)
             if layer > 0:
@@ -227,20 +232,16 @@ class TestBackwardStep:
     def test_stats_objective_is_per_sample_objective(self, mode):
         _, _, stats = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART,
                                     0.1, SUP, loss_mode=mode, return_stats=True)
-        np.testing.assert_array_equal(stats.log_preds,
-                                      np.log(np.maximum(stats.preds, PROB_FLOOR)))
+        kl, ce, sq_err = sample_losses(stats, self.y)
         for i, y in enumerate(self.y):
             s = PART.stage_of(int(y))
             logits = forward(self.model, self.X[i]).logits
             sigma, alpha = PARAMS.sigmas[s], PARAMS.alphas[s]
-            if mode == "kl":
-                target = gaussian_label_distribution(int(y), sigma, SUP)
-                want = kl_divergence(target, softmax(logits))
-            elif mode == "ce":
-                want = cross_entropy(softmax(logits), int(y), SUP)
-            else:
-                want = saw_loss(logits, int(y), sigma, alpha, SUP).total
-            assert stats.objective[i] == pytest.approx(want, rel=1e-12)
+            want = saw_loss(logits, int(y), sigma, alpha, SUP)
+            got = {"kl": kl[i], "ce": ce[i],
+                   "saw": alpha * kl[i] + (1.0 - alpha) * ce[i] + MSE_WEIGHT * sq_err[i]}
+            want = {"kl": want.kl, "ce": want.ce, "saw": want.total}
+            assert got[mode] == pytest.approx(want[mode], rel=1e-12)
 
     def test_stages_read_on_a_wider_partition_support(self):
         wide = StagePartition(boundaries=(-30, 50), support=LabelSupport(-30, 100),
@@ -250,7 +251,8 @@ class TestBackwardStep:
                                   return_stats=True)
         _, _, want = backward_step(m, self.X, self.y, PARAMS, PART, 0.1, SUP,
                                    return_stats=True)
-        np.testing.assert_array_equal(got.alphas, want.alphas)
+        # the composite gradient weighs each sample by its stage's alpha
+        np.testing.assert_array_equal(got.dlogits, want.dlogits)
         assert m_wide.equals(m)
 
     @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
@@ -264,9 +266,8 @@ class TestBackwardStep:
                                   loss_mode=mode, return_stats=True, table=table,
                                   checked=(idx, PARAMS.alphas[PART.stages_of(self.y)]))
         assert m_kw.equals(m_pos)
-        for name in ("preds", "log_preds", "pred_ages", "dlogits", "alphas", "label_idx",
-                     "targets", "kl", "ce", "mse", "objective"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        for name, a, b in zip(LossTerms._fields, got, want):
+            np.testing.assert_array_equal(a, b, name)
 
     @pytest.mark.parametrize("mode", ["kl", "ce", "saw"])
     def test_breakdown_is_from_sums_of_its_own_stats(self, mode):
@@ -274,13 +275,13 @@ class TestBackwardStep:
                               loss_mode=mode)
         _, _, stats = backward_step(self.model.copy(), self.X, self.y, PARAMS, PART, 0.1,
                                     SUP, loss_mode=mode, return_stats=True)
-        a = stats.alphas
-        assert bd == LossBreakdown.from_sums(a @ stats.kl, (1.0 - a) @ stats.ce,
-                                             stats.mse.sum(), a.sum(), len(a))
+        a = PARAMS.alphas[PART.stages_of(self.y)]
+        kl, ce, sq_err = sample_losses(stats, self.y)
+        assert bd == LossBreakdown.from_sums(a @ kl, (1.0 - a) @ ce, sq_err.sum(), a.sum(), len(a))
         assert bd.total == pytest.approx(bd.alpha_used * bd.kl + (1 - bd.alpha_used) * bd.ce
                                          + MSE_WEIGHT * bd.mse, rel=1e-12)
         # CE over n - sum(alpha) rather than sum(1 - alpha): the same value up to rounding
-        assert bd.ce == pytest.approx((1.0 - a) @ stats.ce / (1.0 - a).sum(), rel=1e-12)
+        assert bd.ce == pytest.approx((1.0 - a) @ ce / (1.0 - a).sum(), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [3.7, np.nan])
     def test_label_that_is_not_a_whole_number_rejected(self, bad):
@@ -290,6 +291,14 @@ class TestBackwardStep:
             backward_step(m, self.X[:2], [10, bad], PARAMS, PART, 0.1, SUP)
         with pytest.raises(InvalidLabelError, match="is not a whole number"):
             backward_step(m, self.X[:1], [bad], PARAMS, PART, 0.1, SUP, return_stats=True)
+        assert m.equals(self.model)
+
+    @pytest.mark.parametrize("bad", [-1, 101])
+    def test_label_outside_support_rejected(self, bad):
+        # unchecked, NumPy would wrap -1 to the last label and fail on 101 with IndexError
+        m = self.model.copy()
+        with pytest.raises(InvalidLabelError, match=f"label {bad} outside"):
+            backward_step(m, self.X[:2], [10, bad], PARAMS, PART, 0.1, SUP, return_stats=True)
         assert m.equals(self.model)
 
     def test_whole_float_labels_train_as_integers(self):
@@ -352,6 +361,13 @@ class TestCheckpointRoundTrip:
         doc = model_to_dict(init_model((4, 101), "relu", 2, SUP))
         doc["version"] = 99
         with pytest.raises(InvalidParameterError):
+            model_from_dict(doc)
+
+    def test_fractional_layer_width_rejected(self):
+        # int() would truncate the width to 4
+        doc = model_to_dict(init_model((4, 101), "relu", 2, SUP))
+        doc["layer_dims"] = [4.5, 101]
+        with pytest.raises(InvalidParameterError, match="whole number"):
             model_from_dict(doc)
 
 

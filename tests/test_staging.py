@@ -288,7 +288,8 @@ class TestSerialization:
         loaded = load_partition(path, SUP)
         assert loaded == p
 
-    @pytest.mark.parametrize("text", ['{"boundaries": [0, 5', '{"k": 2, "provenance": "manual"}'])
+    @pytest.mark.parametrize("text", ['{"boundaries": [0, 5', '{"k": 2, "provenance": "manual"}',
+                                      '{"provenance": "manual", "boundaries": [0, 5.5]}'])
     def test_malformed_file_is_parse_error(self, tmp_path, text):
         path = tmp_path / "partition.json"
         path.write_text(text)

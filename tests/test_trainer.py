@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from saldl import core, evaluation, trainer
-from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport, loss_terms
+from saldl.core import PROB_FLOOR, SIGMA_MIN, LabelSupport
 from saldl.data import AmbiguityProfile, Dataset, generate_synthetic, split
 from saldl.errors import (
     EmptyInputError,
@@ -595,22 +595,25 @@ def run_golden_arm(arm, monkeypatch, on_step):
 
 @pytest.mark.parametrize("arm", GOLDEN_ARMS)
 def test_loss_record_equals_per_sample_sums(arm, monkeypatch):
-    """Each epoch's recorded losses equal its batches' per-sample loss terms,
-    replayed through ``loss_terms`` on the pre-step logits and reduced as
-    the record defines them."""
+    """Each epoch's recorded losses equal its batches' per-sample losses,
+    replayed through ``_loss_terms`` and ``_sample_losses`` on the pre-step
+    logits and reduced as the record defines them."""
     batches = []
 
     def replay(model, X, y, params, part, *args, loss_mode, table, **kwargs):
-        batches.append(loss_terms(forward_batch(model, X)[0], y - SUP.min_label,
-                                  params.alphas[part.stages_of(y)], table, loss_mode))
+        idx, alphas = y - SUP.min_label, params.alphas[part.stages_of(y)]
+        terms = core._loss_terms(forward_batch(model, X)[0], idx, table.target[idx], alphas,
+                                 SUP, loss_mode)
+        kl, ce, mse = core._sample_losses(terms, idx, table.target[idx], SUP)
+        objective = {"kl": kl, "ce": ce,
+                     "saw": alphas * kl + (1 - alphas) * ce + core.MSE_WEIGHT * mse}[loss_mode]
+        batches.append((kl, ce, mse, objective, alphas))
 
     tr, hist = run_golden_arm(arm, monkeypatch, replay)
     per_epoch = -(-len(tr) // 32)
     assert len(batches) == per_epoch * len(hist)
     for record, start in zip(hist.records, range(0, len(batches), per_epoch)):
-        kl, ce, mse, objective, a = (np.concatenate([getattr(t, name) for t in
-                                                     batches[start:start + per_epoch]])
-                                     for name in ("kl", "ce", "mse", "objective", "alphas"))
+        kl, ce, mse, objective, a = map(np.concatenate, zip(*batches[start:start + per_epoch]))
         want = dict(kl=a @ kl / a.sum(), ce=(1 - a) @ ce / (1 - a).sum(), mse=mse.mean(),
                     objective=objective.mean(), alpha_mean=a.mean())
         want["total"] = (want["alpha_mean"] * want["kl"] + (1 - want["alpha_mean"]) * want["ce"]
@@ -638,7 +641,7 @@ def run_recording_sums(monkeypatch, n_per_label, batch_size, epochs=3):
 
     def spy_step(*args, **kwargs):
         out = step(*args, **kwargs)
-        steps.append((np.array(args[2]), out[2].log_preds.copy()))
+        steps.append((np.array(args[2]), core._floored_log(out[2].preds)))
         return out
 
     def spy_sums(counts, log_pred_sums, *args):
@@ -674,8 +677,7 @@ def test_label_sums_equal_add_at_reference(monkeypatch, n_per_label, batch_size)
 def test_floored_log_taken_once_per_flush_block_not_per_step(monkeypatch, n_per_label,
                                                              batch_size):
     """No SGD step takes a floored log; ``train_sav`` takes one per flush
-    block, in place over the buffered predictions, and a step's
-    ``log_preds``, when read, has the bits of ``_floored_log(preds)``."""
+    block, in place over the buffered predictions."""
     events, in_step = [], []
     floored_log, step = core._floored_log, trainer.backward_step
 
@@ -693,8 +695,6 @@ def test_floored_log_taken_once_per_flush_block_not_per_step(monkeypatch, n_per_
         out = step(*args, **kwargs)
         in_step.pop()
         events.append(("step", len(args[2])))
-        stats = out[2]
-        assert stats.log_preds.tobytes() == floored_log(stats.preds).tobytes()
         return out
 
     monkeypatch.setattr(core, "_floored_log", spy_core_log)
@@ -811,4 +811,14 @@ class TestCheckpointBundle:
         del doc["stage_params"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="stage_params"):
+            load_checkpoint(path)
+
+    def test_fractional_support_is_parse_error(self, tmp_path):
+        # int() would truncate the support's minimum to 0
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, small_model(), StageParams.initial(2), PART)
+        doc = json.loads(path.read_text())
+        doc["support"]["min_label"] = 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="checkpoint.json: expected a whole number"):
             load_checkpoint(path)
