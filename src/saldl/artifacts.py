@@ -52,7 +52,8 @@ def copy_file(src, dst) -> None:
 
 def read_json(path, build):
     """``build(doc)`` for the JSON in ``path``; bad JSON, a missing key or a
-    value ``build`` rejects with a ValueError is a ParseError naming ``path``."""
+    value ``build`` rejects with a ValueError or a TypeError is a ParseError
+    naming ``path``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return build(json.load(fh))
@@ -60,5 +61,5 @@ def read_json(path, build):
             raise ParseError(f"{path} is not valid JSON: {exc.msg}", line=exc.lineno) from None
         except KeyError as exc:
             raise ParseError(f"{path} lacks the field {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: {exc}") from exc

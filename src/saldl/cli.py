@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +112,19 @@ def _get(d: dict, ctx: str, key: str, convert):
         return convert(d[key])
 
 
-def _section(cls, d: dict, ctx: str, converters: dict, required: tuple[str, ...] = ()):
-    """``cls`` built from the keys of ``d``, each converted by its entry in
-    ``converters``; a key left out keeps the dataclass default."""
+def _key(convert, default=MISSING):
+    """A config field: its ``default``, and the converter its JSON value
+    goes through."""
+    return field(default=default, metadata={"convert": convert})
+
+
+def _section(cls, d: dict, ctx: str):
+    """``cls`` built from the keys of ``d``, each converted by its field's
+    converter; a key left out keeps the field default, and a field without
+    a default is required. A field declared without a converter
+    (LabelSupport's bounds) takes a whole number."""
+    converters = {f.name: f.metadata.get("convert", whole_number) for f in fields(cls)}
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
     _strict(d, set(converters), ctx, required)
     return cls(**{key: _get(d, ctx, key, converters[key]) for key in d})
 
@@ -171,18 +181,11 @@ TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 
 @dataclass
 class SyntheticSpec:
-    levels: tuple[float, ...]
-    boundaries: tuple[int, ...]
-    feature_dim: int = 16
-    noise_scale: float = 0.05
-    n_per_label: int = 12
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return _section(cls, d, "data.synthetic", {
-            "levels": _each(_number), "boundaries": _each(whole_number),
-            "feature_dim": whole_number, "noise_scale": _number,
-            "n_per_label": whole_number}, required=("levels", "boundaries"))
+    levels: tuple[float, ...] = _key(_each(_number))
+    boundaries: tuple[int, ...] = _key(_each(whole_number))
+    feature_dim: int = _key(whole_number, AmbiguityProfile.feature_dim)
+    noise_scale: float = _key(_number, AmbiguityProfile.noise_scale)
+    n_per_label: int = _key(whole_number, 12)
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
         """The planted profile; a failing check names the field it reads."""
@@ -210,19 +213,17 @@ class SyntheticSpec:
 
 @dataclass
 class DataSection:
-    synthetic: SyntheticSpec | None = None
-    fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    train_csv: str | None = None
-    val_csv: str | None = None
-    test_csv: str | None = None
+    synthetic: SyntheticSpec | None = _key(lambda v: v or None, None)
+    fractions: tuple[float, float, float] = _key(_each(_number), (0.7, 0.15, 0.15))
+    train_csv: str | None = _key(_path, None)
+    val_csv: str | None = _key(_path, None)
+    test_csv: str | None = _key(_path, None)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSection":
-        section = _section(cls, d, "data", {
-            "synthetic": lambda v: v or None, "fractions": _each(_number),
-            "train_csv": _path, "val_csv": _path, "test_csv": _path})
+        section = _section(cls, d, "data")
         if section.synthetic is not None:  # parsed outside _get: it names its own fields
-            section.synthetic = SyntheticSpec.from_dict(section.synthetic)
+            section.synthetic = _section(SyntheticSpec, section.synthetic, "data.synthetic")
         with _field("data.fractions"):
             check_fractions(section.fractions)
         return section
@@ -230,18 +231,13 @@ class DataSection:
 
 @dataclass
 class PartitionSection:
-    mode: str = "kmeans"
-    k: int = 10
-    boundaries: tuple[int, ...] | None = None
+    mode: str = _key(_one_of(PROVENANCES), "kmeans")
+    k: int = _key(whole_number, 10)
+    boundaries: tuple[int, ...] | None = _key(_optional(_each(whole_number)), None)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionSection":
-        section = _section(cls, d, "partition", {
-            "mode": _one_of(PROVENANCES), "k": whole_number,
-            "boundaries": _optional(_each(whole_number))})
-        if section.mode == "manual" and not section.boundaries:
+    def __post_init__(self):
+        if self.mode == "manual" and not self.boundaries:
             raise InvalidParameterError("manual partition needs boundaries")
-        return section
 
     def fixed_stages(self, support: LabelSupport) -> StagePartition | None:
         """The stages that need no data (decade, manual); for kmeans, None
@@ -257,44 +253,25 @@ class PartitionSection:
 
 @dataclass
 class ModelSection:
-    hidden_dims: tuple[int, ...] = (64, 32)
-    activation: str = "relu"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSection":
-        return _section(cls, d, "model", {"hidden_dims": _widths,
-                                          "activation": _one_of(ACTIVATIONS)})
+    hidden_dims: tuple[int, ...] = _key(_widths, (64, 32))
+    activation: str = _key(_one_of(ACTIVATIONS), "relu")
 
 
 @dataclass
 class AblationSection:
-    sav: bool = True
-    saw: bool = True
-    fixed_sigma: float = 2.0
-    loss_mode: str | None = None
-    seeds: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AblationSection":
-        return _section(cls, d, "ablation", {
-            "sav": _exactly(bool), "saw": _exactly(bool),
-            "fixed_sigma": lambda v: TrainConfig(fixed_sigma=_number(v)).fixed_sigma,
-            "loss_mode": _optional(_one_of(LOSS_MODES)),
-            "seeds": _optional(_each(_seed))})
+    sav: bool = _key(_exactly(bool), True)
+    saw: bool = _key(_exactly(bool), True)
+    fixed_sigma: float = _key(lambda v: TrainConfig(fixed_sigma=_number(v)).fixed_sigma,
+                              TrainConfig.fixed_sigma)
+    loss_mode: str | None = _key(_optional(_one_of(LOSS_MODES)), None)
+    seeds: tuple[int, ...] | None = _key(_optional(_each(_seed)), None)
 
 
 @dataclass
 class EvalSection:
-    cs_thresholds: tuple[float, ...] = (5.0,)
-    anchors: tuple[int, ...] = ()
-    similarity_aggregation: str = "pairwise"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalSection":
-        return _section(cls, d, "eval", {
-            "cs_thresholds": _each(lambda v: cs_threshold(_number(v))),
-            "anchors": _each(whole_number),
-            "similarity_aggregation": _one_of(SIMILARITY_AGGREGATIONS)})
+    cs_thresholds: tuple[float, ...] = _key(_each(lambda v: cs_threshold(_number(v))), (5.0,))
+    anchors: tuple[int, ...] = _key(_each(whole_number), ())
+    similarity_aggregation: str = _key(_one_of(SIMILARITY_AGGREGATIONS), "pairwise")
 
 
 @dataclass
@@ -312,8 +289,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
-        support = _section(LabelSupport, d.get("support", {}), "support",
-                           {"min_label": whole_number, "max_label": whole_number})
+        support = _section(LabelSupport, d.get("support", {}), "support")
         train = d.get("train", {})
         _strict(train, TRAIN_KEYS, "train")
         for key in train:  # checked one at a time, so an error names its key
@@ -323,11 +299,11 @@ class ExperimentConfig:
             out_dir=_get(d, "config", "out_dir", _exactly(str)),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
-            partition=PartitionSection.from_dict(d.get("partition", {})),
-            model=ModelSection.from_dict(d.get("model", {})),
+            partition=_section(PartitionSection, d.get("partition", {}), "partition"),
+            model=_section(ModelSection, d.get("model", {}), "model"),
             train=dict(train),
-            ablation=AblationSection.from_dict(d.get("ablation", {})),
-            eval=EvalSection.from_dict(d.get("eval", {})),
+            ablation=_section(AblationSection, d.get("ablation", {}), "ablation"),
+            eval=_section(EvalSection, d.get("eval", {}), "eval"),
         )
         config.train_config()  # the train section combined with the ablation switches
         # the sections' objects on the support, built so that their own checks speak

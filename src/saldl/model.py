@@ -250,8 +250,13 @@ def model_from_dict(d: dict) -> Model:
         raise InvalidParameterError(
             f"unsupported model format {d.get('format')!r} v{d.get('version')!r}")
     dims = tuple(whole_number(v) for v in d["layer_dims"])
+    if d["activation"] not in ACTIVATIONS:
+        raise InvalidParameterError(f"activation must be one of {ACTIVATIONS}, "
+                                    f"got {d['activation']!r}")
+    if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
+        raise InvalidParameterError(f"{len(dims)} layer widths need {len(dims) - 1} weights "
+                                    f"and biases, got {len(d['weights'])} and {len(d['biases'])}")
     weights = [_decode(blob, (fan_in, fan_out))
                for blob, fan_in, fan_out in zip(d["weights"], dims[:-1], dims[1:])]
     biases = [_decode(blob, (fan_out,)) for blob, fan_out in zip(d["biases"], dims[1:])]
-    return Model(layer_dims=dims, activation=str(d["activation"]),
-                 weights=weights, biases=biases)
+    return Model(layer_dims=dims, activation=d["activation"], weights=weights, biases=biases)

@@ -175,6 +175,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("learning_rate", "stage_lr", "fixed_sigma"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         # each range check is written so that nan fails it
         if not (0 < self.learning_rate < math.inf and 0 <= self.stage_lr < math.inf):
             raise InvalidParameterError("learning_rate must be finite and > 0, "
@@ -185,8 +188,11 @@ class TrainConfig:
             raise InvalidParameterError(f"prediction_rule must be one of {PREDICTION_RULES}")
         if self.loss_mode not in LOSS_MODES:
             raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
-        self.sigma_grid = tuple(float(v) for v in self.sigma_grid)
-        self.alpha_grid = tuple(float(v) for v in self.alpha_grid)
+        for name in ("sigma_grid", "alpha_grid"):  # each value as given: true is no number
+            grid = getattr(self, name)
+            if isinstance(grid, str) or any(isinstance(v, (bool, np.bool_)) for v in grid):
+                raise InvalidParameterError(f"{name} must be a list of numbers, got {grid!r}")
+            setattr(self, name, tuple(float(v) for v in grid))
         if not self.sigma_grid or not all(SIGMA_MIN < v < math.inf for v in self.sigma_grid):
             raise InvalidParameterError(f"sigma grid values must be finite and exceed {SIGMA_MIN}")
         if not self.alpha_grid or any(not 0 < v < 1 for v in self.alpha_grid):
@@ -478,6 +484,9 @@ def load_checkpoint(path) -> tuple[Model, StageParams, StagePartition, LabelSupp
                 f"unsupported checkpoint format {doc['format']!r} v{doc['version']!r}")
         support = LabelSupport(whole_number(doc["support"]["min_label"]),
                                whole_number(doc["support"]["max_label"]))
-        return (model_from_dict(doc["model"]), StageParams.from_dict(doc["stage_params"]),
-                StagePartition.from_dict(doc["partition"], support), support)
+        model, params = model_from_dict(doc["model"]), StageParams.from_dict(doc["stage_params"])
+        partition = StagePartition.from_dict(doc["partition"], support)
+        if params.k != partition.k:
+            raise InvalidParameterError(f"{params.k} stage parameters for {partition.k} stages")
+        return model, params, partition, support
     return read_json(path, build)

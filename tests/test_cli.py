@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections import Counter
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -101,6 +102,27 @@ class TestConfigValidation:
         assert ExperimentConfig.from_dict(doc).sha256() == (
             "04467e8a854a9fed7ca60641deef59aa598c53b7a57f2953e8f914064082b49c")
 
+    # every optional key of the sections that are hashed as loaded (train is
+    # hashed as given); synthetic is the nested section below it
+    @pytest.mark.parametrize("section, key, default", [
+        (section, f.name, f.default)
+        for section, cls in (("support", LabelSupport), ("data", cli.DataSection),
+                             ("data.synthetic", cli.SyntheticSpec),
+                             ("partition", cli.PartitionSection), ("model", cli.ModelSection),
+                             ("ablation", cli.AblationSection), ("eval", cli.EvalSection))
+        for f in fields(cls) if f.default is not MISSING and f.name != "synthetic"])
+    def test_default_written_out_hashes_like_key_left_out(self, tmp_path, section, key,
+                                                          default):
+        doc = {"seed": 0, "out_dir": str(tmp_path / "run"),
+               "data": {"synthetic": {"levels": [6.0, 1.0], "boundaries": [0, 50]}}}
+        written = json.loads(json.dumps(doc))
+        target = written
+        for part in section.split("."):
+            target = target.setdefault(part, {})
+        target[key] = json.loads(json.dumps(default))
+        assert (ExperimentConfig.from_dict(written).sha256()
+                == ExperimentConfig.from_dict(doc).sha256())
+
     @pytest.mark.parametrize("section, key, value", [
         ("data.synthetic", "levels", 5),
         ("partition", "k", "ten"),
@@ -158,6 +180,11 @@ class TestConfigValidation:
         # an empty split: gen-data exited 0 with a header-only test.csv
         ("data.synthetic", "n_per_label", 3),
         ("data.synthetic", "n_per_label", 4),
+        # run-ablation exited 0: true trained at 1, a string loaded as its digits
+        ("train", "learning_rate", True),
+        ("train", "stage_lr", True),
+        ("train", "sigma_grid", "12"),
+        ("train", "sigma_grid", [True, 2.0]),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -472,8 +499,20 @@ class TestEvalCommand:
         (("model", "weights", 0), lambda blob: ""),
         (("partition", "boundaries", 1), lambda boundary: "x"),
         (("stage_params", "raw_alpha"), lambda raw: raw[:1]),
+        # before, a TypeError naming no file, metrics through tanh, a NumPy
+        # matmul error, or a silent load
+        (("model", "layer_dims"), lambda dims: 5),
+        (("model", "weights"), lambda blobs: 5),
+        (("model", "activation"), lambda activation: "sigmoid"),
+        (("model", "weights"), lambda blobs: blobs[:2]),
+        (("model", "biases"), lambda blobs: blobs + blobs[-1:]),
+        (("stage_params",), lambda params: {**params,
+                                            "raw_sigma": params["raw_sigma"] + [0.0],
+                                            "raw_alpha": params["raw_alpha"] + [0.0]}),
     ], ids=["weight-blob-cut", "weight-blob-empty", "boundary-not-a-number",
-            "one-raw-alpha"])
+            "one-raw-alpha", "layer-dims-not-a-list", "weights-not-a-list",
+            "unknown-activation", "two-of-three-weights", "one-bias-too-many",
+            "three-stages-for-two"])
     def test_checkpoint_value_that_builds_nothing_names_the_file(self, tmp_path, capsys,
                                                                  keys, change):
         path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))

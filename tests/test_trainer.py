@@ -229,6 +229,14 @@ class TestTrainConfig:
         with pytest.raises(InvalidParameterError, match=field.replace("_grid", " grid")):
             TrainConfig(**{field: value})
 
+    # a bool read as 1.0 and a string as its characters' digits
+    @pytest.mark.parametrize("field, value", [
+        ("fixed_sigma", True), ("learning_rate", True), ("stage_lr", np.True_),
+        ("sigma_grid", "12"), ("sigma_grid", (True, 2.0)), ("alpha_grid", [np.True_])])
+    def test_bool_or_string_is_no_number(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_ce_mode_disables_sigma_adaptation(self):
         cfg = TrainConfig(loss_mode="ce", sav=True)
         assert not cfg.adapt_sigma
