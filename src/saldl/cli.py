@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import copy_file, write_csv, write_json
-from .core import LOSS_MODES, LabelSupport, whole_number
+from .core import LabelSupport, _each, _exactly, _field, _key, _number, _one_of, whole_number
 from .data import (
     AmbiguityProfile,
     Dataset,
@@ -96,79 +95,35 @@ def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()
             raise InvalidParameterError(f"{ctx} is missing {key!r}")
 
 
-@contextlib.contextmanager
-def _field(name: str):
-    """A TypeError or ValueError raised inside becomes an
-    InvalidParameterError naming the field ``name``."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name}: {exc}") from None
-
-
 def _get(d: dict, ctx: str, key: str, convert):
     """``convert(d[key])``; a failure is an InvalidParameterError naming ``ctx.key``."""
     with _field(f"{ctx}.{key}"):
         return convert(d[key])
 
 
-def _key(convert, default=MISSING):
-    """A config field: its ``default``, and the converter its JSON value
-    goes through."""
-    return field(default=default, metadata={"convert": convert})
+def _converter(cls, name: str):
+    """The converter declared on the field ``name`` of ``cls``."""
+    return cls.__dataclass_fields__[name].metadata["convert"]
+
+
+def _like(cls, name: str):
+    """A config field declared as the field ``name`` of ``cls``: its
+    converter and its default."""
+    return _key(_converter(cls, name), cls.__dataclass_fields__[name].default)
 
 
 def _section(cls, d: dict, ctx: str):
     """``cls`` built from the keys of ``d``, each converted by its field's
     converter; a key left out keeps the field default, and a field without
-    a default is required. A field declared without a converter
-    (LabelSupport's bounds) takes a whole number."""
-    converters = {f.name: f.metadata.get("convert", whole_number) for f in fields(cls)}
+    a default is required."""
     required = tuple(f.name for f in fields(cls) if f.default is MISSING)
-    _strict(d, set(converters), ctx, required)
-    return cls(**{key: _get(d, ctx, key, converters[key]) for key in d})
-
-
-def _number(value) -> float:
-    """``value`` as a finite float; true, nan and infinity are no numbers."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _each(convert):
-    """A list converter: ``convert`` applied to each value, into a tuple."""
-    return lambda values: tuple(map(convert, values))
-
-
-def _seed(value) -> int:
-    """A whole number that TrainConfig takes as its seed."""
-    return TrainConfig(seed=whole_number(value)).seed
+    _strict(d, _keys(cls), ctx, required)
+    return cls(**{key: _get(d, ctx, key, _converter(cls, key)) for key in d})
 
 
 def _optional(convert):
-    """``convert``, except that an empty or null value means None."""
-    return lambda value: convert(value) if value else None
-
-
-def _one_of(choices: tuple):
-    def convert(value):
-        if value not in choices:
-            raise ValueError(f"{value!r} is not one of {choices}")
-        return value
-    return convert
-
-
-def _exactly(kind):
-    """The value unchanged if it is a ``kind``: the string "false" is no bool."""
-    def convert(value):
-        if isinstance(value, kind):
-            return value
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
-    return convert
+    """``convert``, except that null means None, as does an empty list."""
+    return lambda value: None if value is None else convert(value) or None
 
 
 def _path(value) -> str | None:
@@ -181,22 +136,18 @@ TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 
 @dataclass
 class SyntheticSpec:
-    levels: tuple[float, ...] = _key(_each(_number))
+    levels: tuple[float, ...] = _like(AmbiguityProfile, "levels")
     boundaries: tuple[int, ...] = _key(_each(whole_number))
-    feature_dim: int = _key(whole_number, AmbiguityProfile.feature_dim)
-    noise_scale: float = _key(_number, AmbiguityProfile.noise_scale)
+    feature_dim: int = _like(AmbiguityProfile, "feature_dim")
+    noise_scale: float = _like(AmbiguityProfile, "noise_scale")
     n_per_label: int = _key(whole_number, 12)
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
         """The planted profile; a failing check names the field it reads."""
         with _field("data.synthetic.boundaries"):
             partition = StagePartition(self.boundaries, support, "manual")
-        with _field("data.synthetic.levels"):
-            profile = AmbiguityProfile(levels=self.levels, partition=partition)
-        for key in ("feature_dim", "noise_scale"):
-            with _field(f"data.synthetic.{key}"):
-                profile = replace(profile, **{key: getattr(self, key)})
-        return profile
+        with _field("data.synthetic.levels"):  # one level per stage: the check across fields
+            return AmbiguityProfile(self.levels, partition, self.feature_dim, self.noise_scale)
 
     def check_split(self, fractions: tuple[float, float, float]) -> None:
         """Reject an ``n_per_label`` that leaves a split empty: every label
@@ -213,7 +164,7 @@ class SyntheticSpec:
 
 @dataclass
 class DataSection:
-    synthetic: SyntheticSpec | None = _key(lambda v: v or None, None)
+    synthetic: SyntheticSpec | None = _key(lambda v: v, None)
     fractions: tuple[float, float, float] = _key(_each(_number), (0.7, 0.15, 0.15))
     train_csv: str | None = _key(_path, None)
     val_csv: str | None = _key(_path, None)
@@ -259,12 +210,12 @@ class ModelSection:
 
 @dataclass
 class AblationSection:
-    sav: bool = _key(_exactly(bool), True)
+    sav: bool = _like(TrainConfig, "sav")
     saw: bool = _key(_exactly(bool), True)
-    fixed_sigma: float = _key(lambda v: TrainConfig(fixed_sigma=_number(v)).fixed_sigma,
-                              TrainConfig.fixed_sigma)
-    loss_mode: str | None = _key(_optional(_one_of(LOSS_MODES)), None)
-    seeds: tuple[int, ...] | None = _key(_optional(_each(_seed)), None)
+    fixed_sigma: float = _like(TrainConfig, "fixed_sigma")
+    loss_mode: str | None = _key(_optional(_converter(TrainConfig, "loss_mode")), None)
+    seeds: tuple[int, ...] | None = _key(
+        _optional(_each(_converter(TrainConfig, "seed"), distinct=True)), None)
 
 
 @dataclass
@@ -290,12 +241,12 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
         support = _section(LabelSupport, d.get("support", {}), "support")
-        train = d.get("train", {})
+        train = d.get("train", {})  # checked here, and stored and hashed as given
         _strict(train, TRAIN_KEYS, "train")
-        for key in train:  # checked one at a time, so an error names its key
-            _get(train, "train", key, lambda v: TrainConfig(**{key: v}))
+        for key in train:
+            _get(train, "train", key, _converter(TrainConfig, key))
         config = cls(
-            seed=_get(d, "config", "seed", _seed),
+            seed=_get(d, "config", "seed", _converter(TrainConfig, "seed")),
             out_dir=_get(d, "config", "out_dir", _exactly(str)),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
@@ -305,7 +256,6 @@ class ExperimentConfig:
             ablation=_section(AblationSection, d.get("ablation", {}), "ablation"),
             eval=_section(EvalSection, d.get("eval", {}), "eval"),
         )
-        config.train_config()  # the train section combined with the ablation switches
         # the sections' objects on the support, built so that their own checks speak
         if config.data.synthetic is not None:
             config.data.synthetic.profile(support)
@@ -337,7 +287,7 @@ def load_config(path, seed_override: int | None = None,
     cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:
         with _field("--seed"):
-            cfg.seed = _seed(seed_override)
+            cfg.seed = _converter(TrainConfig, "seed")(seed_override)
     if out_override is not None:
         cfg.out_dir = out_override
     return cfg

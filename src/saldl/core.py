@@ -20,8 +20,10 @@ test suite.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +59,88 @@ def whole_number(value) -> int:
     return int(value)
 
 
+# Converters for values that enter from outside, shared by the library and
+# the config loader; each rejects a value with an InvalidParameterError.
+
+@contextlib.contextmanager
+def _field(name: str):
+    """A TypeError or ValueError raised inside becomes an
+    InvalidParameterError naming the field ``name``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from None
+
+
+def _key(convert, default=MISSING):
+    """A dataclass field: its ``default``, and the converter a value given
+    for it goes through."""
+    return field(default=default, metadata={"convert": convert})
+
+
+def _convert_fields(obj) -> None:
+    """Store each field of the dataclass ``obj`` as its converter returns
+    it, in field order; a failure names the field."""
+    for f in fields(obj):
+        with _field(f.name):
+            object.__setattr__(obj, f.name, f.metadata["convert"](getattr(obj, f.name)))
+
+
+def _number(value) -> float:
+    """``value`` as a finite float; true, nan and infinity are no numbers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise InvalidParameterError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _range(convert, low, high=math.inf, low_open=False):
+    """``convert``, then a check that ``low <= value < high``; ``low <
+    value`` when ``low_open``."""
+    def check(value):
+        number = convert(value)
+        if not ((low < number) if low_open else (low <= number)) or not number < high:
+            raise InvalidParameterError(f"expected a value in {'(' if low_open else '['}"
+                                        f"{low}, {high}), got {value!r}")
+        return number
+    return check
+
+
+def _each(convert, least: int = 0, distinct: bool = False):
+    """A list converter: ``convert`` applied to each value of a list or
+    tuple of at least ``least`` values, into a tuple; with ``distinct``, no
+    value may repeat. A string or a dict is no list."""
+    def check(values):
+        if not isinstance(values, (list, tuple)):
+            raise InvalidParameterError(f"expected a list, got {values!r}")
+        if len(values) < least:
+            raise InvalidParameterError(f"expected {least} or more values, got {values!r}")
+        converted = tuple(map(convert, values))
+        if distinct and len(set(converted)) < len(converted):
+            raise InvalidParameterError(f"values repeat in {values!r}")
+        return converted
+    return check
+
+
+def _one_of(choices: tuple):
+    def check(value):
+        if value not in choices:
+            raise InvalidParameterError(f"{value!r} is not one of {choices}")
+        return value
+    return check
+
+
+def _exactly(kind):
+    """The value unchanged if it is a ``kind``: the string "false" is no bool."""
+    def check(value):
+        if isinstance(value, kind):
+            return value
+        raise InvalidParameterError(f"expected {kind.__name__}, got {value!r}")
+    return check
+
+
 def whole_labels(labels, ids=None) -> np.ndarray:
     """``labels`` as an array that holds no fraction and no nan, so an int64
     cast can neither truncate 3.7 to 3 nor turn nan into a label. Integer
@@ -80,10 +164,11 @@ def whole_labels(labels, ids=None) -> np.ndarray:
 class LabelSupport:
     """Consecutive integer labels from ``min_label`` to ``max_label`` inclusive."""
 
-    min_label: int = 0
-    max_label: int = 100
+    min_label: int = _key(whole_number, 0)
+    max_label: int = _key(whole_number, 100)
 
     def __post_init__(self):
+        _convert_fields(self)
         if self.max_label - self.min_label + 1 < 2:
             raise InvalidParameterError(
                 f"label support needs at least 2 labels, got [{self.min_label}, {self.max_label}]")

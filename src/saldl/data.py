@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .artifacts import write_text
-from .core import LabelSupport, whole_labels
+from .core import (LabelSupport, _convert_fields, _each, _exactly, _field, _key, _number, _range,
+                   whole_labels, whole_number)
 from .errors import (
     InvalidLabelError,
     InvalidParameterError,
@@ -85,22 +86,16 @@ class Dataset:
 class AmbiguityProfile:
     """Planted per-stage ambiguity for the synthetic generator."""
 
-    levels: tuple[float, ...]
-    partition: StagePartition
-    feature_dim: int = 16
-    noise_scale: float = 0.05
+    levels: tuple[float, ...] = _key(_each(_range(_number, 0, low_open=True)))
+    partition: StagePartition = _key(_exactly(StagePartition))
+    feature_dim: int = _key(_range(whole_number, 2), 16)
+    noise_scale: float = _key(_range(_number, 0), 0.05)
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        _convert_fields(self)
         if len(self.levels) != self.partition.k:
             raise InvalidParameterError(
                 f"{len(self.levels)} ambiguity levels for {self.partition.k} stages")
-        if not all(0 < v < math.inf for v in self.levels):  # nan fails too
-            raise InvalidParameterError("ambiguity levels must be finite and positive")
-        if self.feature_dim < 2:
-            raise InvalidParameterError("feature_dim must be at least 2")
-        if not 0 <= self.noise_scale < math.inf:
-            raise InvalidParameterError("noise_scale must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels),
@@ -231,11 +226,10 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
 
 def check_fractions(fractions) -> tuple[float, float, float]:
     """``fractions`` as three finite, strictly positive floats summing to 1."""
-    if len(fractions) != 3:
+    with _field("fractions"):
+        fr = _each(_range(_number, 0, low_open=True))(fractions)
+    if len(fr) != 3:
         raise InvalidParameterError("need exactly three split fractions")
-    fr = tuple(float(f) for f in fractions)
-    if not all(0 < f < math.inf for f in fr):  # nan fails too
-        raise InvalidParameterError(f"fractions must be finite and strictly positive: {fr}")
     if abs(sum(fr) - 1.0) > 1e-9:
         raise InvalidParameterError(f"fractions must sum to 1: {fr}")
     return fr

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .core import LabelSupport
+from .core import LabelSupport, _one_of
 from .errors import (
     DegenerateEmbeddingError,
     EmptyInputError,
@@ -124,9 +124,7 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
     drops self pairs when the anchor has several samples); ``mean_embedding``
     compares mean normalized embeddings instead.
     """
-    if aggregation not in SIMILARITY_AGGREGATIONS:
-        raise InvalidParameterError(
-            f"aggregation must be one of {SIMILARITY_AGGREGATIONS}")
+    _one_of(SIMILARITY_AGGREGATIONS)(aggregation)
     support = support or LabelSupport()
     emb = np.asarray(embeddings, dtype=np.float64)
     idx = support.indices_of(labels)

@@ -19,8 +19,11 @@ from .core import (
     LabelSupport,
     LossBreakdown,
     TargetTable,
+    _each,
     _expectation,
     _loss_terms,
+    _one_of,
+    _range,
     _sample_losses,
     _softmax,
     whole_labels,
@@ -75,13 +78,8 @@ class ForwardTrace:
     embedding: np.ndarray
 
 
-def _widths(dims) -> tuple[int, ...]:
-    """Layer widths as ints; a width that is not a whole number or is below
-    1 raises."""
-    dims = tuple(whole_number(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise InvalidParameterError(f"layer widths must be positive, got {dims}")
-    return dims
+# Layer widths: whole numbers >= 1, into a tuple.
+_widths = _each(_range(whole_number, 1))
 
 
 def init_model(layer_dims, activation: str, seed: int,
@@ -93,8 +91,7 @@ def init_model(layer_dims, activation: str, seed: int,
     if support is not None and dims[-1] != support.size:
         raise InvalidParameterError(
             f"final layer width {dims[-1]} must equal support size {support.size}")
-    if activation not in ACTIVATIONS:
-        raise InvalidParameterError(f"activation must be one of {ACTIVATIONS}")
+    _one_of(ACTIVATIONS)(activation)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -144,8 +141,7 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
                  prediction_rule: str = "expectation") -> np.ndarray:
     """Per-sample age read-out from the output distribution."""
-    if prediction_rule not in PREDICTION_RULES:
-        raise InvalidParameterError(f"unknown prediction rule {prediction_rule!r}")
+    _one_of(PREDICTION_RULES)(prediction_rule)
     logits, _ = forward_batch(model, features)
     if prediction_rule == "argmax":
         return support.grid[np.argmax(logits, axis=1)]
@@ -249,10 +245,8 @@ def model_from_dict(d: dict) -> Model:
     if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
         raise InvalidParameterError(
             f"unsupported model format {d.get('format')!r} v{d.get('version')!r}")
-    dims = tuple(whole_number(v) for v in d["layer_dims"])
-    if d["activation"] not in ACTIVATIONS:
-        raise InvalidParameterError(f"activation must be one of {ACTIVATIONS}, "
-                                    f"got {d['activation']!r}")
+    dims = _widths(d["layer_dims"])
+    _one_of(ACTIVATIONS)(d["activation"])
     if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
         raise InvalidParameterError(f"{len(dims)} layer widths need {len(dims) - 1} weights "
                                     f"and biases, got {len(d['weights'])} and {len(d['biases'])}")

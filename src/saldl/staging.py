@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .core import LabelSupport, whole_number
+from .core import LabelSupport, _each, _one_of, whole_number
 from .errors import EmptyInputError, InvalidParameterError
 
 PROVENANCES = ("kmeans", "decade", "manual")
@@ -44,8 +44,7 @@ class StagePartition:
         if b[-1] > self.support.max_label:
             raise InvalidParameterError(
                 f"stage start {b[-1]} beyond support max {self.support.max_label}")
-        if self.provenance not in PROVENANCES:
-            raise InvalidParameterError(f"unknown provenance {self.provenance!r}")
+        _one_of(PROVENANCES)(self.provenance)
 
     @property
     def k(self) -> int:
@@ -72,7 +71,7 @@ class StagePartition:
 
     @classmethod
     def from_dict(cls, d: dict, support: LabelSupport) -> "StagePartition":
-        return cls(boundaries=tuple(whole_number(b) for b in d["boundaries"]),
+        return cls(boundaries=_each(whole_number)(d["boundaries"]),
                    support=support, provenance=str(d["provenance"]))
 
 

@@ -13,15 +13,15 @@ the raw sigmas.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import evaluation
 from .artifacts import read_json, write_csv, write_json
-from .core import (LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, _floored_log,
-                   kl_gradient_sigma, loss_sums, whole_number)
+from .core import (LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, _convert_fields, _each,
+                   _exactly, _floored_log, _key, _number, _one_of, _range, kl_gradient_sigma,
+                   loss_sums, whole_number)
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -155,50 +155,26 @@ class StageParams:
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run; validated on construction."""
+    """Knobs for one training run; each field goes through its converter
+    on construction."""
 
-    epochs: int = 30
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    stage_lr: float = 0.05
-    adaptation_mode: str = "grid"
-    sigma_grid: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-    alpha_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    seed: int = 0
-    prediction_rule: str = "expectation"
-    sav: bool = True
-    loss_mode: str = "saw"
-    fixed_sigma: float = 2.0
+    epochs: int = _key(_range(whole_number, 0), 30)
+    batch_size: int = _key(_range(whole_number, 1), 32)
+    learning_rate: float = _key(_range(_number, 0, low_open=True), 1e-3)
+    stage_lr: float = _key(_range(_number, 0), 0.05)
+    adaptation_mode: str = _key(_one_of(ADAPTATION_MODES), "grid")
+    sigma_grid: tuple[float, ...] = _key(_each(_range(_number, SIGMA_MIN, low_open=True), 1),
+                                         (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+    alpha_grid: tuple[float, ...] = _key(_each(_range(_number, 0, 1, low_open=True), 1),
+                                         (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+    seed: int = _key(_range(whole_number, 0), 0)
+    prediction_rule: str = _key(_one_of(PREDICTION_RULES), "expectation")
+    sav: bool = _key(_exactly(bool), True)
+    loss_mode: str = _key(_one_of(LOSS_MODES), "saw")
+    fixed_sigma: float = _key(_range(_number, SIGMA_MIN, low_open=True), 2.0)
 
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("learning_rate", "stage_lr", "fixed_sigma"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InvalidParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
-        # each range check is written so that nan fails it
-        if not (0 < self.learning_rate < math.inf and 0 <= self.stage_lr < math.inf):
-            raise InvalidParameterError("learning_rate must be finite and > 0, "
-                                        "stage_lr finite and >= 0")
-        if self.adaptation_mode not in ADAPTATION_MODES:
-            raise InvalidParameterError(f"adaptation_mode must be one of {ADAPTATION_MODES}")
-        if self.prediction_rule not in PREDICTION_RULES:
-            raise InvalidParameterError(f"prediction_rule must be one of {PREDICTION_RULES}")
-        if self.loss_mode not in LOSS_MODES:
-            raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
-        for name in ("sigma_grid", "alpha_grid"):  # each value as given: true is no number
-            grid = getattr(self, name)
-            if isinstance(grid, str) or any(isinstance(v, (bool, np.bool_)) for v in grid):
-                raise InvalidParameterError(f"{name} must be a list of numbers, got {grid!r}")
-            setattr(self, name, tuple(float(v) for v in grid))
-        if not self.sigma_grid or not all(SIGMA_MIN < v < math.inf for v in self.sigma_grid):
-            raise InvalidParameterError(f"sigma grid values must be finite and exceed {SIGMA_MIN}")
-        if not self.alpha_grid or any(not 0 < v < 1 for v in self.alpha_grid):
-            raise InvalidParameterError("alpha grid values must lie in (0, 1)")
-        if not SIGMA_MIN < self.fixed_sigma < math.inf:
-            raise InvalidParameterError(f"fixed_sigma must be finite and exceed {SIGMA_MIN}")
+        _convert_fields(self)
 
     @property
     def adapt_sigma(self) -> bool:
@@ -482,8 +458,7 @@ def load_checkpoint(path) -> tuple[Model, StageParams, StagePartition, LabelSupp
         if doc["format"] != CHECKPOINT_FORMAT or doc["version"] != CHECKPOINT_VERSION:
             raise InvalidParameterError(
                 f"unsupported checkpoint format {doc['format']!r} v{doc['version']!r}")
-        support = LabelSupport(whole_number(doc["support"]["min_label"]),
-                               whole_number(doc["support"]["max_label"]))
+        support = LabelSupport(doc["support"]["min_label"], doc["support"]["max_label"])
         model, params = model_from_dict(doc["model"]), StageParams.from_dict(doc["stage_params"])
         partition = StagePartition.from_dict(doc["partition"], support)
         if params.k != partition.k:

@@ -17,7 +17,7 @@ from saldl.data import Dataset, load_csv, save_csv, split_counts
 from saldl.errors import InvalidParameterError
 from saldl.model import init_model
 from saldl.staging import StagePartition
-from saldl.trainer import StageParams, save_checkpoint
+from saldl.trainer import StageParams, TrainConfig, save_checkpoint
 
 SUP = LabelSupport()
 
@@ -126,7 +126,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, key, value", [
         ("data.synthetic", "levels", 5),
         ("partition", "k", "ten"),
-        ("train", "epochs", "3"),
+        ("train", "epochs", "three"),
         ("data", "synthetic", 5),  # a section that is not a JSON object
         ("data", "train_csv", 5),
         ("ablation", "fixed_sigma", 0),  # converts, but TrainConfig rejects it
@@ -185,6 +185,26 @@ class TestConfigValidation:
         ("train", "stage_lr", True),
         ("train", "sigma_grid", "12"),
         ("train", "sigma_grid", [True, 2.0]),
+        # a string loaded as its characters, an object as its keys
+        ("model", "hidden_dims", "64"),
+        ("model", "hidden_dims", {"64": 1}),
+        ("ablation", "seeds", "12"),
+        ("data.synthetic", "levels", "81"),
+        ("data.synthetic", "boundaries", "05"),
+        ("partition", "boundaries", "05"),
+        ("eval", "anchors", "17"),
+        ("eval", "cs_thresholds", "5"),
+        # a falsy value loaded as absent
+        ("ablation", "seeds", 0),
+        ("ablation", "seeds", False),
+        ("data", "synthetic", False),
+        ("data", "synthetic", 0),
+        ("data", "synthetic", {}),
+        ("partition", "boundaries", 0),
+        ("ablation", "loss_mode", False),
+        ("ablation", "loss_mode", ""),
+        # seed 0 trained twice, and counted twice in the arm means
+        ("ablation", "seeds", [0, 0, 1]),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -193,6 +213,28 @@ class TestConfigValidation:
             target = target[part]
         target[key] = value
         self.assert_rejected_at_load(tmp_path, capsys, doc, f"{section}.{key}")
+
+    # where a config sets each TrainConfig field that its train section does not
+    SET_OUTSIDE_TRAIN = {"seed": "config", "sav": "ablation", "loss_mode": "ablation",
+                         "fixed_sigma": "ablation"}
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
+    @pytest.mark.parametrize("value", [2.0, "3", "0.1", True, math.nan, math.inf, "12", [],
+                                       "default"])
+    def test_train_config_and_config_take_the_same_values(self, tmp_path, key, value):
+        if value == "default":
+            value = getattr(TrainConfig(), key)
+            value = list(value) if isinstance(value, tuple) else value
+        section = self.SET_OUTSIDE_TRAIN.get(key, "train")
+        doc = base_config(tmp_path / "run")
+        (doc if section == "config" else doc[section])[key] = value
+        try:
+            TrainConfig(**{key: value})
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError, match=re.escape(f"{section}.{key}: ")):
+                ExperimentConfig.from_dict(doc)
+        else:
+            ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("fractions", [(0.7, 0.15, 0.15), (0.5, 0.25, 0.25),
                                            (0.05, 0.05, 0.9), (0.8, 0.1, 0.1)])
@@ -509,10 +551,14 @@ class TestEvalCommand:
         (("stage_params",), lambda params: {**params,
                                             "raw_sigma": params["raw_sigma"] + [0.0],
                                             "raw_alpha": params["raw_alpha"] + [0.0]}),
+        # a hidden layer of width 0 with empty blobs: before, eval exited 0 and
+        # scored a constant predictor
+        (("model",), lambda model: {**model, "layer_dims": [model["layer_dims"][0], 0, 101],
+                                    "weights": ["", ""], "biases": ["", model["biases"][-1]]}),
     ], ids=["weight-blob-cut", "weight-blob-empty", "boundary-not-a-number",
             "one-raw-alpha", "layer-dims-not-a-list", "weights-not-a-list",
             "unknown-activation", "two-of-three-weights", "one-bias-too-many",
-            "three-stages-for-two"])
+            "three-stages-for-two", "zero-width-layer"])
     def test_checkpoint_value_that_builds_nothing_names_the_file(self, tmp_path, capsys,
                                                                  keys, change):
         path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
