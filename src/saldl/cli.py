@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .artifacts import copy_file, write_csv, write_json
-from .core import LabelSupport, _each, _exactly, _field, _key, _number, _one_of, whole_number
+from .core import (LabelSupport, _count, _each, _exactly, _key, _named, _number, _one_of,
+                   whole_number)
 from .data import (
     AmbiguityProfile,
     Dataset,
@@ -49,7 +50,7 @@ from .model import ACTIVATIONS, Model, _widths, forward_batch, init_model, predi
 from .staging import (
     PROVENANCES,
     StagePartition,
-    check_stage_count,
+    _stage_count,
     decade_partition,
     kmeans_1d,
     load_partition,
@@ -97,8 +98,7 @@ def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()
 
 def _get(d: dict, ctx: str, key: str, convert):
     """``convert(d[key])``; a failure is an InvalidParameterError naming ``ctx.key``."""
-    with _field(f"{ctx}.{key}"):
-        return convert(d[key])
+    return _named(f"{ctx}.{key}", convert, d[key])
 
 
 def _converter(cls, name: str):
@@ -137,29 +137,29 @@ TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 @dataclass
 class SyntheticSpec:
     levels: tuple[float, ...] = _like(AmbiguityProfile, "levels")
-    boundaries: tuple[int, ...] = _key(_each(whole_number))
+    boundaries: tuple[int, ...] = _like(StagePartition, "boundaries")
     feature_dim: int = _like(AmbiguityProfile, "feature_dim")
     noise_scale: float = _like(AmbiguityProfile, "noise_scale")
-    n_per_label: int = _key(whole_number, 12)
+    n_per_label: int = _key(_count, 12)
 
     def profile(self, support: LabelSupport) -> AmbiguityProfile:
         """The planted profile; a failing check names the field it reads."""
-        with _field("data.synthetic.boundaries"):
-            partition = StagePartition(self.boundaries, support, "manual")
-        with _field("data.synthetic.levels"):  # one level per stage: the check across fields
-            return AmbiguityProfile(self.levels, partition, self.feature_dim, self.noise_scale)
+        partition = _named("data.synthetic.boundaries", StagePartition, self.boundaries, support,
+                           "manual")
+        # one level per stage: the check across fields
+        return _named("data.synthetic.levels", AmbiguityProfile, self.levels, partition,
+                      self.feature_dim, self.noise_scale)
 
     def check_split(self, fractions: tuple[float, float, float]) -> None:
         """Reject an ``n_per_label`` that leaves a split empty: every label
         has that many samples, so a part that ``split_counts`` gives none of
         them gets no sample at all."""
-        with _field("data.synthetic.n_per_label"):
-            counts = split_counts(self.n_per_label, fractions)
-            empty = [name for name, count in zip(SPLITS, counts) if count == 0]
-            if empty:
-                raise ValueError(f"{self.n_per_label} samples per label leave the "
-                                 f"{' and '.join(empty)} split empty at fractions "
-                                 f"{list(fractions)}")
+        counts = split_counts(self.n_per_label, fractions)
+        empty = [name for name, count in zip(SPLITS, counts) if count == 0]
+        if empty:
+            raise InvalidParameterError(
+                f"data.synthetic.n_per_label: {self.n_per_label} samples per label leave the "
+                f"{' and '.join(empty)} split empty at fractions {list(fractions)}")
 
 
 @dataclass
@@ -175,8 +175,7 @@ class DataSection:
         section = _section(cls, d, "data")
         if section.synthetic is not None:  # parsed outside _get: it names its own fields
             section.synthetic = _section(SyntheticSpec, section.synthetic, "data.synthetic")
-        with _field("data.fractions"):
-            check_fractions(section.fractions)
+        _named("data.fractions", check_fractions, section.fractions)
         return section
 
 
@@ -196,10 +195,9 @@ class PartitionSection:
         if self.mode == "decade":
             return decade_partition(support)
         if self.mode == "manual":
-            with _field("partition.boundaries"):
-                return StagePartition(self.boundaries, support, "manual")
-        with _field("partition.k"):
-            check_stage_count(self.k, support.size)
+            return _named("partition.boundaries", StagePartition, self.boundaries, support,
+                          "manual")
+        _named("partition.k", _stage_count(support.size), self.k)
 
 
 @dataclass
@@ -220,7 +218,7 @@ class AblationSection:
 
 @dataclass
 class EvalSection:
-    cs_thresholds: tuple[float, ...] = _key(_each(lambda v: cs_threshold(_number(v))), (5.0,))
+    cs_thresholds: tuple[float, ...] = _key(_each(cs_threshold), (5.0,))
     anchors: tuple[int, ...] = _key(_each(whole_number), ())
     similarity_aggregation: str = _key(_one_of(SIMILARITY_AGGREGATIONS), "pairwise")
 
@@ -261,8 +259,7 @@ class ExperimentConfig:
             config.data.synthetic.profile(support)
             config.data.synthetic.check_split(config.data.fractions)
         config.partition.fixed_stages(support)
-        with _field("eval.anchors"):
-            support.indices_of(config.eval.anchors)
+        _named("eval.anchors", support.indices_of, config.eval.anchors)
         return config
 
     def train_config(self) -> TrainConfig:
@@ -286,8 +283,7 @@ def load_config(path, seed_override: int | None = None,
         raise CommandError(f"config {path} is not valid JSON: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:
-        with _field("--seed"):
-            cfg.seed = _converter(TrainConfig, "seed")(seed_override)
+        cfg.seed = _named("--seed", _converter(TrainConfig, "seed"), seed_override)
     if out_override is not None:
         cfg.out_dir = out_override
     return cfg

@@ -20,7 +20,6 @@ test suite.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -62,12 +61,11 @@ def whole_number(value) -> int:
 # Converters for values that enter from outside, shared by the library and
 # the config loader; each rejects a value with an InvalidParameterError.
 
-@contextlib.contextmanager
-def _field(name: str):
-    """A TypeError or ValueError raised inside becomes an
-    InvalidParameterError naming the field ``name``."""
+def _named(name: str, convert, *args):
+    """``convert(*args)``; a TypeError or ValueError it raises becomes an
+    InvalidParameterError naming the argument or field ``name``."""
     try:
-        yield
+        return convert(*args)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name}: {exc}") from None
 
@@ -82,8 +80,7 @@ def _convert_fields(obj) -> None:
     """Store each field of the dataclass ``obj`` as its converter returns
     it, in field order; a failure names the field."""
     for f in fields(obj):
-        with _field(f.name):
-            object.__setattr__(obj, f.name, f.metadata["convert"](getattr(obj, f.name)))
+        object.__setattr__(obj, f.name, _named(f.name, f.metadata["convert"], getattr(obj, f.name)))
 
 
 def _number(value) -> float:
@@ -139,6 +136,14 @@ def _exactly(kind):
             return value
         raise InvalidParameterError(f"expected {kind.__name__}, got {value!r}")
     return check
+
+
+# The rules that library arguments share with config keys.
+_seed = _range(whole_number, 0)                  # a seed, or a proposal number
+_count = _range(whole_number, 1)                 # samples per label, a group or layer size
+_spread = _range(_number, 0, low_open=True)      # a Gaussian target's sigma
+_weight = _range(_number, 0, 1, low_open=True)   # the composite loss's alpha
+_loss_mode = _one_of(LOSS_MODES)
 
 
 def whole_labels(labels, ids=None) -> np.ndarray:
@@ -225,7 +230,7 @@ class LossBreakdown:
 
     @classmethod
     def compose(cls, kl: float, ce: float, mse: float, alpha: float) -> "LossBreakdown":
-        _check_alpha(alpha)
+        alpha = _named("alpha", _weight, alpha)
         return cls(kl=float(kl), ce=float(ce), mse=float(mse),
                    total=float(alpha * kl + (1.0 - alpha) * ce + MSE_WEIGHT * mse),
                    alpha_used=float(alpha))
@@ -243,16 +248,6 @@ class LossTerms(NamedTuple):
     preds: np.ndarray        # (n, support) predicted distributions
     pred_ages: np.ndarray    # (n,) expectation read-outs
     dlogits: np.ndarray      # (n, support) gradient of the objective w.r.t. the logits
-
-
-def _check_sigma(sigma: float) -> None:
-    if not np.isfinite(sigma) or sigma <= 0:
-        raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def _check_width(arr: np.ndarray, support: LabelSupport, what: str) -> np.ndarray:
@@ -364,8 +359,6 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
     read-out; the composite objective weighs them alpha, 1 - alpha and
     ``MSE_WEIGHT``.
     """
-    if loss_mode not in LOSS_MODES:
-        raise InvalidParameterError(f"loss_mode must be one of {LOSS_MODES}")
     z = _check_logits(logits)
     alphas = np.asarray(alphas, dtype=np.float64)
     rows = np.arange(z.shape[0])
@@ -379,13 +372,15 @@ def _loss_terms(logits, label_idx: np.ndarray, targets: np.ndarray, alphas,
     elif loss_mode == "ce":
         dlogits = preds.copy()  # pred - onehot
         dlogits[rows, label_idx] -= 1.0
-    else:
+    elif loss_mode == "saw":
         # alpha (p - t) + (1 - alpha) (p - onehot) + MSE_WEIGHT 2 err p (k - age),
         # gathered as p (1 + 2 MSE_WEIGHT err (k - age)) - alpha t - (1 - alpha) onehot
         err = pred_ages - k[label_idx]
         dlogits = (preds * (1.0 + (2.0 * MSE_WEIGHT) * err[:, None] * (k - pred_ages[:, None]))
                    - alphas[:, None] * targets)
         dlogits[rows, label_idx] -= 1.0 - alphas
+    else:  # the dispatch is the check: the rule rejects what no branch takes
+        _named("loss_mode", _loss_mode, loss_mode)
     return LossTerms(preds, pred_ages, dlogits)
 
 
@@ -407,15 +402,14 @@ def gaussian_label_distribution(label: int, sigma: float,
     the discrete sum keeps truncated targets (labels near the boundary) valid
     distributions.
     """
-    _check_sigma(sigma)
-    target, _ = _gaussian_targets(support.index_of(label), np.float64(sigma), support)
+    sigma = _named("sigma", _spread, sigma)
+    target, _ = _gaussian_targets(support.index_of(label), sigma, support)
     return target
 
 
 def _one_sample(logits, label: int, sigma: float, alpha: float, support: LabelSupport):
     """``_loss_terms`` of one sample, its grid index and its target row."""
-    _check_sigma(sigma)
-    _check_alpha(alpha)
+    sigma, alpha = _named("sigma", _spread, sigma), _named("alpha", _weight, alpha)
     idx = np.array([support.index_of(label)])
     z = _check_width(logits, support, "logits")
     d, _ = _gaussian_targets(idx, np.array([sigma], dtype=np.float64), support)

@@ -19,8 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .artifacts import write_text
-from .core import (LabelSupport, _convert_fields, _each, _exactly, _field, _key, _number, _range,
-                   whole_labels, whole_number)
+from .core import (LabelSupport, _convert_fields, _count, _each, _exactly, _key, _named, _number,
+                   _range, _seed, whole_labels, whole_number)
 from .errors import (
     InvalidLabelError,
     InvalidParameterError,
@@ -125,8 +125,7 @@ def generate_synthetic(profile: AmbiguityProfile, n_per_label: int, seed: int) -
     """Deterministic synthetic dataset: ``n_per_label`` noisy copies of each
     label's prototype. The noise draw order does not depend on the ambiguity
     levels, so level changes under the same seed reuse identical noise."""
-    if n_per_label < 1:
-        raise InvalidParameterError(f"n_per_label must be >= 1, got {n_per_label}")
+    n_per_label, seed = _named("n_per_label", _count, n_per_label), _named("seed", _seed, seed)
     support = profile.partition.support
     rng = np.random.default_rng(seed)
     protos = _prototypes(profile, rng)
@@ -226,8 +225,7 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
 
 def check_fractions(fractions) -> tuple[float, float, float]:
     """``fractions`` as three finite, strictly positive floats summing to 1."""
-    with _field("fractions"):
-        fr = _each(_range(_number, 0, low_open=True))(fractions)
+    fr = _named("fractions", _each(_range(_number, 0, low_open=True)), fractions)
     if len(fr) != 3:
         raise InvalidParameterError("need exactly three split fractions")
     if abs(sum(fr) - 1.0) > 1e-9:
@@ -245,8 +243,7 @@ def split_counts(group_size: int, fractions) -> tuple[int, int, int]:
     samples gets a training sample, taken from val when val is not empty
     and holds at least as many as test, else from test.
     """
-    if group_size < 1:
-        raise InvalidParameterError(f"a label needs at least 1 sample, got {group_size}")
+    group_size = _named("group_size", _count, group_size)
     quotas = [group_size * f for f in check_fractions(fractions)]
     counts = [math.floor(q) for q in quotas]
     remainders = [q - c for q, c in zip(quotas, counts)]
@@ -271,7 +268,7 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
     ascending order, each label's samples in their shuffled order. A part
     may come out empty.
     """
-    fr = check_fractions(fractions)
+    fr, seed = check_fractions(fractions), _named("seed", _seed, seed)
     if len(dataset) == 0:
         raise StratificationError("cannot stratify an empty dataset")
 

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .core import LabelSupport, _one_of
+from .core import LabelSupport, _each, _named, _number, _one_of, _range, whole_number
 from .errors import (
     DegenerateEmbeddingError,
     EmptyInputError,
     InvalidLabelError,
-    InvalidParameterError,
     ShapeError,
 )
 from .staging import StagePartition
@@ -37,17 +36,14 @@ def mae(preds, labels) -> float:
     return float(np.mean(np.abs(preds - labels)))
 
 
-def cs_threshold(threshold: float) -> float:
-    """A cumulative-score threshold: an error bound >= 0."""
-    if not threshold >= 0:  # nan fails too
-        raise InvalidParameterError(f"threshold must be >= 0, got {threshold}")
-    return threshold
+# A cumulative-score threshold: a finite error bound >= 0.
+cs_threshold = _range(_number, 0)
 
 
 def cumulative_score(preds, labels, threshold: float) -> float:
     """Percentage of samples with absolute error at most ``threshold``
     (inclusive comparison)."""
-    cs_threshold(threshold)
+    threshold = _named("threshold", cs_threshold, threshold)
     preds, labels = _check_pair(preds, labels)
     return float(100.0 * np.mean(np.abs(preds - labels) <= threshold))
 
@@ -90,9 +86,10 @@ class MetricsReport:
 def compute_metrics(preds, labels, partition: StagePartition,
                     cs_thresholds=(5.0,)) -> MetricsReport:
     preds, labels = _check_pair(preds, labels)
+    thresholds = _named("cs_thresholds", _each(cs_threshold), cs_thresholds)
     return MetricsReport(
         mae=mae(preds, labels),
-        cs={float(t): cumulative_score(preds, labels, float(t)) for t in cs_thresholds},
+        cs={t: cumulative_score(preds, labels, t) for t in thresholds},
         n=int(preds.size),
         per_stage_mae=per_stage_mae(preds, labels, partition),
     )
@@ -124,8 +121,8 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
     drops self pairs when the anchor has several samples); ``mean_embedding``
     compares mean normalized embeddings instead.
     """
-    _one_of(SIMILARITY_AGGREGATIONS)(aggregation)
-    support = support or LabelSupport()
+    _named("aggregation", _one_of(SIMILARITY_AGGREGATIONS), aggregation)
+    anchor, support = _named("anchor", whole_number, anchor), support or LabelSupport()
     emb = np.asarray(embeddings, dtype=np.float64)
     idx = support.indices_of(labels)
     if emb.ndim != 2 or emb.shape[0] != idx.shape[0]:
@@ -160,5 +157,5 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
             dots[anchor_idx] -= (a * a).sum()
             norms[anchor_idx] = len(a) * (len(a) - 1)
     values = np.clip(dots / np.where(counts > 0, norms, 1.0), -1.0, 1.0)
-    return SimilarityCurve(anchor=int(anchor), counts=tuple(counts.tolist()), support=support,
+    return SimilarityCurve(anchor=anchor, counts=tuple(counts.tolist()), support=support,
                            values=tuple(float(v) if m else None for v, m in zip(values, counts)))

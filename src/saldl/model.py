@@ -19,15 +19,18 @@ from .core import (
     LabelSupport,
     LossBreakdown,
     TargetTable,
+    _count,
     _each,
     _expectation,
     _loss_terms,
+    _named,
+    _number,
     _one_of,
     _range,
     _sample_losses,
+    _seed,
     _softmax,
     whole_labels,
-    whole_number,
 )
 from .errors import (
     EmptyInputError,
@@ -78,20 +81,19 @@ class ForwardTrace:
     embedding: np.ndarray
 
 
-# Layer widths: whole numbers >= 1, into a tuple.
-_widths = _each(_range(whole_number, 1))
+# Layer widths into a tuple: any number of hidden layers, and a model's
+# two or more layers.
+_widths, _layer_dims = _each(_count), _each(_count, 2)
 
 
 def init_model(layer_dims, activation: str, seed: int,
                support: LabelSupport | None = None) -> Model:
     """Deterministic init: fan-in-scaled uniform weights, zero biases."""
-    dims = _widths(layer_dims)
-    if len(dims) < 2:
-        raise InvalidParameterError(f"layer_dims needs >= 2 widths, got {dims}")
+    dims, seed = _named("layer_dims", _layer_dims, layer_dims), _named("seed", _seed, seed)
     if support is not None and dims[-1] != support.size:
         raise InvalidParameterError(
             f"final layer width {dims[-1]} must equal support size {support.size}")
-    _one_of(ACTIVATIONS)(activation)
+    _named("activation", _one_of(ACTIVATIONS), activation)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -141,7 +143,7 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
                  prediction_rule: str = "expectation") -> np.ndarray:
     """Per-sample age read-out from the output distribution."""
-    _one_of(PREDICTION_RULES)(prediction_rule)
+    _named("prediction_rule", _one_of(PREDICTION_RULES), prediction_rule)
     logits, _ = forward_batch(model, features)
     if prediction_rule == "argmax":
         return support.grid[np.argmax(logits, axis=1)]
@@ -178,8 +180,7 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     step checks its arguments and derives the same two arrays.
     """
     if checked is None:
-        if learning_rate < 0:
-            raise InvalidParameterError(f"learning_rate must be >= 0, got {learning_rate}")
+        learning_rate = _named("learning_rate", _range(_number, 0), learning_rate)
         x = np.asarray(features, dtype=np.float64)
         y = whole_labels(labels)  # 3.7 or nan raises rather than being cast
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -245,7 +246,7 @@ def model_from_dict(d: dict) -> Model:
     if d.get("format") != MODEL_FORMAT or d.get("version") != MODEL_VERSION:
         raise InvalidParameterError(
             f"unsupported model format {d.get('format')!r} v{d.get('version')!r}")
-    dims = _widths(d["layer_dims"])
+    dims = _layer_dims(d["layer_dims"])
     _one_of(ACTIVATIONS)(d["activation"])
     if not len(d["weights"]) == len(d["biases"]) == len(dims) - 1:
         raise InvalidParameterError(f"{len(dims)} layer widths need {len(dims) - 1} weights "

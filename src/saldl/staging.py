@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .core import LabelSupport, _each, _one_of, whole_number
+from .core import (LabelSupport, _convert_fields, _each, _exactly, _key, _named, _one_of, _range,
+                   whole_number)
 from .errors import EmptyInputError, InvalidParameterError
 
 PROVENANCES = ("kmeans", "decade", "manual")
@@ -28,14 +29,13 @@ class StagePartition:
     support maximum.
     """
 
-    boundaries: tuple[int, ...]
-    support: LabelSupport
-    provenance: str
+    boundaries: tuple[int, ...] = _key(_each(whole_number, 1))
+    support: LabelSupport = _key(_exactly(LabelSupport))
+    provenance: str = _key(_one_of(PROVENANCES))
 
     def __post_init__(self):
+        _convert_fields(self)
         b = self.boundaries
-        if len(b) < 1:
-            raise InvalidParameterError("partition needs at least one stage")
         if b[0] != self.support.min_label:
             raise InvalidParameterError(
                 f"first stage must start at {self.support.min_label}, got {b[0]}")
@@ -44,7 +44,6 @@ class StagePartition:
         if b[-1] > self.support.max_label:
             raise InvalidParameterError(
                 f"stage start {b[-1]} beyond support max {self.support.max_label}")
-        _one_of(PROVENANCES)(self.provenance)
 
     @property
     def k(self) -> int:
@@ -71,8 +70,7 @@ class StagePartition:
 
     @classmethod
     def from_dict(cls, d: dict, support: LabelSupport) -> "StagePartition":
-        return cls(boundaries=_each(whole_number)(d["boundaries"]),
-                   support=support, provenance=str(d["provenance"]))
+        return cls(boundaries=d["boundaries"], support=support, provenance=d["provenance"])
 
 
 def save_partition(partition: StagePartition, path) -> None:
@@ -83,11 +81,10 @@ def load_partition(path, support: LabelSupport) -> StagePartition:
     return read_json(path, lambda doc: StagePartition.from_dict(doc, support))
 
 
-def check_stage_count(k: int, m: int) -> None:
-    """k-means can cut ``m`` distinct labels into ``k`` stages only if
-    1 <= k <= m."""
-    if k < 1 or k > m:
-        raise InvalidParameterError(f"k must lie in [1, {m}] for {m} distinct labels, got {k}")
+def _stage_count(m: int):
+    """The rule for ``k``: k-means can cut ``m`` distinct labels into ``k``
+    stages only if k is a whole number with 1 <= k <= m."""
+    return _range(whole_number, 1, m + 1)
 
 
 def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
@@ -105,7 +102,7 @@ def kmeans_1d(labels, k: int, support: LabelSupport) -> StagePartition:
         raise EmptyInputError("cannot cluster an empty label multiset")
     values, counts = np.unique(labels, return_counts=True)
     m = len(values)
-    check_stage_count(k, m)
+    k = _named("k", _stage_count(m), k)
 
     v = values.astype(np.float64)
     c = counts.astype(np.float64)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import evaluation
 from .artifacts import read_json, write_csv, write_json
-from .core import (LOSS_MODES, SIGMA_MIN, LabelSupport, LossBreakdown, _convert_fields, _each,
-                   _exactly, _floored_log, _key, _number, _one_of, _range, kl_gradient_sigma,
-                   loss_sums, whole_number)
+from .core import (SIGMA_MIN, LabelSupport, LossBreakdown, _convert_fields, _count, _each,
+                   _exactly, _floored_log, _key, _loss_mode, _named, _number, _one_of, _range,
+                   _seed, _weight, kl_gradient_sigma, loss_sums, whole_number)
 from .data import Dataset
 from .errors import (
     EmptyInputError,
@@ -45,15 +45,15 @@ ADAPTATION_MODES = ("grid", "gradient")
 # Keeps alphas strictly inside (0, 1) even for extreme raw values.
 _ALPHA_EPS = 1e-15
 
+# A stage sigma lies above the floor its parameterization keeps.
+_stage_sigma = _range(_number, SIGMA_MIN, low_open=True)
+
 
 def softplus(x):
     return np.logaddexp(0.0, x)
 
 
 def softplus_inv(y):
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
-        raise InvalidParameterError("softplus inverse needs positive input")
     return y + np.log1p(-np.exp(-y))
 
 
@@ -68,9 +68,6 @@ def sigmoid(x):
 
 
 def logit(a):
-    a = np.asarray(a, dtype=np.float64)
-    if np.any((a <= 0) | (a >= 1)):
-        raise InvalidParameterError("logit needs values strictly in (0, 1)")
     return np.log(a / (1.0 - a))
 
 
@@ -119,19 +116,20 @@ class StageParams:
 
     @classmethod
     def from_values(cls, sigmas, alphas) -> "StageParams":
-        sigmas = np.asarray(sigmas, dtype=np.float64)
-        if np.any(sigmas <= SIGMA_MIN):
-            raise InvalidParameterError(f"sigmas must exceed {SIGMA_MIN}")
+        """Per-stage sigmas, each above ``SIGMA_MIN``, and alphas, each
+        strictly inside (0, 1), in stored form."""
+        sigmas = _named("sigmas", np.vectorize(_stage_sigma, otypes=[float]), sigmas)
+        alphas = _named("alphas", np.vectorize(_weight, otypes=[float]), alphas)
         return cls(raw_sigma=softplus_inv(sigmas - SIGMA_MIN), raw_alpha=logit(alphas))
 
     def with_sigma(self, stage: int, sigma: float) -> "StageParams":
         raw = self.raw_sigma.copy()
-        raw[stage] = softplus_inv(sigma - SIGMA_MIN)
+        raw[stage] = softplus_inv(_named("sigma", _stage_sigma, sigma) - SIGMA_MIN)
         return StageParams(raw_sigma=raw, raw_alpha=self.raw_alpha)
 
     def with_alpha(self, stage: int, alpha: float) -> "StageParams":
         raw = self.raw_alpha.copy()
-        raw[stage] = logit(alpha)
+        raw[stage] = logit(_named("alpha", _weight, alpha))
         return StageParams(raw_sigma=self.raw_sigma, raw_alpha=raw)
 
     def equals(self, other: "StageParams") -> bool:
@@ -159,19 +157,18 @@ class TrainConfig:
     on construction."""
 
     epochs: int = _key(_range(whole_number, 0), 30)
-    batch_size: int = _key(_range(whole_number, 1), 32)
+    batch_size: int = _key(_count, 32)
     learning_rate: float = _key(_range(_number, 0, low_open=True), 1e-3)
     stage_lr: float = _key(_range(_number, 0), 0.05)
     adaptation_mode: str = _key(_one_of(ADAPTATION_MODES), "grid")
-    sigma_grid: tuple[float, ...] = _key(_each(_range(_number, SIGMA_MIN, low_open=True), 1),
-                                         (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
-    alpha_grid: tuple[float, ...] = _key(_each(_range(_number, 0, 1, low_open=True), 1),
+    sigma_grid: tuple[float, ...] = _key(_each(_stage_sigma, 1), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+    alpha_grid: tuple[float, ...] = _key(_each(_weight, 1),
                                          (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
-    seed: int = _key(_range(whole_number, 0), 0)
+    seed: int = _key(_seed, 0)
     prediction_rule: str = _key(_one_of(PREDICTION_RULES), "expectation")
     sav: bool = _key(_exactly(bool), True)
-    loss_mode: str = _key(_one_of(LOSS_MODES), "saw")
-    fixed_sigma: float = _key(_range(_number, SIGMA_MIN, low_open=True), 2.0)
+    loss_mode: str = _key(_loss_mode, "saw")
+    fixed_sigma: float = _key(_stage_sigma, 2.0)
 
     def __post_init__(self):
         _convert_fields(self)
@@ -216,6 +213,7 @@ def propose_stage_update(params: StageParams, step: int, sigma_grads: np.ndarray
     leaves ``params``. The walk does not depend on which proposals get
     accepted.
     """
+    step = _named("step", _seed, step)
     move_sigma = config.adapt_sigma and not _sigma_by_gradient(config)
     if move_sigma or config.adapt_alpha:
         visit, stage = divmod(step, params.k)

@@ -13,11 +13,13 @@ import pytest
 from saldl import cli
 from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
-from saldl.data import Dataset, load_csv, save_csv, split_counts
+from saldl.data import (AmbiguityProfile, Dataset, generate_synthetic, load_csv, save_csv, split,
+                        split_counts)
 from saldl.errors import InvalidParameterError
-from saldl.model import init_model
-from saldl.staging import StagePartition
-from saldl.trainer import StageParams, TrainConfig, save_checkpoint
+from saldl.evaluation import compute_metrics, cumulative_score
+from saldl.model import backward_step, init_model
+from saldl.staging import StagePartition, kmeans_1d
+from saldl.trainer import StageParams, TrainConfig, propose_stage_update, save_checkpoint
 
 SUP = LabelSupport()
 
@@ -44,6 +46,46 @@ def base_config(out_dir, epochs=3):
         "ablation": {"sav": True, "saw": True, "fixed_sigma": 2.0},
         "eval": {"cs_thresholds": [5.0], "anchors": [10, 75]},
     }
+
+
+def value_cases(keys, values):
+    """Each (key, value) pair, with the id ``{value}-{key}``; a value that is
+    no string or number goes by its place in ``values``."""
+    ids = [value if isinstance(value, (str, int, float)) else f"value{i}"
+           for i, value in enumerate(values)]
+    return [pytest.param(key, value, id=f"{ident}-{key}")
+            for ident, value in zip(ids, values) for key in keys]
+
+
+# Library calls that share a rule with config keys, each taking one value:
+# the call, the places a config takes the value as (section, key, the key's
+# value), and a value both take.
+PROFILE = AmbiguityProfile((6.0, 1.0), StagePartition((0, 50), SUP, "manual"), feature_dim=8)
+ONE = (np.array([1.0]), np.array([1]))  # one prediction and its label
+SEEDS = [("config", "seed", lambda v: v), ("ablation", "seeds", lambda v: [v])]
+LIBRARY_ARGS = {
+    "generate_synthetic.seed": (lambda v: generate_synthetic(PROFILE, 1, v), SEEDS, 0),
+    "split.seed": (lambda v: split(generate_synthetic(PROFILE, 3, 0), (0.4, 0.3, 0.3), v),
+                   SEEDS, 0),
+    "init_model.seed": (lambda v: init_model((8, 101), "relu", v, SUP), SEEDS, 0),
+    "propose_stage_update.step": (
+        lambda v: propose_stage_update(StageParams.initial(2), v, None, TrainConfig()), SEEDS, 0),
+    "generate_synthetic.n_per_label": (lambda v: generate_synthetic(PROFILE, v, 0),
+                                       [("data.synthetic", "n_per_label", lambda v: v)], 8),
+    "kmeans_1d.k": (lambda v: kmeans_1d(SUP.labels(), v, SUP),
+                    [("partition", "k", lambda v: v)], 2),
+    "StagePartition.boundaries": (lambda v: StagePartition([0, v], SUP, "manual"),
+                                  [("data.synthetic", "boundaries", lambda v: [0, v])], 50),
+    "cumulative_score.threshold": (lambda v: cumulative_score(*ONE, v),
+                                   [("eval", "cs_thresholds", lambda v: [v])], 5.0),
+    "compute_metrics.cs_thresholds": (lambda v: compute_metrics(*ONE, PROFILE.partition, [v]),
+                                      [("eval", "cs_thresholds", lambda v: [v])], 5.0),
+    "backward_step.loss_mode": (
+        lambda v: backward_step(init_model((8, 101), "relu", 0, SUP), np.zeros((1, 8)), [3],
+                                StageParams.initial(2), PROFILE.partition, 0.1, SUP,
+                                loss_mode=v),
+        [("ablation", "loss_mode", lambda v: v)], "kl"),
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -218,23 +260,41 @@ class TestConfigValidation:
     SET_OUTSIDE_TRAIN = {"seed": "config", "sav": "ablation", "loss_mode": "ablation",
                          "fixed_sigma": "ablation"}
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)])
-    @pytest.mark.parametrize("value", [2.0, "3", "0.1", True, math.nan, math.inf, "12", [],
-                                       "default"])
+    @pytest.mark.parametrize("key, value", [
+        *value_cases([f.name for f in fields(TrainConfig)],
+                     [2.0, "3", "0.1", True, math.nan, math.inf, "12", [], "default",
+                      np.True_, -1, 0, 2.5, "x"]),
+        *value_cases(LIBRARY_ARGS, [True, np.True_, math.nan, math.inf, -1, 0, 2.5, "3", "x",
+                                    "default"])])
     def test_train_config_and_config_take_the_same_values(self, tmp_path, key, value):
-        if value == "default":
-            value = getattr(TrainConfig(), key)
-            value = list(value) if isinstance(value, tuple) else value
-        section = self.SET_OUTSIDE_TRAIN.get(key, "train")
         doc = base_config(tmp_path / "run")
-        (doc if section == "config" else doc[section])[key] = value
-        try:
-            TrainConfig(**{key: value})
-        except InvalidParameterError:
-            with pytest.raises(InvalidParameterError, match=re.escape(f"{section}.{key}: ")):
-                ExperimentConfig.from_dict(doc)
+        if key in LIBRARY_ARGS:
+            call, places, valid = LIBRARY_ARGS[key]
+            # kmeans stages read partition.k; 3 samples per label fill every split
+            doc["partition"] = {"mode": "kmeans", "k": 2}
+            doc["data"]["fractions"] = [0.4, 0.3, 0.3]
         else:
-            ExperimentConfig.from_dict(doc)
+            call, valid = (lambda v: TrainConfig(**{key: v})), getattr(TrainConfig(), key)
+            places = [(self.SET_OUTSIDE_TRAIN.get(key, "train"), key, lambda v: v)]
+        if isinstance(value, str) and value == "default":
+            value = list(valid) if isinstance(valid, tuple) else valid
+        try:
+            call(value)
+            accepted = True
+        except InvalidParameterError:
+            accepted = False
+        for section, name, as_given in places:
+            target = json.loads(json.dumps(doc))
+            target_section = target
+            for part in section.split(".") if section != "config" else ():
+                target_section = target_section[part]
+            target_section[name] = as_given(value)
+            if accepted:
+                ExperimentConfig.from_dict(target)
+            else:
+                with pytest.raises(InvalidParameterError,
+                                   match=re.escape(f"{section}.{name}: ")):
+                    ExperimentConfig.from_dict(target)
 
     @pytest.mark.parametrize("fractions", [(0.7, 0.15, 0.15), (0.5, 0.25, 0.25),
                                            (0.05, 0.05, 0.9), (0.8, 0.1, 0.1)])

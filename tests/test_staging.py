@@ -2,11 +2,13 @@
 contiguous splits (optimal 1-D clusters are contiguous in sorted order)."""
 
 import json
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from saldl.core import LabelSupport
@@ -276,7 +278,39 @@ class TestPartitionInvariants:
             StagePartition(boundaries=(0, 50), support=SUP, provenance="bogus")
 
 
+@st.composite
+def boundary_values(draw):
+    """Increasing stage starts from 0, each an int, an np.int64, a whole float
+    or a digit string, in a tuple or a list; half of them with one value the
+    boundary rule rejects in place of a start."""
+    starts = [0, *sorted(draw(st.sets(st.integers(1, 100), max_size=5)))]
+    values = [draw(st.sampled_from([int, np.int64, float, str]))(b) for b in starts]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([50.5, True, np.True_, "x", "5.5"]))
+        values[draw(st.integers(0, len(values) - 1))] = bad
+    return draw(st.sampled_from([tuple, list]))(values)
+
+
 class TestSerialization:
+    @given(boundary_values())
+    @example((0, 50.5))
+    @example((0, True))
+    @example("05")
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_partition_round_trips(self, boundaries):
+        # (0, 50.5) and (0, True) were accepted, and then their partition.json
+        # failed to load; "05" failed as "first stage must start at 0, got 0"
+        try:
+            p = StagePartition(boundaries, SUP, "manual")
+        except InvalidParameterError as exc:
+            assert str(exc).startswith("boundaries: ")
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "partition.json"
+            save_partition(p, path)
+            assert load_partition(path, SUP) == p
+        assert p.boundaries == tuple(int(b) for b in boundaries)
+
     def test_json_schema_and_round_trip(self, tmp_path):
         p = kmeans_1d([1, 2, 9, 10], 2, SUP)
         path = tmp_path / "partition.json"
