@@ -42,6 +42,9 @@ ACTIVATIONS = ("relu", "tanh")
 MODEL_FORMAT = "saldl-model"
 MODEL_VERSION = 1
 PREDICTION_RULES = ("expectation", "argmax")
+# Rows of predictions held at once: the read-out's block, and about the
+# training loop's buffer between additions to its per-label sums.
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -110,16 +113,21 @@ def _act_grad(h: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - h * h
 
 
+def _batch(model: Model, features) -> np.ndarray:
+    """``features`` as a float64 (n, input_dim) batch."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ShapeError(f"features must have shape (n, {model.input_dim}), got {x.shape}")
+    return x
+
+
 def forward_batch(model: Model, features: np.ndarray):
     """Run the network on an (n, input_dim) batch.
 
     Returns (logits, activations): ``activations[0]`` is the input batch
     itself and ``activations[-1]`` the penultimate embedding.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ShapeError(f"features must have shape (n, {model.input_dim}), got {x.shape}")
-    acts = [x]
+    acts = [_batch(model, features)]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = acts[-1] @ w + b
         # the activation overwrites its pre-activation
@@ -142,12 +150,27 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
 
 def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
                  prediction_rule: str = "expectation") -> np.ndarray:
-    """Per-sample age read-out from the output distribution."""
+    """Per-sample age read-out from the output distribution.
+
+    Reads out consecutive blocks of ``BLOCK_ROWS`` rows, so the working set
+    does not grow with the input. A one-row tail joins the block before it:
+    NumPy multiplies a single row by a matrix-vector product, which rounds
+    differently from a block's matrix product. Each row then has the bits
+    of one pass over the whole input wherever BLAS runs that pass with the
+    blocks' kernels: OpenBLAS 0.3.31 does for every split the tests and the
+    benchmark read out, but not for a 24 -> 12 layer from about 3 500 rows.
+    """
     _named("prediction_rule", _one_of(PREDICTION_RULES), prediction_rule)
-    logits, _ = forward_batch(model, features)
-    if prediction_rule == "argmax":
-        return support.grid[np.argmax(logits, axis=1)]
-    return _expectation(_softmax(logits), support)
+    x = _batch(model, features)
+    n = len(x)
+    ages = np.empty(n)
+    stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
+    for start, stop in zip([0, *stops], stops):
+        logits, _ = forward_batch(model, x[start:stop])
+        ages[start:stop] = (support.grid[np.argmax(logits, axis=1)]
+                            if prediction_rule == "argmax"
+                            else _expectation(_softmax(logits), support))
+    return ages
 
 
 def stage_target_table(stage_params, partition, support: LabelSupport) -> TargetTable:

@@ -30,6 +30,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import (
+    BLOCK_ROWS,
     PREDICTION_RULES,
     Model,
     backward_step,
@@ -76,6 +77,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _finite_array(values) -> np.ndarray:
+    """A float64 copy of ``values``, every one of them finite."""
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"expected finite numbers, got {arr.tolist()}")
+    return arr
+
+
 @dataclass(frozen=True)
 class StageParams:
     """Per-stage spread and loss weight, stored in unconstrained form.
@@ -89,8 +98,8 @@ class StageParams:
 
     def __post_init__(self):
         # read-only copies, so the values derived from them stay valid
-        rs = _read_only(np.array(self.raw_sigma, dtype=np.float64))
-        ra = _read_only(np.array(self.raw_alpha, dtype=np.float64))
+        rs, ra = (_read_only(_named(name, _finite_array, getattr(self, name)))
+                  for name in ("raw_sigma", "raw_alpha"))
         if rs.shape != ra.shape or rs.ndim != 1 or rs.size < 1:
             raise InvalidParameterError(
                 f"stage parameter vectors disagree: {rs.shape} vs {ra.shape}"
@@ -147,8 +156,7 @@ class StageParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageParams":
-        return cls(raw_sigma=np.array(d["raw_sigma"], dtype=np.float64),
-                   raw_alpha=np.array(d["raw_alpha"], dtype=np.float64))
+        return cls(raw_sigma=d["raw_sigma"], raw_alpha=d["raw_alpha"])
 
 
 @dataclass
@@ -276,11 +284,6 @@ class TrainHistory:
         write_csv(path, header, map(row, self.records))
 
 
-# About this many rows of predictions are buffered between additions of
-# their floored logs into an epoch's per-label sums, one ``np.bincount`` each.
-_FLUSH_ROWS = 256
-
-
 def _add_label_rows(sums: np.ndarray, label_idx: np.ndarray, rows: np.ndarray) -> None:
     """Add row i of ``rows`` into row ``label_idx[i]`` of the contiguous
     (size, size) per-label ``sums``. Each cell adds its rows in row order."""
@@ -316,8 +319,10 @@ class _Run:
         bounds = np.searchsorted(self.stage_of_label, np.arange(partition.k + 1))
         self.stage_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self.stage_counts = np.add.reduceat(self.label_counts, bounds[:-1])
-        # a whole number of batches of predictions between additions
-        buffered = config.batch_size * max(1, _FLUSH_ROWS // config.batch_size)
+        # about BLOCK_ROWS predictions, a whole number of batches, are buffered
+        # between additions of their floored logs into an epoch's per-label
+        # sums, one ``np.bincount`` each
+        buffered = config.batch_size * max(1, BLOCK_ROWS // config.batch_size)
         self.pred_rows = np.empty((min(len(train), buffered), self.support.size))
         self.table = self.table_sigmas = None
 

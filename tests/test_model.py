@@ -2,6 +2,7 @@
 difference gradient checks, and exact checkpoint round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,17 @@ from saldl.core import (
     LabelSupport,
     LossBreakdown,
     LossTerms,
+    _expectation,
     _loss_terms,
     _sample_losses,
+    _softmax,
     saw_loss,
 )
 from saldl.errors import EmptyInputError, InvalidLabelError, InvalidParameterError, ShapeError
 from saldl.model import (
+    ACTIVATIONS,
+    BLOCK_ROWS,
+    PREDICTION_RULES,
     _act_grad,
     backward_step,
     forward,
@@ -331,6 +337,42 @@ class TestPredictAges:
         m = init_model((3, 101), "relu", 0, SUP)
         with pytest.raises(InvalidParameterError):
             predict_ages(m, np.zeros((1, 3)), SUP, "mode")
+
+    # 257 and 513 end in a one-row tail; 909 is the benchmark's test split
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513, 909])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("rule", PREDICTION_RULES)
+    def test_blocks_equal_one_shot_readout(self, n, activation, rule):
+        m = init_model((16, 64, 32, 101), activation, 3, SUP)
+        x = np.random.default_rng(n).normal(scale=3.0, size=(n, 16))
+        logits, _ = forward_batch(m, x)
+        want = (SUP.grid[np.argmax(logits, axis=1)] if rule == "argmax"
+                else _expectation(_softmax(logits), SUP))
+        got = predict_ages(m, x, SUP, rule)
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_dimensional_input_rejected_before_any_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("saldl.model.forward_batch", lambda *a: calls.append(a))
+        with pytest.raises(ShapeError):
+            predict_ages(init_model((3, 101), "relu", 0, SUP), np.zeros(3), SUP)
+        assert calls == []
+
+    def test_working_set_does_not_grow_with_the_input(self):
+        m = init_model((16, 64, 32, 101), "relu", 0, SUP)
+
+        def net_peak(blocks):
+            x = np.random.default_rng(0).normal(size=(blocks * BLOCK_ROWS, 16))
+            tracemalloc.start()
+            try:
+                predict_ages(m, x, SUP)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - len(x) * 8  # less the (n,) float64 output
+
+        assert net_peak(64) <= 1.25 * net_peak(4)
 
 
 class TestCheckpointRoundTrip:

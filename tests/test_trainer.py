@@ -18,7 +18,7 @@ from saldl.errors import (
     ParseError,
     TrainingDivergedError,
 )
-from saldl.model import backward_step, forward_batch, init_model
+from saldl.model import BLOCK_ROWS, backward_step, forward_batch, init_model
 from saldl.staging import StagePartition
 from saldl.trainer import (
     StageParams,
@@ -61,6 +61,13 @@ class TestStageParams:
     def test_from_values_rejects_sigma_at_floor(self):
         with pytest.raises(InvalidParameterError):
             StageParams.from_values([SIGMA_MIN], [0.5])
+
+    @pytest.mark.parametrize("name, raw", [("raw_sigma", [np.nan, 0.0]),
+                                           ("raw_alpha", [0.0, np.inf])])
+    def test_non_finite_raw_value_rejected_naming_it(self, name, raw):
+        values = {"raw_sigma": [0.0, 0.0], "raw_alpha": [0.0, 0.0], name: raw}
+        with pytest.raises(InvalidParameterError, match=f"^{name}: expected finite numbers"):
+            StageParams(**values)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     def test_sigma_always_above_floor(self, raw):
@@ -671,7 +678,7 @@ def run_recording_sums(monkeypatch, n_per_label, batch_size, epochs=3):
 def test_label_sums_equal_add_at_reference(monkeypatch, n_per_label, batch_size):
     n, steps, sums, _ = run_recording_sums(monkeypatch, n_per_label, batch_size)
     per_epoch = -(-n // batch_size)
-    assert {(3, 32): n < trainer._FLUSH_ROWS, (12, 8): n > 3 * trainer._FLUSH_ROWS
+    assert {(3, 32): n < BLOCK_ROWS, (12, 8): n > 3 * BLOCK_ROWS
             and n % batch_size == 0, (4, 40): n % batch_size != 0}[n_per_label, batch_size]
     assert len(steps) == per_epoch * len(sums)
     for epoch, got in enumerate(sums):
@@ -713,7 +720,7 @@ def test_floored_log_taken_once_per_flush_block_not_per_step(monkeypatch, n_per_
                       adaptation_mode="gradient", sav=True, loss_mode="saw", seed=0)
     _, _, hist = train_sav(tr, va, PART, small_model(), initial_stage_params(PART.k, cfg), cfg)
     n = len(tr)
-    block = min(n, batch_size * max(1, trainer._FLUSH_ROWS // batch_size))
+    block = min(n, batch_size * max(1, BLOCK_ROWS // batch_size))
     want, added = [], 0
     for start in range(0, n, batch_size):
         end = min(start + batch_size, n)
@@ -819,6 +826,19 @@ class TestCheckpointBundle:
         del doc["stage_params"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="stage_params"):
+            load_checkpoint(path)
+
+    # NaN and Infinity are what Python's json writes for them; "1e999" parses as infinity
+    @pytest.mark.parametrize("name, raw", [("raw_sigma", [float("nan"), "1e999"]),
+                                           ("raw_alpha", [0.0, float("-inf")])])
+    def test_non_finite_stage_value_is_parse_error(self, tmp_path, name, raw):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, small_model(), StageParams.initial(2), PART)
+        doc = json.loads(path.read_text())
+        doc["stage_params"][name] = raw
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError,
+                           match=f"checkpoint.json: {name}: expected finite numbers"):
             load_checkpoint(path)
 
     def test_fractional_support_is_parse_error(self, tmp_path):
