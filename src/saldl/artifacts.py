@@ -1,16 +1,31 @@
 """How artifacts reach disk. Every file is UTF-8 with ``\\n`` line ends,
 written beside its target and moved over it with ``os.replace``: a reader
 sees the old file or the new one, and a failed write leaves the old file
-and no temporary file behind."""
+and no temporary file behind. Each file moved into place is recorded in
+every open ``recorded()`` block."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 from pathlib import Path
 
 from .errors import ParseError
+
+_blocks: list[list[Path]] = []  # the open recorded() blocks, innermost last
+
+
+@contextlib.contextmanager
+def recorded():
+    """The path of each file written in the block, in write order."""
+    paths: list[Path] = []
+    _blocks.append(paths)
+    try:
+        yield paths
+    finally:
+        _blocks.pop()  # by position: an outer block's list may equal this one
 
 
 def _replace(path, fill, binary: bool = False) -> None:
@@ -25,6 +40,8 @@ def _replace(path, fill, binary: bool = False) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    for paths in _blocks:
+        paths.append(path)
 
 
 def write_json(path, doc, indent: int | None = 2) -> None:
@@ -38,10 +55,12 @@ def write_text(path, parts) -> None:
 
 
 def write_csv(path, header, rows) -> None:
+    """A bool cell as 1 or 0, the rest as ``csv`` writes them: a float as its
+    ``repr``, None as an empty cell."""
     def fill(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)
     _replace(path, fill)
 
 

@@ -2,8 +2,8 @@
 
 One experiment is one JSON config; commands read it with ``--config`` and
 write their artifacts into the configured output directory, plus a
-``run_meta.json`` recording the config hash, package version, and wall
-time. ``--seed`` and ``--out`` override the config for sweeps.
+``run_meta.json`` recording the config hash, package version, wall time and
+every file written. ``--seed`` and ``--out`` override the config for sweeps.
 
 Every command is assembled from four stages that work on in-memory
 datasets: data (generate and split, or load the CSVs), partition, train
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import copy_file, write_csv, write_json
+from .artifacts import copy_file, recorded, write_csv, write_json
 from .core import (LabelSupport, _count, _each, _exactly, _key, _named, _number, _one_of,
                    whole_number)
 from .data import (
@@ -127,7 +127,9 @@ def _optional(convert):
 
 
 def _path(value) -> str | None:
-    return value if value is None else _exactly(str)(value)
+    if value is not None and not _exactly(str)(value):
+        raise InvalidParameterError("expected a file path or null, got ''")
+    return value
 
 
 # The train section holds the TrainConfig knobs that no other section sets.
@@ -322,26 +324,21 @@ def _generate_data(config: ExperimentConfig
 
 
 def _write_data(config: ExperimentConfig, profile: AmbiguityProfile,
-                splits: tuple[Dataset, Dataset, Dataset]) -> list[Path]:
+                splits: tuple[Dataset, Dataset, Dataset]) -> None:
     """Write the three split CSVs and the profile actually used. Each CSV
     must read back as the split it was written from."""
     out = Path(config.out_dir)
-    outputs = []
     for name, ds in zip(SPLITS, splits):
         path = out / f"{name}.csv"
         save_csv(ds, path)
         if not load_csv(path, config.support).same_as(ds):
             raise CommandError(f"{path} does not read back as the {name} split "
                                "written to it")
-        outputs.append(path)
-    profile_path = out / "profile.json"
-    write_json(profile_path, profile.to_dict())
-    outputs.append(profile_path)
-    return outputs
+    write_json(out / "profile.json", profile.to_dict())
 
 
 def _train(config: ExperimentConfig, train_data: Dataset, val_data: Dataset,
-           partition: StagePartition) -> list[Path]:
+           partition: StagePartition) -> None:
     """Train per the configured switches; write the best checkpoint and the
     per-epoch history. On divergence the history is still written."""
     out = Path(config.out_dir)
@@ -359,11 +356,9 @@ def _train(config: ExperimentConfig, train_data: Dataset, val_data: Dataset,
             exc.history.to_csv(history_csv)
             exc.history.to_json(history_json)
         raise CommandError(f"training diverged: {exc}") from exc
-    checkpoint = out / "checkpoint.json"
-    save_checkpoint(checkpoint, best_model, best_params, partition)
+    save_checkpoint(out / "checkpoint.json", best_model, best_params, partition)
     history.to_csv(history_csv)
     history.to_json(history_json)
-    return [checkpoint, history_csv, history_json]
 
 
 def _load_model(config: ExperimentConfig, test_data: Dataset
@@ -384,8 +379,7 @@ def _load_model(config: ExperimentConfig, test_data: Dataset
     return model, partition
 
 
-def _evaluate(config: ExperimentConfig, test_data: Dataset
-              ) -> tuple[MetricsReport, list[Path]]:
+def _evaluate(config: ExperimentConfig, test_data: Dataset) -> MetricsReport:
     """Score the checkpoint on the test split and write the metrics."""
     out = Path(config.out_dir)
     model, partition = _load_model(config, test_data)
@@ -393,31 +387,28 @@ def _evaluate(config: ExperimentConfig, test_data: Dataset
                          config.train_config().prediction_rule)
     report = compute_metrics(preds, test_data.labels, partition,
                              config.eval.cs_thresholds)
-    json_path, csv_path = out / "metrics.json", out / "metrics.csv"
-    report.save_json(json_path)
-    report.save_csv(csv_path)
-    return report, [json_path, csv_path]
+    report.save_json(out / "metrics.json")
+    report.save_csv(out / "metrics.csv")
+    return report
 
 
-def cmd_gen_data(config: ExperimentConfig) -> list[Path]:
+def cmd_gen_data(config: ExperimentConfig) -> None:
     """Generate the synthetic dataset, split it, and write the three CSVs
     plus the profile actually used."""
     if config.data.synthetic is None:
         raise CommandError("gen-data needs a data.synthetic section")
     _out(config)
-    return _write_data(config, *_generate_data(config))
+    _write_data(config, *_generate_data(config))
 
 
-def cmd_stage(config: ExperimentConfig) -> list[Path]:
+def cmd_stage(config: ExperimentConfig) -> None:
     """Compute the stage partition from the training labels and write it."""
     out = _out(config)
     [train_data] = _read_data(config, "train")
-    path = out / "partition.json"
-    save_partition(_build_partition(config, train_data), path)
-    return [path]
+    save_partition(_build_partition(config, train_data), out / "partition.json")
 
 
-def cmd_train(config: ExperimentConfig) -> list[Path]:
+def cmd_train(config: ExperimentConfig) -> None:
     """Train on the CSVs with the partition the config gives for the training
     labels; a ``partition.json`` already in ``out_dir`` must hold the same."""
     out = _out(config)
@@ -431,16 +422,16 @@ def cmd_train(config: ExperimentConfig) -> list[Path]:
                 f"{partition_path} holds stages {list(found.boundaries)} ({found.provenance}), "
                 f"the config gives {list(partition.boundaries)} ({partition.provenance})")
     save_partition(partition, partition_path)
-    return [*_train(config, train_data, val_data, partition), partition_path]
+    _train(config, train_data, val_data, partition)
 
 
-def cmd_eval(config: ExperimentConfig) -> list[Path]:
+def cmd_eval(config: ExperimentConfig) -> None:
     """Score the checkpoint on the test split."""
     [test_data] = _read_data(config, "test")
-    return _evaluate(config, test_data)[1]
+    _evaluate(config, test_data)
 
 
-def cmd_analyze(config: ExperimentConfig) -> list[Path]:
+def cmd_analyze(config: ExperimentConfig) -> None:
     """Write one anchor similarity curve CSV per configured anchor, using
     the checkpoint's penultimate embeddings on the test split."""
     if not config.eval.anchors:
@@ -449,18 +440,13 @@ def cmd_analyze(config: ExperimentConfig) -> list[Path]:
     [test_data] = _read_data(config, "test")
     model, _ = _load_model(config, test_data)
     _, acts = forward_batch(model, test_data.features_matrix())
-    outputs = []
     for anchor in config.eval.anchors:
-        curve = anchor_similarity_curve(acts[-1], test_data.labels,
-                                        anchor, config.support,
+        curve = anchor_similarity_curve(acts[-1], test_data.labels, anchor, config.support,
                                         config.eval.similarity_aggregation)
-        path = out / f"similarity_anchor_{anchor}.csv"
-        curve.to_csv(path)
-        outputs.append(path)
-    return outputs
+        curve.to_csv(out / f"similarity_anchor_{anchor}.csv")
 
 
-def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
+def cmd_run_ablation(config: ExperimentConfig) -> None:
     """Run all four sav/saw arm combinations over the configured seeds and
     emit one comparison CSV (per-seed rows plus per-arm means). Each seed's
     data and partition are built once and shared by its four arms; its data
@@ -482,7 +468,7 @@ def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
         profile, splits = _generate_data(seed_config)
         train_data, val_data, test_data = splits
         partition = _build_partition(seed_config, train_data)
-        data_files: list[Path] = []
+        data_files: list[Path] = []  # the first arm's, recorded as written
         for arm, sav, saw in ABLATION_ARMS:
             arm_dir = out / "ablation" / arm / f"seed_{seed}"
             arm_dir.mkdir(parents=True, exist_ok=True)
@@ -492,20 +478,18 @@ def cmd_run_ablation(config: ExperimentConfig) -> list[Path]:
                 for src in data_files:
                     copy_file(src, arm_dir / src.name)
             else:
-                data_files = _write_data(arm_config, profile, splits)
+                with recorded() as data_files:
+                    _write_data(arm_config, profile, splits)
             save_partition(partition, arm_dir / "partition.json")
             _train(arm_config, train_data, val_data, partition)
-            report, _ = _evaluate(arm_config, test_data)
+            report = _evaluate(arm_config, test_data)
             rows[arm].append((seed, report.mae, report.cs[min(report.cs)]))
-    table = [[arm, int(sav), int(saw), seed, repr(float(mae)), repr(float(cs))]
+    table = [[arm, sav, saw, seed, mae, cs]
              for arm, sav, saw in ABLATION_ARMS for seed, mae, cs in rows[arm]]
     for arm, sav, saw in ABLATION_ARMS:  # then one mean row per arm
         _, maes, css = zip(*rows[arm])
-        table.append([arm, int(sav), int(saw), "mean",
-                      repr(float(np.mean(maes))), repr(float(np.mean(css)))])
-    path = out / "ablation.csv"
-    write_csv(path, ["arm", "sav", "saw", "seed", "test_mae", "test_cs"], table)
-    return [path]
+        table.append([arm, sav, saw, "mean", np.mean(maes), np.mean(css)])
+    write_csv(out / "ablation.csv", ["arm", "sav", "saw", "seed", "test_mae", "test_cs"], table)
 
 
 COMMANDS = {
@@ -530,9 +514,7 @@ def _write_run_meta(config: ExperimentConfig, command: str, status: str,
         "started_at_unix": started,
         "wall_seconds": time.time() - started,
     }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "run_meta.json", meta)
+    write_json(_out(config) / "run_meta.json", meta)
 
 
 def main(argv=None) -> int:
@@ -549,13 +531,10 @@ def main(argv=None) -> int:
 
     started = time.time()
     config: ExperimentConfig | None = None
-    outputs: list[Path] = []
     try:
-        config = load_config(args.config, args.seed, args.out)
-        outputs = COMMANDS[args.command](config)
-        missing = [p for p in outputs if not Path(p).exists()]
-        if missing:
-            raise CommandError(f"outputs missing: {missing}")
+        with recorded() as outputs:  # every file written, a failed run's too
+            config = load_config(args.config, args.seed, args.out)
+            COMMANDS[args.command](config)
     except Exception as exc:  # every failure ends as one error line
         # when out_dir itself is unusable there is nowhere to record the
         # partial run; the error line below still names the first failure

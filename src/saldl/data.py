@@ -170,18 +170,21 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:
+    """The dataset in ``path``. The first bad line in file order is a
+    ParseError, or an InvalidLabelError for a label outside ``support``;
+    either names ``path`` and the line."""
     support = support or LabelSupport()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError("missing header", line=1) from None
+            raise ParseError("missing header", 1, path) from None
         if (len(header) < 3 or header[0] != CSV_ID_COLUMN
                 or header[1] != CSV_LABEL_COLUMN):
             raise ParseError(
                 f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},f0,...', "
-                f"got {header[:3]}", line=1)
+                f"got {header[:3]}", 1, path)
         feature_dim = len(header) - 2
         ids, labels, line_nos = [], [], []
         cells = array("d")  # every feature cell, row after row
@@ -192,22 +195,22 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 continue
             if len(row) != feature_dim + 2:
                 error = ParseError(
-                    f"expected {feature_dim + 2} cells, got {len(row)}", line=line_no)
+                    f"expected {feature_dim + 2} cells, got {len(row)}", line_no, path)
                 break
             try:
                 label = int(row[1])
             except ValueError:
-                error = ParseError(f"age {row[1]!r} is not an integer", line=line_no)
+                error = ParseError(f"age {row[1]!r} is not an integer", line_no, path)
                 break
             if not support.contains(label):
                 error = InvalidLabelError(
-                    f"line {line_no}: label {label} outside support "
+                    f"{path}: line {line_no}: label {label} outside support "
                     f"[{support.min_label}, {support.max_label}]")
                 break
             try:
                 cells.extend(map(float, row[2:]))
             except ValueError:
-                error = ParseError("non-numeric feature cell", line=line_no)
+                error = ParseError("non-numeric feature cell", line_no, path)
                 break
             ids.append(row[0])
             labels.append(label)
@@ -217,7 +220,7 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
     features = np.frombuffer(cells, count=len(ids) * feature_dim).reshape(-1, feature_dim)
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        raise ParseError("non-finite feature cell", line=line_nos[np.argmin(finite)])
+        raise ParseError("non-finite feature cell", line_nos[np.argmin(finite)], path)
     if error is not None:
         raise error
     return Dataset(ids=tuple(ids), labels=labels, features=features, support=support)

@@ -30,10 +30,13 @@ class EmptyInputError(SaldlError, ValueError):
 
 
 class ParseError(SaldlError, ValueError):
-    """A file could not be parsed; carries the offending line number."""
+    """A file could not be parsed; names the file, given its ``path``, and
+    carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 

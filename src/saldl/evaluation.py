@@ -77,10 +77,9 @@ class MetricsReport:
 
     def save_csv(self, path) -> None:
         write_csv(path, ["metric", "value"], [
-            ["mae", repr(float(self.mae))], ["n", self.n],
-            *([f"cs_{t:g}", repr(float(self.cs[t]))] for t in sorted(self.cs)),
-            *([f"mae_stage_{s}", "" if v is None else repr(float(v))]
-              for s, v in enumerate(self.per_stage_mae))])
+            ["mae", self.mae], ["n", self.n],
+            *([f"cs_{t:g}", self.cs[t]] for t in sorted(self.cs)),
+            *([f"mae_stage_{s}", v] for s, v in enumerate(self.per_stage_mae))])
 
 
 def compute_metrics(preds, labels, partition: StagePartition,
@@ -107,7 +106,7 @@ class SimilarityCurve:
 
     def to_csv(self, path) -> None:
         write_csv(path, ["label", "mean_cos", "count"], (
-            [int(label), repr(float(value)), count]
+            [label, value, count]
             for label, value, count in zip(self.support.labels(), self.values, self.counts)
             if count > 0))
 

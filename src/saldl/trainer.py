@@ -276,12 +276,8 @@ class TrainHistory:
         k = len(self.records[0].sigmas) if self.records else 0
         scalars = [f.name for f in fields(EpochRecord)][:-2]  # all but sigmas, alphas
         header = scalars + [f"sigma_{s}" for s in range(k)] + [f"alpha_{s}" for s in range(k)]
-
-        def row(r: EpochRecord) -> list:
-            values = [getattr(r, name) for name in scalars] + [*r.sigmas, *r.alphas]
-            # epoch and snapshot as integers, every other value as a round-trip float
-            return [int(v) if isinstance(v, int) else repr(float(v)) for v in values]
-        write_csv(path, header, map(row, self.records))
+        write_csv(path, header, ([getattr(r, name) for name in scalars] + [*r.sigmas, *r.alphas]
+                                 for r in self.records))
 
 
 def _add_label_rows(sums: np.ndarray, label_idx: np.ndarray, rows: np.ndarray) -> None:

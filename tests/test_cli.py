@@ -6,6 +6,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,10 @@ class TestConfigValidation:
         ("partition", "boundaries", 0),
         ("ablation", "loss_mode", False),
         ("ablation", "loss_mode", ""),
+        # read as absent, so run-ablation exited 0 on an empty train_csv
+        ("data", "train_csv", ""),
+        ("data", "val_csv", ""),
+        ("data", "test_csv", ""),
         # seed 0 trained twice, and counted twice in the arm means
         ("ablation", "seeds", [0, 0, 1]),
     ])
@@ -417,6 +422,8 @@ class TestGenData:
         assert len(err) == 1 and err[0].startswith("error:") and "train.csv" in err[0]
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert meta["status"] == "partial"
+        # the file written before the mismatch is listed
+        assert [Path(p).name for p in meta["outputs"]] == ["train.csv"]
 
     def test_invalid_profile_fails_cleanly(self, tmp_path, capsys):
         doc = base_config(tmp_path / "run")
@@ -424,6 +431,60 @@ class TestGenData:
         path = write_config(tmp_path, doc)
         assert main(["gen-data", "--config", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+# the pipeline in command order, each after the ones before it
+PIPELINE = ("gen-data", "stage", "train", "eval", "analyze")
+
+
+def inodes(root):
+    return {p: p.stat().st_ino for p in root.rglob("*") if p.is_file()}
+
+
+class TestRunMeta:
+    @pytest.mark.parametrize("command", [*PIPELINE, "run-ablation"])
+    def test_outputs_list_every_file_written(self, tmp_path, capsys, command):
+        doc = base_config(tmp_path / "run", epochs=1)
+        doc["ablation"]["seeds"] = [3]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "run"
+        out.mkdir()
+        for before in PIPELINE[:PIPELINE.index(command)] if command in PIPELINE else ():
+            assert main([before, "--config", str(path)]) == 0, before
+        seen = inodes(out)
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 0
+        now = inodes(out)
+        written = {p for p, ino in now.items() if seen.get(p) != ino} - {out / "run_meta.json"}
+        outputs = [Path(p) for p in json.loads((out / "run_meta.json").read_text())["outputs"]]
+        assert len(outputs) == len(set(outputs)) and set(outputs) == written
+        assert len(outputs) == {"gen-data": 4, "stage": 1, "train": 4, "eval": 2,
+                                "analyze": 2, "run-ablation": 41}[command]
+        # in write order: a file written later was not modified earlier
+        mtimes = [p.stat().st_mtime_ns for p in outputs]
+        assert mtimes == sorted(mtimes)
+        assert capsys.readouterr().out.splitlines() == [str(p) for p in outputs]
+
+    # before, the error line named the line but not the file
+    @pytest.mark.parametrize("split, command, line, cells, message", [
+        ("train", "train", 4, lambda row: row[:-1], "expected 10 cells, got 9"),
+        ("val", "train", 4, lambda row: row[:-1], "expected 10 cells, got 9"),
+        ("test", "eval", 3, lambda row: [row[0], "300", *row[2:]],
+         "label 300 outside support [0, 100]"),
+    ], ids=["train-cut-row", "val-cut-row", "test-label-300"])
+    def test_csv_that_fails_to_load_names_the_file(self, tmp_path, capsys, split, command,
+                                                   line, cells, message):
+        path = write_config(tmp_path, base_config(tmp_path / "run", epochs=0))
+        for cmd in ("gen-data", "train"):
+            assert main([cmd, "--config", str(path)]) == 0
+        csv_path = tmp_path / "run" / f"{split}.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[line - 1] = ",".join(cells(lines[line - 1].split(",")))
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {csv_path}: line {line}: {message}"]
 
 
 class TestStage:

@@ -317,13 +317,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as exc_info:
             load_csv(path, SUP)
         assert exc_info.value.line == 2
+        assert str(exc_info.value) == f"{path}: line 2: age '5.5' is not an integer"
 
     def test_label_out_of_support_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,age,f0\nrow1,500,0.25\n")
         with pytest.raises(InvalidLabelError) as exc_info:
             load_csv(path, SUP)
-        assert "line 2" in str(exc_info.value)
+        assert str(exc_info.value) == f"{path}: line 2: label 500 outside support [0, 100]"
 
     def test_jagged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
