@@ -46,7 +46,7 @@ from .evaluation import (
     compute_metrics,
     cs_threshold,
 )
-from .model import ACTIVATIONS, Model, _widths, forward_batch, init_model, predict_ages
+from .model import ACTIVATIONS, Model, _widths, embeddings, init_model, predict_ages
 from .staging import (
     PROVENANCES,
     StagePartition,
@@ -126,9 +126,10 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value) or None
 
 
-def _path(value) -> str | None:
-    if value is not None and not _exactly(str)(value):
-        raise InvalidParameterError("expected a file path or null, got ''")
+def _path(value) -> str:
+    """A path string, not "", which ``Path`` reads as the current directory."""
+    if not _exactly(str)(value):
+        raise InvalidParameterError("expected a path, got ''")
     return value
 
 
@@ -168,9 +169,9 @@ class SyntheticSpec:
 class DataSection:
     synthetic: SyntheticSpec | None = _key(lambda v: v, None)
     fractions: tuple[float, float, float] = _key(_each(_number), (0.7, 0.15, 0.15))
-    train_csv: str | None = _key(_path, None)
-    val_csv: str | None = _key(_path, None)
-    test_csv: str | None = _key(_path, None)
+    train_csv: str | None = _key(_optional(_path), None)
+    val_csv: str | None = _key(_optional(_path), None)
+    test_csv: str | None = _key(_optional(_path), None)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSection":
@@ -247,7 +248,7 @@ class ExperimentConfig:
             _get(train, "train", key, _converter(TrainConfig, key))
         config = cls(
             seed=_get(d, "config", "seed", _converter(TrainConfig, "seed")),
-            out_dir=_get(d, "config", "out_dir", _exactly(str)),
+            out_dir=_get(d, "config", "out_dir", _path),
             support=support,
             data=DataSection.from_dict(d.get("data", {})),
             partition=_section(PartitionSection, d.get("partition", {}), "partition"),
@@ -287,7 +288,7 @@ def load_config(path, seed_override: int | None = None,
     if seed_override is not None:
         cfg.seed = _named("--seed", _converter(TrainConfig, "seed"), seed_override)
     if out_override is not None:
-        cfg.out_dir = out_override
+        cfg.out_dir = _named("--out", _path, out_override)
     return cfg
 
 
@@ -439,9 +440,9 @@ def cmd_analyze(config: ExperimentConfig) -> None:
     out = _out(config)
     [test_data] = _read_data(config, "test")
     model, _ = _load_model(config, test_data)
-    _, acts = forward_batch(model, test_data.features_matrix())
+    embedding = embeddings(model, test_data.features_matrix())
     for anchor in config.eval.anchors:
-        curve = anchor_similarity_curve(acts[-1], test_data.labels, anchor, config.support,
+        curve = anchor_similarity_curve(embedding, test_data.labels, anchor, config.support,
                                         config.eval.similarity_aggregation)
         curve.to_csv(out / f"similarity_anchor_{anchor}.csv")
 

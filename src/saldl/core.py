@@ -146,25 +146,6 @@ _weight = _range(_number, 0, 1, low_open=True)   # the composite loss's alpha
 _loss_mode = _one_of(LOSS_MODES)
 
 
-def whole_labels(labels, ids=None) -> np.ndarray:
-    """``labels`` as an array that holds no fraction and no nan, so an int64
-    cast can neither truncate 3.7 to 3 nor turn nan into a label. Integer
-    arrays pass unscanned; other labels become float64, so 3.0 passes. An
-    infinite label is left to the caller's support check, which rejects it.
-    The error names the first bad label, and its sample id when ``ids`` is
-    given."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind in "iu":
-        return labels
-    labels = labels.astype(np.float64)
-    fraction = np.flatnonzero(labels != np.trunc(labels))  # nan too
-    if fraction.size:
-        i = fraction[0]
-        sample = "" if ids is None else f"sample {ids[i]} "
-        raise InvalidLabelError(f"{sample}label {labels.flat[i]} is not a whole number")
-    return labels
-
-
 @dataclass(frozen=True)
 class LabelSupport:
     """Consecutive integer labels from ``min_label`` to ``max_label`` inclusive."""
@@ -195,18 +176,27 @@ class LabelSupport:
     def contains(self, label: int) -> bool:
         return self.min_label <= label <= self.max_label
 
-    def indices_of(self, labels) -> np.ndarray:
-        """Grid index of each label; a label that is not a whole number or
-        lies outside the support raises."""
-        return self.checked_indices(whole_labels(labels) - self.min_label)
-
-    def checked_indices(self, idx) -> np.ndarray:
-        """Grid indices as an int array; any outside the support raises."""
-        idx = np.asarray(idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
-            outside = (idx < 0) | (idx >= self.size)
-            raise InvalidLabelError(f"label {self.min_label + idx[outside].flat[0]} outside "
-                                    f"support [{self.min_label}, {self.max_label}]")
+    def indices_of(self, labels, ids=None) -> np.ndarray:
+        """Grid index of each label, as int64: the one rule a label passes.
+        A fraction or nan "is not a whole number", so no int64 cast
+        truncates 3.7 to 3 or turns nan into a label, and a label outside
+        the support, infinity too, is rejected. The InvalidLabelError names
+        the first bad label, and its sample when ``ids`` is given. Integer
+        labels skip the fraction scan; others are read as float64, so 3.0
+        passes."""
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":
+            labels = labels.astype(np.float64)
+        idx = labels - self.min_label
+        # nan fails both comparisons, so it too reaches the scan
+        if idx.size and not (idx.min() >= 0 and idx.max() < self.size and (
+                labels.dtype.kind in "iu" or (labels == np.trunc(labels)).all())):
+            fraction = labels != np.trunc(labels)
+            i = np.flatnonzero(fraction | (idx < 0) | (idx >= self.size))[0]
+            why = ("is not a whole number" if fraction.flat[i]
+                   else f"outside support [{self.min_label}, {self.max_label}]")
+            sample = "" if ids is None else f"sample {ids[i]} "
+            raise InvalidLabelError(f"{sample}label {labels.flat[i]} {why}")
         return idx.astype(np.int64, copy=False)
 
     def index_of(self, label: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import write_text
 from .core import (LabelSupport, _convert_fields, _count, _each, _exactly, _key, _named, _number,
-                   _range, _seed, whole_labels, whole_number)
+                   _range, _seed, whole_number)
 from .errors import (
     InvalidLabelError,
     InvalidParameterError,
@@ -53,13 +53,7 @@ class Dataset:
         if labels.shape != (len(ids),) or features.ndim != 2 or len(features) != len(ids):
             raise ShapeError(f"{len(ids)} ids need ({len(ids)},) labels and ({len(ids)}, d) "
                              f"features, got {labels.shape} and {features.shape}")
-        labels = whole_labels(labels, ids)
-        outside = np.flatnonzero((labels < self.support.min_label)
-                                 | (labels > self.support.max_label))
-        if outside.size:
-            i = outside[0]
-            raise InvalidLabelError(f"sample {ids[i]} label {labels[i]} outside support")
-        labels = labels.astype(np.int64)
+        labels = self.support.min_label + self.support.indices_of(labels, ids)
         labels.flags.writeable = False
         features.flags.writeable = False
         object.__setattr__(self, "ids", ids)
@@ -111,9 +105,8 @@ def _prototypes(profile: AmbiguityProfile, rng: np.random.Generator) -> np.ndarr
     whole arc is rescaled to a fixed span, so raising one stage's level
     compresses that stage relative to the others.
     """
-    support = profile.partition.support
-    stages = profile.partition.stages_of(np.arange(support.min_label, support.max_label))
-    steps = 1.0 / np.asarray(profile.levels)[stages]
+    # one step from each label to the next: the stages of all labels but the last
+    steps = 1.0 / np.asarray(profile.levels)[profile.partition.stage_index[:-1]]
     t = np.concatenate(([0.0], np.cumsum(steps)))
     t = t * (_ARC_SPAN / t[-1])
     basis, _ = np.linalg.qr(rng.standard_normal((profile.feature_dim, 2)))

@@ -30,7 +30,6 @@ from .core import (
     _sample_losses,
     _seed,
     _softmax,
-    whole_labels,
 )
 from .errors import (
     EmptyInputError,
@@ -148,29 +147,37 @@ def forward(model: Model, features: np.ndarray) -> ForwardTrace:
     return ForwardTrace(logits=logits[0], embedding=acts[-1][0])
 
 
-def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
-                 prediction_rule: str = "expectation") -> np.ndarray:
-    """Per-sample age read-out from the output distribution.
-
-    Reads out consecutive blocks of ``BLOCK_ROWS`` rows, so the working set
-    does not grow with the input. A one-row tail joins the block before it:
-    NumPy multiplies a single row by a matrix-vector product, which rounds
-    differently from a block's matrix product. Each row then has the bits
-    of one pass over the whole input wherever BLAS runs that pass with the
-    blocks' kernels: OpenBLAS 0.3.31 does for every split the tests and the
-    benchmark read out, but not for a 24 -> 12 layer from about 3 500 rows.
-    """
-    _named("prediction_rule", _one_of(PREDICTION_RULES), prediction_rule)
+def _blocked(model: Model, features, width: tuple, read) -> np.ndarray:
+    """``read(logits, activations)`` of each ``BLOCK_ROWS``-row block, into
+    one (n, *width) array: the working set does not grow with the input. A
+    one-row tail joins the block before it, since NumPy multiplies a single
+    row by a matrix-vector product, which rounds differently from a block's
+    matrix product. Each row then has the bits of one pass over the whole
+    input wherever BLAS runs that pass with the blocks' kernels: OpenBLAS
+    0.3.31 does for every split the tests and the benchmark read out, but
+    not for a 24 -> 12 layer from about 3 500 rows."""
     x = _batch(model, features)
     n = len(x)
-    ages = np.empty(n)
+    out = np.empty((n, *width))
     stops = [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]
     for start, stop in zip([0, *stops], stops):
-        logits, _ = forward_batch(model, x[start:stop])
-        ages[start:stop] = (support.grid[np.argmax(logits, axis=1)]
-                            if prediction_rule == "argmax"
-                            else _expectation(_softmax(logits), support))
-    return ages
+        out[start:stop] = read(*forward_batch(model, x[start:stop]))
+    return out
+
+
+def predict_ages(model: Model, features: np.ndarray, support: LabelSupport,
+                 prediction_rule: str = "expectation") -> np.ndarray:
+    """Per-sample age read-out from the output distribution, in
+    ``_blocked``'s blocks."""
+    _named("prediction_rule", _one_of(PREDICTION_RULES), prediction_rule)
+    return _blocked(model, features, (), lambda logits, _: (
+        support.grid[np.argmax(logits, axis=1)] if prediction_rule == "argmax"
+        else _expectation(_softmax(logits), support)))
+
+
+def embeddings(model: Model, features: np.ndarray) -> np.ndarray:
+    """Each row's penultimate embedding, in ``_blocked``'s blocks."""
+    return _blocked(model, features, (model.layer_dims[-2],), lambda _, acts: acts[-1])
 
 
 def stage_target_table(stage_params, partition, support: LabelSupport) -> TargetTable:
@@ -205,15 +212,15 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     if checked is None:
         learning_rate = _named("learning_rate", _range(_number, 0), learning_rate)
         x = np.asarray(features, dtype=np.float64)
-        y = whole_labels(labels)  # 3.7 or nan raises rather than being cast
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        y = np.asarray(labels)
+        if x.ndim != 2 or y.shape != x.shape[:1]:
             raise ShapeError(f"features {x.shape} and labels {y.shape} disagree")
         if x.shape[0] == 0:
             raise EmptyInputError("batch is empty")
         if table is None:
             table = stage_target_table(stage_params, partition, support)
         # the labels are checked once, against the table's support
-        idx = table.support.checked_indices(y - table.support.min_label)
+        idx = table.support.indices_of(y)
         stage_idx = (partition.stage_index[idx] if table.support == partition.support
                      else partition.stages_of(y))
         checked = idx, np.asarray(stage_params.alphas, dtype=np.float64)[stage_idx]

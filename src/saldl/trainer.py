@@ -305,12 +305,12 @@ class _Run:
         self.history, self.rng = TrainHistory(), np.random.default_rng(config.seed)
         self.features, self.labels = train.features_matrix(), train.labels
         self.shuffled = np.empty_like(self.features)
-        self.label_idx = self.support.checked_indices(self.labels - self.support.min_label)
+        self.label_idx = self.support.indices_of(self.labels)
         # every sample is visited once per epoch, so the per-label counts never change
         self.label_counts = np.bincount(self.label_idx,
                                         minlength=self.support.size).astype(np.float64)
         self.support_labels = self.support.labels()
-        self.stage_of_label = partition.stages_of(self.support_labels)
+        self.stage_of_label = partition.stage_index
         # a stage's labels form one contiguous range of the table's rows
         bounds = np.searchsorted(self.stage_of_label, np.arange(partition.k + 1))
         self.stage_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]

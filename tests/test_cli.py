@@ -252,6 +252,8 @@ class TestConfigValidation:
         ("data", "test_csv", ""),
         # seed 0 trained twice, and counted twice in the arm means
         ("ablation", "seeds", [0, 0, 1]),
+        # read as the current directory, where gen-data wrote its files
+        ("config", "out_dir", ""),
     ])
     def test_wrongly_typed_value_names_field(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
@@ -331,6 +333,18 @@ class TestConfigValidation:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
         assert not (tmp_path / "run").exists()
+
+    def test_empty_out_override_names_flag_and_writes_nothing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Path("") is the current directory, where gen-data wrote its five files
+        path = write_config(tmp_path, base_config(tmp_path / "run"))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["gen-data", "--config", str(path), "--out", ""]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --out:")
+        assert list(cwd.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["gen-data", "run-ablation"])
     def test_negative_seed_override_names_flag(self, tmp_path, capsys, command):

@@ -45,17 +45,17 @@ class TestLabelSupport:
         with pytest.raises(InvalidLabelError):
             SUP.index_of(101)
 
-    def test_checked_indices_names_the_first_outside_index(self):
-        for idx in ([5, 101, -1], [5, 101]):
-            with pytest.raises(InvalidLabelError, match="label 101 outside"):
-                SUP.checked_indices(idx)
-        with pytest.raises(InvalidLabelError, match="label -1 outside"):
-            SUP.checked_indices([-1, 101])
+    def test_indices_of_names_the_first_outside_label(self):
+        for labels in ([5, 101, -1], [5, 101]):
+            with pytest.raises(InvalidLabelError, match="^label 101 outside support"):
+                SUP.indices_of(labels)
+        with pytest.raises(InvalidLabelError, match="^label -1 outside support"):
+            SUP.indices_of([-1, 101])
 
-    def test_checked_indices_passes_an_empty_array(self):
+    def test_indices_of_passes_an_empty_array(self):
         # .min() of an empty array raises, so this passing shows the range test skips it
-        assert SUP.checked_indices(np.array([], dtype=np.int64)).shape == (0,)
-        assert SUP.checked_indices([]).dtype == np.int64
+        assert SUP.indices_of(np.array([], dtype=np.int64)).shape == (0,)
+        assert SUP.indices_of([]).dtype == np.int64
 
 
     # an int64 cast would truncate 3.7 to 3 and turn nan or inf into some label

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import tempfile
 from dataclasses import replace
 
@@ -77,13 +78,41 @@ class TestDatasetColumns:
                     support=SUP)
 
     # an int64 cast would accept 3.7 as 3 and turn nan into the label -2**63
-    @pytest.mark.parametrize("bad, why", [(3.7, "is not a whole number"),
-                                          (np.nan, "is not a whole number"),
-                                          (np.inf, "outside support")])
+    @pytest.mark.parametrize("bad, why", [
+        (3.7, "is not a whole number"),
+        (np.nan, "is not a whole number"),
+        pytest.param(np.inf, "outside support [0, 100]", id="inf-outside support")])
     def test_label_that_is_not_a_finite_whole_number_names_sample(self, bad, why):
-        with pytest.raises(InvalidLabelError, match=f"^sample b label {bad} {why}$"):
+        with pytest.raises(InvalidLabelError, match=f"^sample b label {bad} {re.escape(why)}$"):
             Dataset(ids=("a", "b"), labels=[3.0, bad], features=np.zeros((2, 2)),
                     support=SUP)
+
+    # every way a label enters ends in LabelSupport.indices_of, so each gives
+    # one verdict: the same error text, after the sample or the file and line
+    @pytest.mark.parametrize("label, why", [
+        (3.7, "is not a whole number"),
+        (math.nan, "is not a whole number"),
+        (math.inf, "outside support [0, 100]"),
+        (-math.inf, "outside support [0, 100]"),
+        (SUP.min_label - 1, "outside support [0, 100]"),
+        (SUP.max_label + 1, "outside support [0, 100]"),
+        (7.0, None)])
+    def test_every_entry_gives_the_label_one_verdict(self, tmp_path, label, why):
+        path = tmp_path / "one.csv"
+        # each entry returns the labels it accepted
+        entries = {"": lambda: SUP.min_label + SUP.indices_of([label]),
+                   "sample s1 ": lambda: Dataset(ids=("s1",), labels=[label],
+                                                 features=np.zeros((1, 2)), support=SUP).labels}
+        if isinstance(label, int):  # a CSV age is an integer
+            path.write_text(f"id,age,f0\ns1,{label},0.5\n")
+            entries[f"{path}: line 2: "] = lambda: load_csv(path, SUP).labels
+        for named, enter in entries.items():
+            if why is None:
+                assert enter().tolist() == [7]
+                continue
+            with pytest.raises(InvalidLabelError) as exc_info:
+                enter()
+            assert str(exc_info.value) == f"{named}label {label} {why}"
 
     def test_whole_float_labels_accepted(self):
         ds = Dataset(ids=("a", "b"), labels=[3.0, 10.0], features=np.zeros((2, 2)),

@@ -1,7 +1,9 @@
 """Classifier tests: determinism, hand-computed forward passes, finite
 difference gradient checks, and exact checkpoint round trips."""
 
+import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from saldl.model import (
     PREDICTION_RULES,
     _act_grad,
     backward_step,
+    embeddings,
     forward,
     forward_batch,
     init_model,
@@ -307,6 +310,15 @@ class TestBackwardStep:
             backward_step(m, self.X[:2], [10, bad], PARAMS, PART, 0.1, SUP, return_stats=True)
         assert m.equals(self.model)
 
+    # unchecked, (3, 1) labels ended in a broadcast ValueError and 0-d ones in an IndexError
+    @pytest.mark.parametrize("labels", [[[10], [45], [60]], 10])
+    def test_labels_that_are_not_one_per_row_rejected(self, labels):
+        m = self.model.copy()
+        shape = np.shape(labels)
+        with pytest.raises(ShapeError, match=re.escape(f"features (3, 8) and labels {shape}")):
+            backward_step(m, self.X[:3], labels, PARAMS, PART, 0.1, SUP)
+        assert m.equals(self.model)
+
     def test_whole_float_labels_train_as_integers(self):
         m_int, m_float = self.model.copy(), self.model.copy()
         _, want = backward_step(m_int, self.X, self.y, PARAMS, PART, 0.1, SUP)
@@ -352,6 +364,17 @@ class TestPredictAges:
         assert got.shape == (n,)
         assert got.tobytes() == want.tobytes()
 
+    # analyze reads its embeddings in the same blocks
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513, 909])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_blocked_embeddings_equal_one_shot_embeddings(self, n, activation):
+        m = init_model((16, 64, 32, 101), activation, 3, SUP)
+        x = np.random.default_rng(n).normal(scale=3.0, size=(n, 16))
+        _, acts = forward_batch(m, x)
+        got = embeddings(m, x)
+        assert got.shape == (n, 32)
+        assert got.tobytes() == acts[-1].tobytes()
+
     def test_one_dimensional_input_rejected_before_any_block(self, monkeypatch):
         calls = []
         monkeypatch.setattr("saldl.model.forward_batch", lambda *a: calls.append(a))
@@ -360,19 +383,25 @@ class TestPredictAges:
         assert calls == []
 
     def test_working_set_does_not_grow_with_the_input(self):
-        m = init_model((16, 64, 32, 101), "relu", 0, SUP)
+        read = functools.partial(predict_ages, support=SUP)
+        assert net_peak(read, 64, 1) <= 1.25 * net_peak(read, 4, 1)
 
-        def net_peak(blocks):
-            x = np.random.default_rng(0).normal(size=(blocks * BLOCK_ROWS, 16))
-            tracemalloc.start()
-            try:
-                predict_ages(m, x, SUP)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - len(x) * 8  # less the (n,) float64 output
+    def test_embedding_working_set_does_not_grow_with_the_input(self):
+        assert net_peak(embeddings, 64, 32) <= 1.25 * net_peak(embeddings, 4, 32)
 
-        assert net_peak(64) <= 1.25 * net_peak(4)
+
+def net_peak(read, blocks, width):
+    """Traced peak memory of ``read(model, x)`` on ``blocks`` blocks' rows,
+    less its (n, width) float64 output."""
+    m = init_model((16, 64, 32, 101), "relu", 0, SUP)
+    x = np.random.default_rng(0).normal(size=(blocks * BLOCK_ROWS, 16))
+    tracemalloc.start()
+    try:
+        read(m, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - len(x) * width * 8
 
 
 class TestCheckpointRoundTrip:
