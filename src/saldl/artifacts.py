@@ -10,6 +10,7 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 from pathlib import Path
 
 from .errors import ParseError
@@ -65,8 +66,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def copy_file(src, dst) -> None:
-    data = Path(src).read_bytes()
-    _replace(dst, lambda fh: fh.write(data), binary=True)
+    """The bytes of ``src``, streamed a buffer at a time."""
+    with open(src, "rb") as source:
+        _replace(dst, lambda fh: shutil.copyfileobj(source, fh), binary=True)
 
 
 def read_json(path, build):

@@ -311,8 +311,16 @@ def _read_data(config: ExperimentConfig, *names: str) -> list[Dataset]:
 
 
 def _build_partition(config: ExperimentConfig, train_data: Dataset) -> StagePartition:
-    return (config.partition.fixed_stages(config.support)
-            or kmeans_1d(train_data.labels, config.partition.k, config.support))
+    """The configured stages; k-means cuts the training labels into
+    ``partition.k`` stages, at most one per distinct label."""
+    fixed = config.partition.fixed_stages(config.support)
+    if fixed is not None:
+        return fixed
+    k, distinct = config.partition.k, len(np.unique(train_data.labels))
+    if distinct < k:
+        raise InvalidParameterError(f"partition.k: {k} stages need at least {k} distinct "
+                                    f"training labels, the training split has {distinct}")
+    return kmeans_1d(train_data.labels, k, config.support)
 
 
 def _generate_data(config: ExperimentConfig

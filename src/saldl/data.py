@@ -39,7 +39,10 @@ _ARC_SPAN = 0.9 * np.pi
 class Dataset:
     """Column store of one split: sample ids, int64 labels and a float64
     ``(n, d)`` feature matrix, row i belonging to ``ids[i]``. The arrays are
-    private read-only copies."""
+    read-only and the dataset's own: ``Dataset(...)`` copies the features
+    it is given, while ``generate_synthetic``, ``split`` and ``load_csv``
+    hand over the feature matrix they just built, uncopied. The labels are
+    always a new array."""
 
     ids: tuple[str, ...]
     labels: np.ndarray
@@ -47,13 +50,24 @@ class Dataset:
     support: LabelSupport
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        labels = np.asarray(self.labels)
-        features = np.array(self.features, dtype=np.float64)
+        self._hold(self.ids, self.labels, np.array(self.features, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, ids, labels, features: np.ndarray, support: LabelSupport) -> "Dataset":
+        """A dataset that keeps ``features``, a float64 array no one else
+        holds, instead of a copy of it."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "support", support)
+        dataset._hold(ids, labels, features)
+        return dataset
+
+    def _hold(self, ids, labels, features: np.ndarray) -> None:
+        ids, labels = tuple(ids), np.asarray(labels)
         if labels.shape != (len(ids),) or features.ndim != 2 or len(features) != len(ids):
             raise ShapeError(f"{len(ids)} ids need ({len(ids)},) labels and ({len(ids)}, d) "
                              f"features, got {labels.shape} and {features.shape}")
-        labels = self.support.min_label + self.support.indices_of(labels, ids)
+        labels = self.support.indices_of(labels, ids)  # a new array
+        labels += self.support.min_label
         labels.flags.writeable = False
         features.flags.writeable = False
         object.__setattr__(self, "ids", ids)
@@ -122,12 +136,15 @@ def generate_synthetic(profile: AmbiguityProfile, n_per_label: int, seed: int) -
     support = profile.partition.support
     rng = np.random.default_rng(seed)
     protos = _prototypes(profile, rng)
-    noise = rng.standard_normal((support.size, n_per_label, profile.feature_dim))
-    features = protos[:, None, :] + profile.noise_scale * noise
+    # the noise becomes the features in place; scale * noise + proto rounds
+    # as proto + scale * noise does
+    features = rng.standard_normal((support.size, n_per_label, profile.feature_dim))
+    features *= profile.noise_scale
+    features += protos[:, None, :]
     labels = np.repeat(support.labels(), n_per_label)
     ids = map("syn-{}-{}".format, labels.tolist(), list(range(n_per_label)) * support.size)
-    return Dataset(ids=tuple(ids), labels=labels,
-                   features=features.reshape(-1, profile.feature_dim), support=support)
+    return Dataset._adopt(tuple(ids), labels, features.reshape(-1, profile.feature_dim),
+                          support)
 
 
 CSV_ID_COLUMN = "id"
@@ -146,18 +163,19 @@ def save_csv(dataset: Dataset, path) -> None:
     id and label, and one ``%r`` format renders a chunk of rows' floats."""
     header = [CSV_ID_COLUMN, CSV_LABEL_COLUMN] + [
         f"f{i}" for i in range(dataset.feature_dim)]
-    lines = []  # the header, then each row's "id,age", each ending in "\n"
+    lines = []  # the lines the writer renders, each ending in "\n"
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(dataset.ids, dataset.labels.tolist()))
     row_format = "%s" + ",%r" * dataset.feature_dim + "\n"
 
     def chunks():
-        yield lines[0]
+        writer.writerow(header)
+        yield lines.pop()
         for lo in range(0, len(dataset), _CSV_CHUNK_ROWS):
-            rows = dataset.features[lo:lo + _CSV_CHUNK_ROWS].tolist()
-            cells = [cell for lead, floats in zip(lines[1 + lo:1 + lo + len(rows)], rows)
-                     for cell in (lead[:-1], *floats)]
+            hi = lo + _CSV_CHUNK_ROWS
+            writer.writerows(zip(dataset.ids[lo:hi], dataset.labels[lo:hi].tolist()))
+            rows = dataset.features[lo:hi].tolist()
+            cells = [cell for lead, floats in zip(lines, rows) for cell in (lead[:-1], *floats)]
+            lines.clear()
             yield (row_format * len(rows)) % tuple(cells)
     write_text(path, chunks())
 
@@ -179,7 +197,7 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
                 f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},f0,...', "
                 f"got {header[:3]}", 1, path)
         feature_dim = len(header) - 2
-        ids, labels, line_nos = [], [], []
+        ids, labels, line_nos = [], array("q"), array("q")
         cells = array("d")  # every feature cell, row after row
         error = None
         for row in reader:
@@ -216,7 +234,7 @@ def load_csv(path, support: LabelSupport | None = None) -> Dataset:
         raise ParseError("non-finite feature cell", line_nos[np.argmin(finite)], path)
     if error is not None:
         raise error
-    return Dataset(ids=tuple(ids), labels=labels, features=features, support=support)
+    return Dataset._adopt(ids, np.frombuffer(labels, dtype=np.int64), features, support)
 
 
 def check_fractions(fractions) -> tuple[float, float, float]:
@@ -287,7 +305,7 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int
     ids = np.array(dataset.ids, dtype=object)
 
     def subset(idx: np.ndarray) -> Dataset:
-        return Dataset(ids=tuple(ids[idx]), labels=dataset.labels[idx],
-                       features=dataset.features[idx], support=dataset.support)
+        return Dataset._adopt(ids[idx], dataset.labels[idx], dataset.features[idx],
+                              dataset.support)
 
     return tuple(subset(order[part == p]) for p in range(3))

@@ -229,9 +229,10 @@ def backward_step(model: Model, features: np.ndarray, labels: np.ndarray,
     idx, alphas = checked
     n = x.shape[0]
 
+    # a diverged model's logits overflow; _loss_terms rejects them without a warning
     with np.errstate(invalid="ignore", over="ignore"):
         logits, acts = forward_batch(model, x)
-    terms = _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
+        terms = _loss_terms(logits, idx, table.target[idx], alphas, table.support, loss_mode)
 
     delta = terms.dlogits * (learning_rate / n)  # a step on the batch-mean objective
     for layer in range(len(model.weights) - 1, -1, -1):

@@ -304,7 +304,6 @@ class _Run:
         self.config, self.partition, self.support = config, partition, train.support
         self.history, self.rng = TrainHistory(), np.random.default_rng(config.seed)
         self.features, self.labels = train.features_matrix(), train.labels
-        self.shuffled = np.empty_like(self.features)
         self.label_idx = self.support.indices_of(self.labels)
         # every sample is visited once per epoch, so the per-label counts never change
         self.label_counts = np.bincount(self.label_idx,
@@ -329,7 +328,8 @@ class _Run:
         losses and the per-sample objective."""
         config, n = self.config, len(self.labels)
         order = self.rng.permutation(n)
-        features = np.take(self.features, order, axis=0, out=self.shuffled)
+        # each batch gathers its own feature rows, so a run holds no second
+        # copy of the training features
         labels, idx = self.labels[order], self.label_idx[order]
         alphas = params.alphas[self.stage_of_label][idx]
         # every stage's sigma is fixed for the epoch, so is each label's target;
@@ -344,8 +344,8 @@ class _Run:
             batch = slice(start, end)
             try:
                 model, _, stats = backward_step(
-                    model, features[batch], labels[batch], params, self.partition,
-                    config.learning_rate, self.support, loss_mode=config.loss_mode,
+                    model, self.features.take(order[batch], axis=0), labels[batch], params,
+                    self.partition, config.learning_rate, self.support, loss_mode=config.loss_mode,
                     return_stats=True, table=self.table, checked=(idx[batch], alphas[batch]))
             except InvalidInputError as exc:
                 raise TrainingDivergedError(f"non-finite state at epoch {epoch}: {exc}",

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_copy_is_byte_exact(tmp_path):
     src.write_bytes(b"a\r\nb\xff\n")
     copy_file(src, _old_file(tmp_path, "dst.bin"))
     assert (tmp_path / "dst.bin").read_bytes() == b"a\r\nb\xff\n"
+
+
+def test_copy_streams_the_file(tmp_path):
+    # before, the copy read the whole file into memory: a peak of its size
+    src = tmp_path / "src.bin"
+    src.write_bytes(bytes(range(256)) * (1 << 14) + b"end\n")  # just over 4 MiB
+    tracemalloc.start()
+    try:
+        with recorded() as paths:
+            copy_file(src, tmp_path / "dst.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+    assert paths == [tmp_path / "dst.bin"]
+    assert (tmp_path / "dst.bin").read_bytes() == src.read_bytes()
 
 
 def test_value_the_builder_rejects_is_a_parse_error_naming_the_file(tmp_path):

@@ -530,10 +530,10 @@ class TestStage:
         part = json.loads((out / "partition.json").read_text())
         assert part["boundaries"] == [0, 6]
 
-    def test_kmeans_k_exceeding_distinct_fails(self, tmp_path):
+    def test_kmeans_k_exceeding_distinct_fails(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        ds = Dataset(ids=("0", "1", "2", "3"), labels=[5] * 4,
+        ds = Dataset(ids=("0", "1", "2", "3"), labels=[5, 5, 9, 9],
                      features=np.zeros((4, 2)), support=SUP)
         for name in ("train.csv", "val.csv", "test.csv"):
             save_csv(ds, out / name)
@@ -541,12 +541,36 @@ class TestStage:
         doc["data"] = {"train_csv": str(out / "train.csv"),
                        "val_csv": str(out / "val.csv"),
                        "test_csv": str(out / "test.csv")}
-        doc["partition"] = {"mode": "kmeans", "k": 3}
+        doc["partition"] = {"mode": "kmeans", "k": 5}
         path = write_config(tmp_path, doc)
         assert main(["stage", "--config", str(path)]) == 1
+        # before, the line named the library argument: "error: k: expected a value in [1, 3)"
+        assert capsys.readouterr().err.splitlines() == [
+            "error: partition.k: 5 stages need at least 5 distinct training labels, "
+            "the training split has 2"]
 
 
 class TestTrainCommand:
+    def test_diverging_train_prints_one_error_line_and_no_warning(self, tmp_path, capsys,
+                                                                  recwarn):
+        # before, NumPy's two-line "invalid value encountered in reduce" warning from the
+        # logit check came first
+        path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["gen-data", "--config", str(path)]) == 0
+        train_csv = tmp_path / "run" / "train.csv"
+        lines = train_csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "1e300"  # the first sample's first feature
+        lines[1] = ",".join(cells)
+        train_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged: ")
+        assert len(recwarn) == 0
+        meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
+        assert meta["status"] == "partial"
+
     def test_zero_epochs_emits_initial_checkpoint(self, tmp_path):
         doc = base_config(tmp_path / "run", epochs=0)
         path = write_config(tmp_path, doc)

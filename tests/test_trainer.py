@@ -3,6 +3,7 @@ rules, determinism, and divergence handling."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -738,6 +739,24 @@ def test_label_sums_identical_across_runs(monkeypatch):
     for a, b in zip(first, second, strict=True):
         assert a.tobytes() == b.tobytes()
     assert hist.to_dicts() == again.to_dicts()
+
+
+def test_run_holds_the_training_features_once():
+    # before, each run also held a shuffled copy of the training features
+    profile = AmbiguityProfile(levels=(4.0, 1.0), partition=PART, feature_dim=64,
+                               noise_scale=0.05)
+    train = generate_synthetic(profile, n_per_label=40, seed=0)  # 4 040 rows, 2.1 MB
+    val = generate_synthetic(profile, n_per_label=1, seed=1)
+    m0 = init_model((64, 24, 12, SUP.size), "relu", 0, SUP)
+    p0, cfg = StageParams.initial(PART.k), TrainConfig(epochs=1, seed=0)
+    train_sav(val, val, PART, m0, p0, cfg)  # the first run imports what it uses
+    tracemalloc.start()
+    try:
+        train_sav(train, val, PART, m0, p0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < train.features.nbytes
 
 
 class TestEvaluateL1:
