@@ -3,7 +3,8 @@
 One experiment is one JSON config; commands read it with ``--config`` and
 write their artifacts into the configured output directory, plus a
 ``run_meta.json`` recording the config hash, package version, wall time and
-every file written. ``--seed`` and ``--out`` override the config for sweeps.
+every file written. ``--seed`` and ``--out`` override the config for sweeps;
+``run-ablation`` rejects ``--seed`` when the config sets ``ablation.seeds``.
 
 Every command is assembled from four stages that work on in-memory
 datasets: data (generate and split, or load the CSVs), partition, train
@@ -39,13 +40,7 @@ from .data import (
     split_counts,
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
-from .evaluation import (
-    SIMILARITY_AGGREGATIONS,
-    MetricsReport,
-    anchor_similarity_curve,
-    compute_metrics,
-    cs_threshold,
-)
+from .evaluation import MetricsReport, anchor_similarity_curve, compute_metrics, cs_threshold
 from .model import ACTIVATIONS, Model, _widths, embeddings, init_model, predict_ages
 from .staging import (
     PROVENANCES,
@@ -222,8 +217,7 @@ class AblationSection:
 @dataclass
 class EvalSection:
     cs_thresholds: tuple[float, ...] = _key(_each(cs_threshold), (5.0,))
-    anchors: tuple[int, ...] = _key(_each(whole_number), ())
-    similarity_aggregation: str = _key(_one_of(SIMILARITY_AGGREGATIONS), "pairwise")
+    anchors: tuple[int, ...] = _key(_each(whole_number, distinct=True), ())
 
 
 @dataclass
@@ -450,8 +444,7 @@ def cmd_analyze(config: ExperimentConfig) -> None:
     model, _ = _load_model(config, test_data)
     embedding = embeddings(model, test_data.features_matrix())
     for anchor in config.eval.anchors:
-        curve = anchor_similarity_curve(embedding, test_data.labels, anchor, config.support,
-                                        config.eval.similarity_aggregation)
+        curve = anchor_similarity_curve(embedding, test_data.labels, anchor, config.support)
         curve.to_csv(out / f"similarity_anchor_{anchor}.csv")
 
 
@@ -542,7 +535,12 @@ def main(argv=None) -> int:
     config: ExperimentConfig | None = None
     try:
         with recorded() as outputs:  # every file written, a failed run's too
-            config = load_config(args.config, args.seed, args.out)
+            loaded = load_config(args.config, args.seed, args.out)
+            if args.command == "run-ablation" and args.seed is not None and loaded.ablation.seeds:
+                # rejected before out_dir is touched: the run would ignore --seed
+                raise CommandError("--seed: run-ablation runs the config's ablation.seeds; "
+                                   "drop one of the two")
+            config = loaded
             COMMANDS[args.command](config)
     except Exception as exc:  # every failure ends as one error line
         # when out_dir itself is unusable there is nowhere to record the

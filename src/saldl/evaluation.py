@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .core import LabelSupport, _each, _named, _number, _one_of, _range, whole_number
+from .core import LabelSupport, _each, _named, _number, _range, whole_number
 from .errors import (
     DegenerateEmbeddingError,
     EmptyInputError,
@@ -16,8 +16,6 @@ from .errors import (
     ShapeError,
 )
 from .staging import StagePartition
-
-SIMILARITY_AGGREGATIONS = ("pairwise", "mean_embedding")
 
 
 def _check_pair(preds, labels):
@@ -112,15 +110,10 @@ class SimilarityCurve:
 
 
 def anchor_similarity_curve(embeddings, labels, anchor: int,
-                            support: LabelSupport | None = None,
-                            aggregation: str = "pairwise") -> SimilarityCurve:
-    """Per-label mean cosine similarity against the anchor label's embeddings.
-
-    ``pairwise`` averages the cosine over all cross pairs (anchor-vs-anchor
-    drops self pairs when the anchor has several samples); ``mean_embedding``
-    compares mean normalized embeddings instead.
-    """
-    _named("aggregation", _one_of(SIMILARITY_AGGREGATIONS), aggregation)
+                            support: LabelSupport | None = None) -> SimilarityCurve:
+    """Per-label mean cosine similarity against the anchor label's embeddings:
+    the mean over all cross pairs (anchor-vs-anchor drops self pairs when the
+    anchor has several samples)."""
     anchor, support = _named("anchor", whole_number, anchor), support or LabelSupport()
     emb = np.asarray(embeddings, dtype=np.float64)
     idx = support.indices_of(labels)
@@ -136,25 +129,15 @@ def anchor_similarity_curve(embeddings, labels, anchor: int,
     if not anchor_mask.any():
         raise InvalidLabelError(f"anchor label {anchor} has no samples")
     a = unit[anchor_mask]
-    a_sum = a.sum(axis=0)
 
-    # per label: its sample count and the sum of its samples' dots with the anchor sum
+    # per label: its sample count, its cross-pair count and the sum of its
+    # samples' dots with the anchor sum
     counts = np.bincount(idx, minlength=support.size)
-    dots = np.bincount(idx, weights=unit @ a_sum, minlength=support.size)
-    if aggregation == "mean_embedding":
-        # the cosine of two mean vectors is the cosine of the two sums
-        sums = np.zeros((support.size, unit.shape[1]))
-        np.add.at(sums, idx, unit)
-        norms = np.linalg.norm(sums, axis=1) * np.linalg.norm(a_sum)
-        zero = np.flatnonzero((counts > 0) & (norms == 0.0))
-        if zero.size:
-            raise DegenerateEmbeddingError(
-                f"mean embedding for label {support.min_label + zero[0]} has zero norm")
-    else:
-        norms = counts * float(len(a))
-        if len(a) > 1:  # anchor-vs-anchor drops the self pairs
-            dots[anchor_idx] -= (a * a).sum()
-            norms[anchor_idx] = len(a) * (len(a) - 1)
-    values = np.clip(dots / np.where(counts > 0, norms, 1.0), -1.0, 1.0)
+    dots = np.bincount(idx, weights=unit @ a.sum(axis=0), minlength=support.size)
+    pairs = counts * float(len(a))
+    if len(a) > 1:  # anchor-vs-anchor drops the self pairs
+        dots[anchor_idx] -= (a * a).sum()
+        pairs[anchor_idx] = len(a) * (len(a) - 1)
+    values = np.clip(dots / np.where(counts > 0, pairs, 1.0), -1.0, 1.0)
     return SimilarityCurve(anchor=anchor, counts=tuple(counts.tolist()), support=support,
                            values=tuple(float(v) if m else None for v, m in zip(values, counts)))

@@ -63,8 +63,6 @@ ROWS = {
     "activation-unknown": ("activation", lambda: init_model((4, 101), "sigmoid", 0, SUP)),
     "prediction-rule-unknown": ("prediction_rule", lambda: predict_ages(
         init_model((4, 101), "relu", 0, SUP), DATA.features, SUP, "median")),
-    "aggregation-unknown": ("aggregation", lambda: anchor_similarity_curve(
-        DATA.features, DATA.labels, 1, SUP, "max")),
 }
 
 

@@ -21,8 +21,12 @@ from saldl.evaluation import compute_metrics, cumulative_score
 from saldl.model import backward_step, init_model
 from saldl.staging import StagePartition, kmeans_1d
 from saldl.trainer import StageParams, TrainConfig, propose_stage_update, save_checkpoint
+from test_acceptance import (BOUNDARIES, FEATURE_DIM, FRACTIONS, HIDDEN, LEVELS, N_PER_LABEL,
+                             NOISE_SCALE, TRAIN_KW)
+from test_acceptance import SEEDS as GATE_SEEDS
 
 SUP = LabelSupport()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_config(out_dir, epochs=3):
@@ -137,13 +141,31 @@ class TestConfigValidation:
         # run_meta.json's config_sha256 stays the same for every config that loads
         doc = base_config("runs/demo")
         assert ExperimentConfig.from_dict(doc).sha256() == (
-            "da800950e8bbc395acc05be396685611e979759045dc6a24c822436e642cbd68")
+            "106030a5ba5b73a03a24b9b0a80a1dbb7b69bb1092a3733ce77a8e8d56ddef43")
         # values that convert keep the hash of their converted form
         doc["partition"] = {"mode": "kmeans", "k": 2.0}
         doc["ablation"]["seeds"] = ["3", 4.0]
         doc["data"]["synthetic"]["levels"] = [6, "1"]
         assert ExperimentConfig.from_dict(doc).sha256() == (
-            "04467e8a854a9fed7ca60641deef59aa598c53b7a57f2953e8f914064082b49c")
+            "9bc3579f1ff109c907111be653a49b8dfaf318af0647c6fd91fed058283568ff")
+
+    def test_committed_configs_hold_the_gate_settings(self):
+        configs = {name: load_config(CONFIGS / f"{name}.json")
+                   for name in ("ablation", "similarity")}
+        for name, cfg in configs.items():
+            assert cfg.out_dir == f"runs/{name}" and cfg.support == SUP
+            spec = cfg.data.synthetic
+            assert (spec.levels, spec.boundaries, spec.feature_dim, spec.noise_scale,
+                    spec.n_per_label) == (LEVELS, BOUNDARIES, FEATURE_DIM, NOISE_SCALE,
+                                          N_PER_LABEL)
+            assert cfg.data.fractions == FRACTIONS
+            assert (cfg.partition.mode, cfg.partition.k) == ("kmeans", len(BOUNDARIES))
+            assert cfg.model == cli.ModelSection(hidden_dims=HIDDEN, activation="relu")
+            # the gate's full arm: adaptive variance and the composite loss
+            assert cfg.train_config() == TrainConfig(seed=GATE_SEEDS[0], sav=True,
+                                                     loss_mode="saw", **TRAIN_KW)
+        assert configs["ablation"].ablation.seeds == GATE_SEEDS
+        assert configs["similarity"].eval.anchors == (10, 45, 75)
 
     # every optional key of the sections that are hashed as loaded (train is
     # hashed as given); synthetic is the nested section below it
@@ -175,7 +197,6 @@ class TestConfigValidation:
         ("ablation", "fixed_sigma", 0),  # converts, but TrainConfig rejects it
         ("model", "activation", "sigmoid"),
         ("model", "activation", 5),
-        ("eval", "similarity_aggregation", "median"),
         ("ablation", "sav", "false"),  # a JSON string, not a boolean
         ("ablation", "saw", "no"),
         ("train", "epochs", 1.5),  # loaded, then failed after files were written
@@ -252,6 +273,8 @@ class TestConfigValidation:
         ("data", "test_csv", ""),
         # seed 0 trained twice, and counted twice in the arm means
         ("ablation", "seeds", [0, 0, 1]),
+        # analyze wrote similarity_anchor_10.csv twice, and run_meta.json listed it twice
+        ("eval", "anchors", [10, 10]),
         # read as the current directory, where gen-data wrote its files
         ("config", "out_dir", ""),
     ])
@@ -262,6 +285,12 @@ class TestConfigValidation:
             target = target[part]
         target[key] = value
         self.assert_rejected_at_load(tmp_path, capsys, doc, f"{section}.{key}")
+
+    def test_removed_similarity_aggregation_key_named(self, tmp_path, capsys):
+        # analyze has one similarity rule, the pairwise mean; the key that chose it is gone
+        doc = base_config(tmp_path / "run")
+        doc["eval"]["similarity_aggregation"] = "pairwise"
+        self.assert_rejected_at_load(tmp_path, capsys, doc, "similarity_aggregation")
 
     # where a config sets each TrainConfig field that its train section does not
     SET_OUTSIDE_TRAIN = {"seed": "config", "sav": "ablation", "loss_mode": "ablation",
@@ -352,6 +381,17 @@ class TestConfigValidation:
         assert main([command, "--config", str(path), "--seed", "-1"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --seed:")
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_override_with_ablation_seeds_rejected(self, tmp_path, capsys):
+        # run-ablation trained seed_1 only and exited 0, ignoring --seed 7
+        doc = base_config(tmp_path / "run")
+        doc["ablation"]["seeds"] = [1]
+        path = write_config(tmp_path, doc)
+        assert main(["run-ablation", "--config", str(path), "--seed", "7"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed:")
+        assert "ablation.seeds" in err[0]
         assert not (tmp_path / "run").exists()
 
     def test_non_string_out_dir_names_field(self, tmp_path, capsys, monkeypatch):

@@ -122,7 +122,7 @@ class TestPerStageMae:
         assert total / n == pytest.approx(mae(preds, labels), abs=1e-12)
 
 
-def similarity_loop(embeddings, labels, anchor, support, aggregation):
+def similarity_loop(embeddings, labels, anchor, support):
     """Per-label oracle: one mask and one anchor-by-label Gram block per label."""
     unit = embeddings / np.linalg.norm(embeddings, axis=1)[:, None]
     a = unit[labels == anchor]
@@ -134,16 +134,11 @@ def similarity_loop(embeddings, labels, anchor, support, aggregation):
         if m == 0:
             values.append(None)
             continue
-        b = unit[mask]
-        if aggregation == "mean_embedding":
-            ma, mb = a.mean(axis=0), b.mean(axis=0)
-            val = np.dot(ma, mb) / (np.linalg.norm(ma) * np.linalg.norm(mb))
+        gram = a @ unit[mask].T
+        if label == anchor and m > 1:
+            val = (gram.sum() - np.trace(gram)) / (m * (m - 1))
         else:
-            gram = a @ b.T
-            if label == anchor and m > 1:
-                val = (gram.sum() - np.trace(gram)) / (m * (m - 1))
-            else:
-                val = gram.mean()
+            val = gram.mean()
         values.append(float(np.clip(val, -1.0, 1.0)))
     return tuple(values), tuple(counts)
 
@@ -208,17 +203,16 @@ class TestAnchorSimilarityCurve:
         with pytest.raises(InvalidLabelError):
             anchor_similarity_curve(np.ones((2, 3)), np.array([5, 6]), 50, SUP)
 
-    @given(n=st.integers(1, 40), dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
-           aggregation=st.sampled_from(["pairwise", "mean_embedding"]))
+    @given(n=st.integers(1, 40), dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_equals_per_label_loop(self, n, dim, seed, aggregation):
+    def test_equals_per_label_loop(self, n, dim, seed):
         rng = np.random.default_rng(seed)
         emb = rng.normal(size=(n, dim))
         # few distinct labels, so most hold several samples
         labels = rng.choice(np.array([0, 3, 50, 51, 100]), size=n)
         anchor = labels[0] = rng.choice([0, 3, 50, 51, 100])
-        curve = anchor_similarity_curve(emb, labels, anchor, SUP, aggregation)
-        want_values, want_counts = similarity_loop(emb, labels, anchor, SUP, aggregation)
+        curve = anchor_similarity_curve(emb, labels, anchor, SUP)
+        want_values, want_counts = similarity_loop(emb, labels, anchor, SUP)
         assert curve.counts == want_counts
         for got, want in zip(curve.values, want_values):
             assert (got is None) == (want is None)
@@ -238,17 +232,6 @@ class TestAnchorSimilarityCurve:
         emb = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateEmbeddingError):
             anchor_similarity_curve(emb, np.array([5, 6]), 5, SUP)
-
-    def test_mean_embedding_variant(self):
-        emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        labels = np.array([10, 10, 30])
-        pair = anchor_similarity_curve(emb, labels, 30, SUP)
-        mean = anchor_similarity_curve(emb, labels, 30, SUP,
-                                       aggregation="mean_embedding")
-        # pairwise averages cosines; the mean variant takes the cosine of the
-        # averaged unit vectors, which differs on spread sets
-        assert value_at(pair, 10) == pytest.approx(0.5)
-        assert value_at(mean, 10) == pytest.approx(np.cos(np.pi / 4))
 
     def test_curve_flatter_in_high_ambiguity_stage(self):
         profile = AmbiguityProfile(levels=(12.0, 0.5), partition=PART,
