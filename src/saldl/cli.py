@@ -20,15 +20,15 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass,
+                         replace)
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .artifacts import copy_file, recorded, write_csv, write_json
-from .core import (LabelSupport, _count, _each, _exactly, _key, _named, _number, _one_of,
-                   whole_number)
+from .core import LabelSupport, _count, _each, _exactly, _key, _named, _one_of, whole_number
 from .data import (
     AmbiguityProfile,
     Dataset,
@@ -40,7 +40,7 @@ from .data import (
     split_counts,
 )
 from .errors import InvalidParameterError, SaldlError, TrainingDivergedError
-from .evaluation import MetricsReport, anchor_similarity_curve, compute_metrics, cs_threshold
+from .evaluation import MetricsReport, _cs_thresholds, anchor_similarity_curve, compute_metrics
 from .model import ACTIVATIONS, Model, _widths, embeddings, init_model, predict_ages
 from .staging import (
     PROVENANCES,
@@ -91,11 +91,6 @@ def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()
             raise InvalidParameterError(f"{ctx} is missing {key!r}")
 
 
-def _get(d: dict, ctx: str, key: str, convert):
-    """``convert(d[key])``; a failure is an InvalidParameterError naming ``ctx.key``."""
-    return _named(f"{ctx}.{key}", convert, d[key])
-
-
 def _converter(cls, name: str):
     """The converter declared on the field ``name`` of ``cls``."""
     return cls.__dataclass_fields__[name].metadata["convert"]
@@ -108,12 +103,20 @@ def _like(cls, name: str):
 
 
 def _section(cls, d: dict, ctx: str):
-    """``cls`` built from the keys of ``d``, each converted by its field's
-    converter; a key left out keeps the field default, and a field without
-    a default is required."""
+    """``cls`` built from the keys of ``d`` in field order, each converted
+    by its field's converter, a failure naming ``ctx.key``. A converter that
+    is a dataclass reads its value as the section ``ctx.key``, null meaning
+    None. A key left out keeps the field default, and a field without a
+    default is required."""
     required = tuple(f.name for f in fields(cls) if f.default is MISSING)
     _strict(d, _keys(cls), ctx, required)
-    return cls(**{key: _get(d, ctx, key, _converter(cls, key)) for key in d})
+
+    def read(f):
+        convert, name = f.metadata["convert"], f"{ctx}.{f.name}"
+        if is_dataclass(convert):
+            return None if d[f.name] is None else _section(convert, d[f.name], name)
+        return _named(name, convert, d[f.name])
+    return cls(**{f.name: read(f) for f in fields(cls) if f.name in d})
 
 
 def _optional(convert):
@@ -126,10 +129,6 @@ def _path(value) -> str:
     if not _exactly(str)(value):
         raise InvalidParameterError("expected a path, got ''")
     return value
-
-
-# The train section holds the TrainConfig knobs that no other section sets.
-TRAIN_KEYS = _keys(TrainConfig) - {"seed", "sav", "loss_mode", "fixed_sigma"}
 
 
 @dataclass
@@ -162,19 +161,11 @@ class SyntheticSpec:
 
 @dataclass
 class DataSection:
-    synthetic: SyntheticSpec | None = _key(lambda v: v, None)
-    fractions: tuple[float, float, float] = _key(_each(_number), (0.7, 0.15, 0.15))
+    synthetic: SyntheticSpec | None = _key(SyntheticSpec, None)
+    fractions: tuple[float, float, float] = _key(check_fractions, (0.7, 0.15, 0.15))
     train_csv: str | None = _key(_optional(_path), None)
     val_csv: str | None = _key(_optional(_path), None)
     test_csv: str | None = _key(_optional(_path), None)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataSection":
-        section = _section(cls, d, "data")
-        if section.synthetic is not None:  # parsed outside _get: it names its own fields
-            section.synthetic = _section(SyntheticSpec, section.synthetic, "data.synthetic")
-        _named("data.fractions", check_fractions, section.fractions)
-        return section
 
 
 @dataclass
@@ -204,6 +195,12 @@ class ModelSection:
     activation: str = _key(_one_of(ACTIVATIONS), "relu")
 
 
+# The TrainConfig knobs that no other section sets.
+TrainSection = make_dataclass("TrainSection", [
+    (f.name, f.type, _like(TrainConfig, f.name)) for f in fields(TrainConfig)
+    if f.name not in {"seed", "sav", "loss_mode", "fixed_sigma"}])
+
+
 @dataclass
 class AblationSection:
     sav: bool = _like(TrainConfig, "sav")
@@ -216,7 +213,7 @@ class AblationSection:
 
 @dataclass
 class EvalSection:
-    cs_thresholds: tuple[float, ...] = _key(_each(cs_threshold), (5.0,))
+    cs_thresholds: tuple[float, ...] = _key(_cs_thresholds, (5.0,))
     anchors: tuple[int, ...] = _key(_each(whole_number, distinct=True), ())
 
 
@@ -228,41 +225,30 @@ class ExperimentConfig:
     data: DataSection = field(default_factory=DataSection)
     partition: PartitionSection = field(default_factory=PartitionSection)
     model: ModelSection = field(default_factory=ModelSection)
-    train: dict = field(default_factory=dict)
+    train: TrainSection = field(default_factory=TrainSection)
     ablation: AblationSection = field(default_factory=AblationSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
-        support = _section(LabelSupport, d.get("support", {}), "support")
-        train = d.get("train", {})  # checked here, and stored and hashed as given
-        _strict(train, TRAIN_KEYS, "train")
-        for key in train:
-            _get(train, "train", key, _converter(TrainConfig, key))
         config = cls(
-            seed=_get(d, "config", "seed", _converter(TrainConfig, "seed")),
-            out_dir=_get(d, "config", "out_dir", _path),
-            support=support,
-            data=DataSection.from_dict(d.get("data", {})),
-            partition=_section(PartitionSection, d.get("partition", {}), "partition"),
-            model=_section(ModelSection, d.get("model", {}), "model"),
-            train=dict(train),
-            ablation=_section(AblationSection, d.get("ablation", {}), "ablation"),
-            eval=_section(EvalSection, d.get("eval", {}), "eval"),
-        )
+            seed=_named("config.seed", _converter(TrainConfig, "seed"), d["seed"]),
+            out_dir=_named("config.out_dir", _path, d["out_dir"]),
+            **{f.name: _section(f.default_factory, d.get(f.name, {}), f.name)
+               for f in fields(cls) if f.default_factory is not MISSING})
         # the sections' objects on the support, built so that their own checks speak
         if config.data.synthetic is not None:
-            config.data.synthetic.profile(support)
+            config.data.synthetic.profile(config.support)
             config.data.synthetic.check_split(config.data.fractions)
-        config.partition.fixed_stages(support)
-        _named("eval.anchors", support.indices_of, config.eval.anchors)
+        config.partition.fixed_stages(config.support)
+        _named("eval.anchors", config.support.indices_of, config.eval.anchors)
         return config
 
     def train_config(self) -> TrainConfig:
         loss_mode = self.ablation.loss_mode or ("saw" if self.ablation.saw else "kl")
         return TrainConfig(seed=self.seed, sav=self.ablation.sav, loss_mode=loss_mode,
-                           fixed_sigma=self.ablation.fixed_sigma, **self.train)
+                           fixed_sigma=self.ablation.fixed_sigma, **asdict(self.train))
 
     def sha256(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -387,7 +373,7 @@ def _evaluate(config: ExperimentConfig, test_data: Dataset) -> MetricsReport:
     out = Path(config.out_dir)
     model, partition = _load_model(config, test_data)
     preds = predict_ages(model, test_data.features_matrix(), config.support,
-                         config.train_config().prediction_rule)
+                         config.train.prediction_rule)
     report = compute_metrics(preds, test_data.labels, partition,
                              config.eval.cs_thresholds)
     report.save_json(out / "metrics.json")
@@ -461,6 +447,9 @@ def cmd_run_ablation(config: ExperimentConfig) -> None:
                            "data.train_csv, data.val_csv and data.test_csv")
     if not config.eval.cs_thresholds:
         raise CommandError("run-ablation reports test_cs; eval.cs_thresholds is empty")
+    if config.ablation.loss_mode is not None:
+        raise CommandError("ablation.loss_mode: run-ablation trains each arm on the loss its "
+                           "saw switch gives; remove the key")
     out = _out(config)
     seeds = config.ablation.seeds or tuple(config.seed + i for i in range(5))
     # per arm: (seed, test MAE, CS at the lowest threshold), in seed order
@@ -474,8 +463,8 @@ def cmd_run_ablation(config: ExperimentConfig) -> None:
         for arm, sav, saw in ABLATION_ARMS:
             arm_dir = out / "ablation" / arm / f"seed_{seed}"
             arm_dir.mkdir(parents=True, exist_ok=True)
-            arm_config = replace(seed_config, out_dir=str(arm_dir), ablation=replace(
-                config.ablation, sav=sav, saw=saw, loss_mode=None))
+            arm_config = replace(seed_config, out_dir=str(arm_dir),
+                                 ablation=replace(config.ablation, sav=sav, saw=saw))
             if data_files:
                 for src in data_files:
                     copy_file(src, arm_dir / src.name)

@@ -34,8 +34,17 @@ def mae(preds, labels) -> float:
     return float(np.mean(np.abs(preds - labels)))
 
 
-# A cumulative-score threshold: a finite error bound >= 0.
+# A cumulative-score threshold: a finite error bound >= 0, and the
+# metrics.csv row name of the score at a threshold.
 cs_threshold = _range(_number, 0)
+_cs_name = "cs_{:g}".format
+
+
+def _cs_thresholds(values) -> tuple[float, ...]:
+    """Thresholds whose row names differ: not 5 and 5.0, nor 2.5 and 2.50000001."""
+    thresholds = _each(cs_threshold)(values)
+    _each(str, distinct=True)(list(map(_cs_name, thresholds)))
+    return thresholds
 
 
 def cumulative_score(preds, labels, threshold: float) -> float:
@@ -76,14 +85,14 @@ class MetricsReport:
     def save_csv(self, path) -> None:
         write_csv(path, ["metric", "value"], [
             ["mae", self.mae], ["n", self.n],
-            *([f"cs_{t:g}", self.cs[t]] for t in sorted(self.cs)),
+            *([_cs_name(t), self.cs[t]] for t in sorted(self.cs)),
             *([f"mae_stage_{s}", v] for s, v in enumerate(self.per_stage_mae))])
 
 
 def compute_metrics(preds, labels, partition: StagePartition,
                     cs_thresholds=(5.0,)) -> MetricsReport:
     preds, labels = _check_pair(preds, labels)
-    thresholds = _named("cs_thresholds", _each(cs_threshold), cs_thresholds)
+    thresholds = _named("cs_thresholds", _cs_thresholds, cs_thresholds)
     return MetricsReport(
         mae=mae(preds, labels),
         cs={t: cumulative_score(preds, labels, t) for t in thresholds},

@@ -37,6 +37,9 @@ ROWS = {
     "sigma-np-true": ("sigma", lambda: gaussian_label_distribution(50, np.True_, SUP)),
     "threshold-true": ("threshold", lambda: cumulative_score(*ONE, True)),
     "cs-thresholds-true": ("cs_thresholds", lambda: compute_metrics(*ONE, PART, [True])),
+    "cs-thresholds-one-row": ("cs_thresholds", lambda: compute_metrics(*ONE, PART, [5, 5.0])),
+    "cs-thresholds-same-row": ("cs_thresholds",
+                               lambda: compute_metrics(*ONE, PART, [2.5, 2.50000001])),
     "k-true": ("k", lambda: kmeans_1d(DATA.labels, True, SUP)),
     "k-fraction": ("k", lambda: kmeans_1d(DATA.labels, 2.5, SUP)),
     "synthetic-seed-true": ("seed", lambda: generate_synthetic(PROFILE, 3, True)),

@@ -141,13 +141,13 @@ class TestConfigValidation:
         # run_meta.json's config_sha256 stays the same for every config that loads
         doc = base_config("runs/demo")
         assert ExperimentConfig.from_dict(doc).sha256() == (
-            "106030a5ba5b73a03a24b9b0a80a1dbb7b69bb1092a3733ce77a8e8d56ddef43")
+            "a216121dadb230ab3ca71f140b0a365d7ec922b0a78d7783700ce10fda9f77ad")
         # values that convert keep the hash of their converted form
         doc["partition"] = {"mode": "kmeans", "k": 2.0}
         doc["ablation"]["seeds"] = ["3", 4.0]
         doc["data"]["synthetic"]["levels"] = [6, "1"]
         assert ExperimentConfig.from_dict(doc).sha256() == (
-            "9bc3579f1ff109c907111be653a49b8dfaf318af0647c6fd91fed058283568ff")
+            "3798765f1a185f5c47eaa1e3b285b601b106d793dcfd4feef2ab56c59c7624aa")
 
     def test_committed_configs_hold_the_gate_settings(self):
         configs = {name: load_config(CONFIGS / f"{name}.json")
@@ -167,14 +167,15 @@ class TestConfigValidation:
         assert configs["ablation"].ablation.seeds == GATE_SEEDS
         assert configs["similarity"].eval.anchors == (10, 45, 75)
 
-    # every optional key of the sections that are hashed as loaded (train is
-    # hashed as given); synthetic is the nested section below it
+    # every optional key of every section, each hashed as loaded; synthetic is
+    # the nested section below it
     @pytest.mark.parametrize("section, key, default", [
         (section, f.name, f.default)
         for section, cls in (("support", LabelSupport), ("data", cli.DataSection),
                              ("data.synthetic", cli.SyntheticSpec),
                              ("partition", cli.PartitionSection), ("model", cli.ModelSection),
-                             ("ablation", cli.AblationSection), ("eval", cli.EvalSection))
+                             ("train", cli.TrainSection), ("ablation", cli.AblationSection),
+                             ("eval", cli.EvalSection))
         for f in fields(cls) if f.default is not MISSING and f.name != "synthetic"])
     def test_default_written_out_hashes_like_key_left_out(self, tmp_path, section, key,
                                                           default):
@@ -187,6 +188,22 @@ class TestConfigValidation:
         target[key] = json.loads(json.dumps(default))
         assert (ExperimentConfig.from_dict(written).sha256()
                 == ExperimentConfig.from_dict(doc).sha256())
+
+    def test_train_values_that_load_alike_hash_alike(self):
+        # train was hashed as written: each of these had its own config_sha256
+        doc = json.loads((CONFIGS / "ablation.json").read_text())
+        hashes = set()
+        for train in ({"epochs": 60}, {"epochs": 60.0}, {"epochs": "60"},
+                      {"epochs": 60, "sigma_grid": list(TrainConfig().sigma_grid)}):
+            doc["train"] = {**doc["train"], **train}
+            hashes.add(ExperimentConfig.from_dict(doc).sha256())
+        assert len(hashes) == 1
+
+    def test_first_error_in_section_field_order(self, tmp_path, capsys):
+        # a section's keys are read in field order, not in the order the file lists them
+        doc = base_config(tmp_path / "run")
+        doc["model"] = {"activation": "sigmoid", "hidden_dims": [0]}
+        self.assert_rejected_at_load(tmp_path, capsys, doc, "model.hidden_dims")
 
     @pytest.mark.parametrize("section, key, value", [
         ("data.synthetic", "levels", 5),
@@ -275,6 +292,9 @@ class TestConfigValidation:
         ("ablation", "seeds", [0, 0, 1]),
         # analyze wrote similarity_anchor_10.csv twice, and run_meta.json listed it twice
         ("eval", "anchors", [10, 10]),
+        # metrics.csv held two cs_2.5 rows, or one row for two thresholds
+        ("eval", "cs_thresholds", [2.5, 2.50000001]),
+        ("eval", "cs_thresholds", [5, 5.0]),
         # read as the current directory, where gen-data wrote its files
         ("config", "out_dir", ""),
     ])
@@ -884,6 +904,7 @@ class TestRunAblation:
     @pytest.mark.parametrize("section, key, value", [
         ("data", "train_csv", "train.csv"),  # would train on other data than it writes
         ("eval", "cs_thresholds", []),       # leaves the test_cs column without a value
+        ("ablation", "loss_mode", "ce"),     # each arm trained on kl or saw, exit 0
     ])
     def test_config_rejected(self, tmp_path, capsys, section, key, value):
         doc = base_config(tmp_path / "run")
