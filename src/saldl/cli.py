@@ -76,19 +76,16 @@ class CommandError(SaldlError):
     """Command-level failure with a user-facing message."""
 
 
-def _keys(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
-def _strict(d: dict, allowed: set[str], ctx: str, required: tuple[str, ...] = ()) -> None:
+def _strict(d: dict, cls, ctx: str) -> None:
+    """``d``: a JSON object of fields of ``cls``, holding each that has no default."""
     if not isinstance(d, dict):
         raise InvalidParameterError(f"{ctx} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - allowed)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise InvalidParameterError(f"unknown keys in {ctx}: {unknown}")
-    for key in required:
-        if key not in d:
-            raise InvalidParameterError(f"{ctx} is missing {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidParameterError(f"{ctx} is missing {f.name!r}")
 
 
 def _converter(cls, name: str):
@@ -104,19 +101,18 @@ def _like(cls, name: str):
 
 def _section(cls, d: dict, ctx: str):
     """``cls`` built from the keys of ``d`` in field order, each converted
-    by its field's converter, a failure naming ``ctx.key``. A converter that
-    is a dataclass reads its value as the section ``ctx.key``, null meaning
-    None. A key left out keeps the field default, and a field without a
-    default is required."""
-    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
-    _strict(d, _keys(cls), ctx, required)
+    by its field's converter, a failure naming ``ctx.key``; then a rule
+    across the fields names ``ctx``. A converter that is a dataclass reads
+    its value as the section ``ctx.key``, null meaning None. A key left out
+    keeps the field default, and a field without a default is required."""
+    _strict(d, cls, ctx)
 
     def read(f):
         convert, name = f.metadata["convert"], f"{ctx}.{f.name}"
         if is_dataclass(convert):
             return None if d[f.name] is None else _section(convert, d[f.name], name)
         return _named(name, convert, d[f.name])
-    return cls(**{f.name: read(f) for f in fields(cls) if f.name in d})
+    return _named(ctx, cls, **{f.name: read(f) for f in fields(cls) if f.name in d})
 
 
 def _optional(convert):
@@ -175,8 +171,9 @@ class PartitionSection:
     boundaries: tuple[int, ...] | None = _key(_optional(_each(whole_number)), None)
 
     def __post_init__(self):
-        if self.mode == "manual" and not self.boundaries:
-            raise InvalidParameterError("manual partition needs boundaries")
+        if (self.mode == "manual") != bool(self.boundaries):  # read in manual mode only
+            raise InvalidParameterError(f"{self.mode} partition "
+                                        f"{'takes no' if self.boundaries else 'needs'} boundaries")
 
     def fixed_stages(self, support: LabelSupport) -> StagePartition | None:
         """The stages that need no data (decade, manual); for kmeans, None
@@ -231,7 +228,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _strict(d, _keys(cls), "config", required=("seed", "out_dir"))
+        _strict(d, cls, "config")
         config = cls(
             seed=_named("config.seed", _converter(TrainConfig, "seed"), d["seed"]),
             out_dir=_named("config.out_dir", _path, d["out_dir"]),
@@ -262,7 +259,7 @@ def load_config(path, seed_override: int | None = None,
             raw = json.load(fh)
     except FileNotFoundError:
         raise CommandError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CommandError(f"config {path} is not valid JSON: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:

@@ -61,11 +61,11 @@ def whole_number(value) -> int:
 # Converters for values that enter from outside, shared by the library and
 # the config loader; each rejects a value with an InvalidParameterError.
 
-def _named(name: str, convert, *args):
-    """``convert(*args)``; a TypeError or ValueError it raises becomes an
-    InvalidParameterError naming the argument or field ``name``."""
+def _named(name: str, convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``; a TypeError or ValueError it raises becomes
+    an InvalidParameterError naming ``name``: an argument, field or section."""
     try:
-        return convert(*args)
+        return convert(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name}: {exc}") from None
 

@@ -10,6 +10,7 @@ stage spreads them far apart. Samples are prototypes plus isotropic noise.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from array import array
@@ -181,59 +182,63 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path, support: LabelSupport | None = None) -> Dataset:
-    """The dataset in ``path``. The first bad line in file order is a
-    ParseError, or an InvalidLabelError for a label outside ``support``;
-    either names ``path`` and the line."""
-    support = support or LabelSupport()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header", 1, path) from None
-        if (len(header) < 3 or header[0] != CSV_ID_COLUMN
-                or header[1] != CSV_LABEL_COLUMN):
-            raise ParseError(
-                f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},f0,...', "
-                f"got {header[:3]}", 1, path)
-        feature_dim = len(header) - 2
-        ids, labels, line_nos = [], array("q"), array("q")
-        cells = array("d")  # every feature cell, row after row
-        error = None
+    """The dataset in ``path``, each row checked as it is read: the first bad
+    line in file order fails, naming ``path`` and the line its row starts on.
+    A label outside ``support`` is an InvalidLabelError; a bad cell, a field
+    over csv's size limit or a byte that is not UTF-8 is a ParseError."""
+    with contextlib.suppress(UnicodeDecodeError), open(path, encoding="utf-8", newline="") as fh:
+        return _read_csv(fh, path, support or LabelSupport())
+    # read again a line at a time: the decoder ran ahead of the rows it checked
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return _read_csv(_utf8_lines(fh, path), path, support or LabelSupport())
+
+
+def _utf8_lines(lines, path):
+    """``lines``, read with errors="surrogateescape", until one that is not UTF-8."""
+    for line_no, line in enumerate(lines, 1):
+        if line != line.encode("utf-8", "replace").decode("utf-8"):
+            raise ParseError("not UTF-8 text", line_no, path)
+        yield line
+
+
+def _read_csv(lines, path, support: LabelSupport) -> Dataset:
+    reader = csv.reader(lines)
+    ids, labels, cells = [], array("q"), array("d")  # cells: each row's features in turn
+    line_no = 1  # the line the next row starts on
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("missing header", 1, path)
+        if len(header) < 3 or header[:2] != [CSV_ID_COLUMN, CSV_LABEL_COLUMN]:
+            raise ParseError(f"header must start with '{CSV_ID_COLUMN},{CSV_LABEL_COLUMN},"
+                             f"f0,...', got {header[:3]}", 1, path)
+        feature_dim, line_no = len(header) - 2, reader.line_num + 1
         for row in reader:
-            line_no = reader.line_num  # the row's last physical line
+            start, line_no = line_no, reader.line_num + 1
             if not row:
                 continue
             if len(row) != feature_dim + 2:
-                error = ParseError(
-                    f"expected {feature_dim + 2} cells, got {len(row)}", line_no, path)
-                break
+                raise ParseError(f"expected {feature_dim + 2} cells, got {len(row)}", start, path)
             try:
                 label = int(row[1])
             except ValueError:
-                error = ParseError(f"age {row[1]!r} is not an integer", line_no, path)
-                break
+                raise ParseError(f"age {row[1]!r} is not an integer", start, path) from None
             if not support.contains(label):
-                error = InvalidLabelError(
-                    f"{path}: line {line_no}: label {label} outside support "
-                    f"[{support.min_label}, {support.max_label}]")
-                break
+                raise InvalidLabelError(f"{path}: line {start}: label {label} outside support "
+                                        f"[{support.min_label}, {support.max_label}]")
             try:
-                cells.extend(map(float, row[2:]))
+                values = list(map(float, row[2:]))
             except ValueError:
-                error = ParseError("non-numeric feature cell", line_no, path)
-                break
+                raise ParseError("non-numeric feature cell", start, path) from None
+            # as in _check_logits: a finite sum needs no scan
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ParseError("non-finite feature cell", start, path)
             ids.append(row[0])
             labels.append(label)
-            line_nos.append(line_no)
-    # whole rows only: a failing row may have added some of its cells. A
-    # non-finite cell before the failing row is the first bad line.
-    features = np.frombuffer(cells, count=len(ids) * feature_dim).reshape(-1, feature_dim)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ParseError("non-finite feature cell", line_nos[np.argmin(finite)], path)
-    if error is not None:
-        raise error
+            cells.extend(values)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line_no, path) from None
+    features = np.frombuffer(cells).reshape(-1, feature_dim)
     return Dataset._adopt(ids, np.frombuffer(labels, dtype=np.int64), features, support)
 
 

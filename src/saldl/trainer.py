@@ -416,7 +416,8 @@ def train_sav(train: Dataset, val: Dataset, partition: StagePartition,
         model, log_pred_sums, losses = run.sgd_pass(model, params, epoch)
         if _sigma_by_gradient(config):
             sigma_grads = run.sigma_gradient(params, log_pred_sums)
-        l1 = evaluate_l1(model, val, config.prediction_rule)
+        with np.errstate(invalid="ignore", over="ignore"):  # a diverged read-out fails below
+            l1 = evaluate_l1(model, val, config.prediction_rule)
         if not np.isfinite(l1):
             raise TrainingDivergedError(
                 f"non-finite validation predictions at epoch {epoch}", history=run.history)

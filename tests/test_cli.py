@@ -4,19 +4,23 @@ reproducibility of written artifacts."""
 import json
 import math
 import re
+import shutil
+import tempfile
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from saldl import cli
 from saldl.cli import ABLATION_ARMS, ExperimentConfig, load_config, main
 from saldl.core import LabelSupport
 from saldl.data import (AmbiguityProfile, Dataset, generate_synthetic, load_csv, save_csv, split,
                         split_counts)
-from saldl.errors import InvalidParameterError
+from saldl.errors import InvalidParameterError, SaldlError
 from saldl.evaluation import compute_metrics, cumulative_score
 from saldl.model import backward_step, init_model
 from saldl.staging import StagePartition, kmeans_1d
@@ -372,6 +376,38 @@ class TestConfigValidation:
         doc["partition"] = {"mode": "kmeans", "k": k}
         self.assert_rejected_at_load(tmp_path, capsys, doc, "partition.k")
 
+    # a rule across a section's fields names the section: before, the first
+    # two named none, and kmeans and decade stages ignored the boundaries
+    @pytest.mark.parametrize("section, value, message", [
+        ("partition", {"mode": "manual"}, "partition: manual partition needs boundaries"),
+        ("support", {"min_label": 5, "max_label": 5},
+         "support: label support needs at least 2 labels, got [5, 5]"),
+        ("partition", {"mode": "kmeans", "k": 2, "boundaries": [0, 50]},
+         "partition: kmeans partition takes no boundaries"),
+        ("partition", {"mode": "decade", "boundaries": [0, 50]},
+         "partition: decade partition takes no boundaries"),
+    ], ids=["manual-without-boundaries", "one-label", "kmeans-with-boundaries",
+            "decade-with-boundaries"])
+    def test_rule_across_fields_names_the_section(self, tmp_path, capsys, section, value,
+                                                 message):
+        doc = base_config(tmp_path / "run")
+        doc[section] = value
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(doc)
+        assert main(["gen-data", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run").exists()
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        # before, "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff ..."
+        path = tmp_path / "config.json"
+        text = json.dumps(base_config(tmp_path / "run")).encode()
+        path.write_bytes(text.replace(b"relu", b"rel\xff"))
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config {path} is not valid JSON: ")
+        assert not (tmp_path / "run").exists()
+
     @staticmethod
     def assert_rejected_at_load(tmp_path, capsys, doc, field):
         with pytest.raises(InvalidParameterError, match=re.escape(field)):
@@ -630,6 +666,23 @@ class TestTrainCommand:
         assert len(recwarn) == 0
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert meta["status"] == "partial"
+
+    def test_diverging_validation_readout_prints_no_warning(self, tmp_path, capsys, recwarn):
+        # found by TestInputFuzz: 1e300 on line 71 trains weights whose validation
+        # read-out overflows; before, two NumPy warnings came before the error line
+        path = write_config(tmp_path, fuzz_config(tmp_path / "run"))
+        assert main(["gen-data", "--config", str(path)]) == 0
+        train_csv = tmp_path / "run" / "train.csv"
+        lines = train_csv.read_text().splitlines()
+        cells = lines[70].split(",")
+        cells[2] = "1e300"
+        lines[70] = ",".join(cells)
+        train_csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged: non-finite validation predictions at epoch 0"]
+        assert len(recwarn) == 0
 
     def test_zero_epochs_emits_initial_checkpoint(self, tmp_path):
         doc = base_config(tmp_path / "run", epochs=0)
@@ -916,3 +969,93 @@ class TestRunAblation:
         meta = json.loads((tmp_path / "run" / "run_meta.json").read_text())
         assert meta["status"] == "partial"
         assert not (tmp_path / "run" / "ablation").exists()
+
+
+# The fuzzer's inputs. A train.csv cell is replaced as bytes, so a quote or a
+# comma breaks the row and \xff is a byte that is not UTF-8.
+FUZZ_CELLS = [b"nan", b"inf", b"1e300", b"", b"1.5", b"abc", b'"', b"a,b", b"x" * 131073,
+              b"\xff"]
+# A config value of another type, out of range, nan, "" or null.
+FUZZ_VALUES = [None, "", math.nan, True, "x", [], {"a": 1}, -1, 0, 2.5]
+
+
+def fuzz_config(out_dir):
+    doc = base_config(out_dir, epochs=1)
+    doc["data"]["synthetic"]["n_per_label"] = 5
+    doc["model"]["hidden_dims"] = [8]
+    return doc
+
+
+def config_fields(doc, prefix=()):
+    """The place of each value in ``doc``; out_dir is the run itself."""
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            yield from config_fields(value, (*prefix, key))
+        elif key != "out_dir":
+            yield (*prefix, key)
+
+
+class TestInputFuzz:
+    """One bad train.csv cell or config value, then stage, train and eval:
+    each command exits 0 with no warning, or exits 1 with one error line and
+    a partial run_meta.json (none when the config fails to load), and leaves
+    no temporary file."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "run"
+        path = write_config(out.parent, fuzz_config(out))
+        assert main(["gen-data", "--config", str(path)]) == 0
+        (out / "run_meta.json").unlink()
+        return out
+
+    @given(st.one_of(
+        st.tuples(st.just("cell"), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                  st.sampled_from(FUZZ_CELLS)),
+        st.tuples(st.just("config"), st.sampled_from(list(config_fields(fuzz_config("run")))),
+                  st.sampled_from(FUZZ_VALUES))))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_input_fails_cleanly_or_runs_cleanly(self, generated, capsys, recwarn, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(generated, out)
+            doc = fuzz_config(out)
+            if mutation[0] == "cell":
+                _, row, column, cell = mutation
+                train_csv = out / "train.csv"
+                lines = train_csv.read_bytes().split(b"\n")
+                cells = lines[row % (len(lines) - 1)].split(b",")
+                cells[column % len(cells)] = cell
+                lines[row % (len(lines) - 1)] = b",".join(cells)
+                train_csv.write_bytes(b"\n".join(lines))
+            else:
+                _, place, value = mutation
+                section = doc
+                for key in place[:-1]:
+                    section = section[key]
+                section[place[-1]] = value
+            path = write_config(Path(tmp), doc)
+            try:
+                load_config(path)
+                loads = True
+            except SaldlError:
+                loads = False
+            for command in ("stage", "train", "eval"):
+                capsys.readouterr()
+                recwarn.clear()
+                code = main([command, "--config", str(path)])
+                err = capsys.readouterr().err.splitlines()
+                assert len(recwarn) == 0, (command, [str(w.message) for w in recwarn])
+                meta = out / "run_meta.json"
+                if code == 0:
+                    assert err == []
+                    assert json.loads(meta.read_text())["status"] == "complete"
+                else:
+                    assert code == 1 and len(err) == 1 and err[0].startswith("error: "), err
+                    if loads:
+                        assert json.loads(meta.read_text())["status"] == "partial"
+                    else:
+                        assert not meta.exists()
+                assert not [p for p in out.rglob(".*")], command
+                meta.unlink(missing_ok=True)

@@ -374,6 +374,52 @@ class TestCsvRoundTrip:
             load_csv(path, SUP)
         assert exc_info.value.line == 4
 
+    @staticmethod
+    def rows_file(path, n_rows, bad=None):
+        """A header and ``n_rows`` rows of 16 features; ``bad`` maps a line
+        number to the bytes that replace that line."""
+        lines = [b"id,age," + b",".join(b"f%d" % i for i in range(16))]
+        lines += [b"row%d,%d," % (i, i % 101) + b",".join([b"0.25"] * 16)
+                  for i in range(n_rows)]
+        for line_no, text in (bad or {}).items():
+            lines[line_no - 1] = text
+        path.write_bytes(b"\n".join(lines) + b"\n")
+
+    def test_stray_quote_names_the_line_its_row_starts_on(self, tmp_path):
+        # the quote opens a field that runs to the end of the file: before, the
+        # error named line 304, where the row ends
+        path = tmp_path / "train.csv"
+        self.rows_file(path, 303, {4: b'"row2,2,' + b",".join([b"0.25"] * 16)})
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, SUP)
+        assert str(exc_info.value) == f"{path}: line 4: expected 18 cells, got 1"
+
+    def test_field_over_csv_limit_names_the_line(self, tmp_path):
+        # before, csv's own error named neither the file nor the line
+        path = tmp_path / "train.csv"
+        self.rows_file(path, 5, {3: b"x" * 131073 + b",1," + b",".join([b"0.25"] * 16)})
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, SUP)
+        assert str(exc_info.value) == (
+            f"{path}: line 3: field larger than field limit (131072)")
+
+    # the decoder runs ahead of the reader: the byte on line 1502 fails while
+    # the reader is at line 1454. Before, a UnicodeDecodeError named no file
+    # or line
+    @pytest.mark.parametrize("bad, line, message", [
+        ({2: b"row0,5,\xff"}, 2, "not UTF-8 text"),
+        ({1: b"id,age,f\xff"}, 1, "not UTF-8 text"),
+        ({1502: b"row\xff,5,0.25"}, 1502, "not UTF-8 text"),
+        # the first bad line in file order wins, though the decoder failed first
+        ({1500: b"row1498,5,oops", 1502: b"row\xff,5,0.25"}, 1500, "expected 18 cells, got 3"),
+    ], ids=["cell", "header", "line-1502", "bad-row-before-it"])
+    def test_byte_not_utf8_names_the_line(self, tmp_path, bad, line, message):
+        path = tmp_path / "train.csv"
+        self.rows_file(path, 1600, bad)
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, SUP)
+        assert str(exc_info.value) == f"{path}: line {line}: {message}"
+
     def test_header_only_loads_empty_then_training_fails(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("id,age,f0,f1\n")
